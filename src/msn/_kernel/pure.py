@@ -90,7 +90,7 @@ def pivot(tab, den, basis, r, jc):
             if piv != den:
                 tab[i] = [v * piv // den for v in row]
             continue
-        tab[i] = [(piv * row[j] - f * prow[j]) // den for j in range(len(row))]
+        tab[i] = [(piv * v - f * p) // den for v, p in zip(row, prow)]
     basis[r] = jc
     return piv
 

@@ -121,7 +121,7 @@ def cmd_map_check(args):
     if ok:
         _emit({"embedding": True, "delta": args.delta}, args.out, "check.json")
         return 0
-    _diag({"error": "NotAnEmbedding", "witness": {k: str(v) for k, v in wit.items()}})
+    _diag({"error": "NotAnEmbedding", "witness": io.witness_to_doc(wit)})
     return MATH_FAILURE
 
 
@@ -241,7 +241,7 @@ def cmd_tower_verify(args):
     tower = io.load_tower(args.tower)
     rep = verify_tower(tower)
     doc = {"ok": rep["ok"], "checks": rep["checks"],
-           "failures": [{k: str(v) for k, v in f.items()} for f in rep["failures"]]}
+           "failures": io.witness_to_doc(rep["failures"])}
     _emit(doc, args.out, "verify.json")
     return 0 if rep["ok"] else MATH_FAILURE
 

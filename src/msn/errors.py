@@ -88,8 +88,10 @@ class NotAnEmbedding(MsnError):
         self.witness = witness or {}
 
     def payload(self) -> dict:
+        from msn.io import witness_to_doc  # msn.io imports this module
+
         out = super().payload()
-        out["witness"] = {k: str(v) for k, v in self.witness.items()}
+        out["witness"] = witness_to_doc(self.witness)
         return out
 
 

@@ -38,6 +38,21 @@ def rat_from_str(s: str) -> Fraction:
         raise FormatError(f"bad rational literal {s!r}") from e
 
 
+def witness_to_doc(obj):
+    """JSON form of a failure witness or report.
+
+    Rationals become ``rat_to_str`` strings, vectors lists, dicts are
+    converted recursively; ints, strings and None stay as they are.
+    """
+    if isinstance(obj, dict):
+        return {k: witness_to_doc(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [witness_to_doc(x) for x in obj]
+    if isinstance(obj, Fraction):
+        return rat_to_str(obj)
+    return obj
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

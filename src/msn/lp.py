@@ -5,6 +5,14 @@ constraints ``a·x <= b`` with free variables, using a two-phase simplex
 with Bland's anti-cycling rule on an integer tableau (one positive common
 denominator; all pivot divisions exact).  Infeasible and unbounded systems
 are reported distinctly.
+
+The work stays in integers from input to result.  Each row ``(a, b)`` is
+scaled by the least common multiple of its denominators, read straight
+off the ``numerator``/``denominator`` of its entries (ints and Fractions
+alike).  After phase 2 the optimum is read off the tableau over its
+common denominator ``den``: the point as integer numerators ``X`` over
+``den``, the value as one ``Fraction``, and the active set by the integer
+test ``ia·X == ib·den`` on the scaled rows.
 """
 
 from __future__ import annotations
@@ -12,90 +20,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from msn import _kernel
 from msn.errors import DimensionMismatch, Infeasible, Unbounded
-from msn.linalg import Vec, dot, frac, vec
+from msn.linalg import Vec, vec
 
 
 @dataclass(frozen=True)
 class LpResult:
-    """Exact optimum with the attaining point and its tight constraints."""
+    """Exact optimum with the attaining point and its tight constraints.
+
+    All three fields are read exactly from the final integer tableau:
+    ``point`` is in lowest terms, ``value`` equals ``objective . point``
+    and ``active`` lists, in input order, the rows with ``a . point == b``.
+    """
 
     value: Fraction
     point: Vec
     active: tuple[int, ...]
 
 
-def _scaled_int_row(coeffs, rhs):
-    m = lcm(*(c.denominator for c in coeffs), rhs.denominator) if coeffs else rhs.denominator
-    return [int(c * m) for c in coeffs], int(rhs * m)
+def _int_row(coeffs, rhs):
+    """``(ia, ib)``: the row times the least common multiple of its denominators."""
+    coeffs = tuple(coeffs)
+    m = lcm(rhs.denominator, *[x.denominator for x in coeffs])
+    if m == 1:
+        return [x.numerator for x in coeffs], rhs.numerator
+    return [x.numerator * (m // x.denominator) for x in coeffs], rhs.numerator * (m // rhs.denominator)
 
 
 def solve_lp(objective, constraints) -> LpResult:
     """Minimise ``objective . x`` subject to ``a . x <= b`` rows.
 
-    ``constraints`` is an iterable of ``(a, b)`` pairs.  Raises
-    ``Infeasible`` or ``Unbounded``.
+    ``constraints`` is an iterable of ``(a, b)`` pairs of int or Fraction
+    entries.  Raises ``Infeasible`` or ``Unbounded``.
     """
-    c = vec(objective)
-    rows = [(vec(a), frac(b)) for a, b in constraints]
+    c = tuple(objective)
+    rows = [_int_row(a, b) for a, b in constraints]
     n = len(c)
-    for a, _ in rows:
-        if len(a) != n:
+    for ia, _ in rows:
+        if len(ia) != n:
             raise DimensionMismatch("constraint arity != objective arity")
     if n == 0:
-        if any(b < 0 for _, b in rows):
+        if any(ib < 0 for _, ib in rows):
             raise Infeasible("no variables, negative bound")
-        return LpResult(Fraction(0), (), tuple(i for i, (_, b) in enumerate(rows) if b == 0))
+        return LpResult(Fraction(0), (), tuple(i for i, (_, ib) in enumerate(rows) if ib == 0))
 
     m = len(rows)
     # Columns: u (n), v (n), slacks (m), then artificials, then RHS.
-    art_rows = []
-    body = []
-    rhs_vals = []
-    for i, (a, b) in enumerate(rows):
-        ia, ib = _scaled_int_row(a, b)
-        if ib < 0:
-            ia = [-x for x in ia]
-            ib = -ib
-            slack = -1
-            art_rows.append(i)
-        else:
-            slack = 1
-        body.append((ia, slack, ib))
-        rhs_vals.append(ib)
-
+    # Rows with a negative bound are negated and get an artificial column.
     nu = 2 * n
-    nslack = m
+    art_rows = [i for i, (_, ib) in enumerate(rows) if ib < 0]
     nart = len(art_rows)
-    width = nu + nslack + nart + 1
+    width = nu + m + nart + 1
     tab: list[list[int]] = []
     basis: list[int] = []
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        art_col[i] = nu + nslack + k
-    for i, (ia, slack, ib) in enumerate(body):
-        row = [0] * width
-        for j, x in enumerate(ia):
-            row[j] = x
-            row[n + j] = -x
-        row[nu + i] = slack
-        if i in art_col:
-            row[art_col[i]] = 1
-        row[-1] = ib
+    art = nu + m
+    for i, (ia, ib) in enumerate(rows):
+        neg = [-x for x in ia]
+        if ib < 0:
+            row = neg + ia + [0] * (width - nu)
+            row[nu + i] = -1
+            row[art] = 1
+            row[-1] = -ib
+            basis.append(art)
+            art += 1
+        else:
+            row = ia + neg + [0] * (width - nu)
+            row[nu + i] = 1
+            row[-1] = ib
+            basis.append(nu + i)
         tab.append(row)
-        basis.append(art_col[i] if i in art_col else nu + i)
 
     den = 1
     if nart:
         # Phase 1: minimise the sum of artificial variables.
         obj = [0] * width
         for i in art_rows:
-            for j in range(width):
-                obj[j] -= tab[i][j]
-        for k in range(nart):
-            obj[nu + nslack + k] = 0
+            obj = [o - x for o, x in zip(obj, tab[i])]
+        obj[nu + m:-1] = [0] * nart
         tab.append(obj)
         status, den = _kernel.bland_min(tab, den, basis, m, m)
         if status != _kernel.OPTIMAL:
@@ -103,54 +107,45 @@ def solve_lp(objective, constraints) -> LpResult:
         if tab[m][-1] != 0:
             raise Infeasible("constraint system has no solution")
         tab.pop()
-        # Drive any remaining artificial variables out of the basis.
-        drop_rows = []
+        # Drive any remaining artificial variables out of the basis.  The
+        # columns u, v, slacks have full row rank (the slacks form a +-1
+        # diagonal), so every row has a nonzero entry among them.
         for i in range(m):
-            if basis[i] < nu + nslack:
+            if basis[i] < nu + m:
                 continue
-            jc = next((j for j in range(nu + nslack) if tab[i][j] != 0), None)
-            if jc is None:
-                drop_rows.append(i)
-                continue
+            jc = next(j for j in range(nu + m) if tab[i][j] != 0)
             if tab[i][jc] < 0:
                 tab[i] = [-x for x in tab[i]]
             den = _kernel.pivot(tab, den, basis, i, jc)
-        for i in sorted(drop_rows, reverse=True):
-            tab.pop(i)
-            basis.pop(i)
-        m = len(basis)
         # Remove artificial columns.
-        keep = list(range(nu + nslack)) + [width - 1]
-        tab = [[row[j] for j in keep] for row in tab]
-        width = nu + nslack + 1
+        tab = [row[:nu + m] + row[-1:] for row in tab]
+        width = nu + m + 1
 
     # Phase 2 objective row: costs (c, -c, 0...) expressed over the basis.
     cm = lcm(*(x.denominator for x in c))
-    ci = [int(x * cm) for x in c]
-    obj = [0] * width
-    for j in range(n):
-        obj[j] = ci[j] * den
-        obj[n + j] = -ci[j] * den
+    ci = [x.numerator * (cm // x.denominator) for x in c]
     # den-scaled costs keep the tableau on one common denominator.
+    obj = [x * den for x in ci] + [-x * den for x in ci] + [0] * (width - nu)
     for i in range(m):
         cb = 0
         if basis[i] < nu:
             cb = ci[basis[i]] if basis[i] < n else -ci[basis[i] - n]
         if cb:
-            for j in range(width):
-                obj[j] -= cb * tab[i][j]
+            obj = [o - cb * x for o, x in zip(obj, tab[i])]
     tab.append(obj)
     status, den = _kernel.bland_min(tab, den, basis, m, m)
     if status != _kernel.OPTIMAL:
         raise Unbounded("objective unbounded below on the feasible set")
 
-    vals = {}
+    # x = u - v, each basic variable being its row's RHS over den.
+    uv = [0] * nu
     for i in range(m):
-        vals[basis[i]] = Fraction(tab[i][-1], den)
-    x = tuple(vals.get(j, Fraction(0)) - vals.get(n + j, Fraction(0)) for j in range(n))
-    value = dot(c, x)
-    active = tuple(i for i, (a, b) in enumerate(rows) if dot(a, x) == b)
-    return LpResult(value, x, active)
+        if basis[i] < nu:
+            uv[basis[i]] = tab[i][-1]
+    X = [uv[j] - uv[n + j] for j in range(n)]
+    value = Fraction(sum(map(mul, ci, X)), cm * den)
+    active = tuple(i for i, (ia, ib) in enumerate(rows) if sum(map(mul, ia, X)) == ib * den)
+    return LpResult(value, tuple(Fraction(x, den) for x in X), active)
 
 
 def lp_feasible(constraints) -> bool:
@@ -184,8 +179,11 @@ def gauge_scale(psi, functionals) -> Fraction | None:
         return None
     rows = []
     for f in funcs:
-        rows.append((tuple(f), Fraction(1)))
-        rows.append((tuple(-x for x in f), Fraction(1)))
+        # |f . x| <= 1 as two integer rows: the tableau is the same, and
+        # negating ints is cheaper than negating Fractions.
+        ia, ib = _int_row(f, 1)
+        rows.append((ia, ib))
+        rows.append(([-x for x in ia], ib))
     try:
         res = solve_lp(tuple(-x for x in psi), rows)
     except Unbounded:

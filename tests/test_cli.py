@@ -8,6 +8,7 @@ import pytest
 
 from msn import io
 from msn.cli import main
+from msn.errors import NotAnEmbedding
 from msn.linalg import Matrix
 from msn.maps import LinearMap, identity_map
 from msn.seminorms import PolyhedralSeminorm
@@ -47,6 +48,30 @@ def test_map_check_exit_codes(files, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NotAnEmbedding" and err["witness"]["kind"] == "upper"
     assert run(["map", "check", files / "two.json", "--delta", "1"]) == 0
+
+
+def test_map_check_witness_travels_as_exact_strings(tmp_path, capsys):
+    X = MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 1), (1, -1)])))
+    f = LinearMap(X, X, Matrix.from_rows([[F(3, 2), 0], [0, F(3, 2)]]))
+    io.write_json(tmp_path / "f.json", io.map_to_doc(f))
+    delta = F(1, 4)
+    assert run(["map", "check", tmp_path / "f.json", "--delta", "1/4"]) == 2
+    wit = json.loads(capsys.readouterr().err)["witness"]
+    assert wit["kind"] == "upper" and isinstance(wit["level"], int)
+    assert all(isinstance(x, str) for x in wit["vector"])
+    v = tuple(io.rat_from_str(x) for x in wit["vector"])
+    m = wit["level"]
+    assert f.codomain.eval(m, f(v)) > (1 + delta) * f.domain.eval(m, v)
+
+
+def test_witness_payloads_convert_recursively():
+    wit = {"kind": "upper", "level": 1, "vector": (F(1, 2), F(-3))}
+    want = {"kind": "upper", "level": 1, "vector": ["1/2", "-3"]}
+    assert NotAnEmbedding("no", wit).payload()["witness"] == want
+    failures = [{"kind": "link", "stage": 0, "witness": wit},
+                {"kind": "lambda-monotone", "lambdas": [2, 1]}]
+    assert io.witness_to_doc(failures) == [{"kind": "link", "stage": 0, "witness": want},
+                                          {"kind": "lambda-monotone", "lambdas": [2, 1]}]
 
 
 def test_amalgam_push_artifacts(files, tmp_path):
