@@ -243,23 +243,6 @@ def net_from_doc(doc):
     return EmbeddingNet(dom, cod, points, None if res is None else rat_from_str(res))
 
 
-def colouring_to_doc(c) -> dict:
-    out = {"format": FORMAT, "kind": c.kind}
-    if c.kind == "discrete":
-        out["colours"] = c.colours
-    else:
-        out["level"] = c.level
-    if c.table is not None:
-        out["table"] = [
-            {"matrix": [[rat_to_str(x) for x in row] for row in key],
-             "value": (int(v) if c.kind == "discrete" else rat_to_str(v))}
-            for key, v in c.table
-        ]
-    if c.builtin is not None:
-        out["builtin"] = [str(c.builtin[0])] + [str(x) for x in c.builtin[1:]]
-    return out
-
-
 def colouring_from_doc(doc):
     from msn.ramsey import Colouring
 

@@ -161,10 +161,6 @@ def lp_feasible(constraints) -> bool:
         return False
 
 
-def lp_value(objective, constraints) -> Fraction:
-    return solve_lp(objective, constraints).value
-
-
 def gauge_scale(psi, functionals) -> Fraction | None:
     """sup of psi over the unit ball {x : |f . x| <= 1 for all f}.
 

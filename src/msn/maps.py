@@ -22,13 +22,11 @@ from msn.linalg import (
     in_span,
     intersect_spans,
     inverse,
-    row_space_basis,
-    solve,
     sum_span,
     vec,
     zero_vec,
 )
-from msn.lp import solve_lp
+from msn.lp import gauge_scale, solve_lp
 from msn.seminorms import seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
@@ -79,25 +77,6 @@ def map_sub(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(f.domain, f.codomain, f.matrix.sub(g.matrix))
 
 
-def _ball_rows(functionals):
-    rows = []
-    for phi in functionals:
-        rows.append((tuple(phi), Fraction(1)))
-        rows.append((tuple(-x for x in phi), Fraction(1)))
-    return rows
-
-
-def dual_norm_scale(psi: Vec, functionals) -> Fraction | None:
-    """sup of psi over the unit ball of the seminorm the functionals define.
-
-    Equivalently the least c with psi inside c times their symmetric
-    convex hull; None when psi is not in their span (the sup is infinite).
-    """
-    from msn.lp import gauge_scale
-
-    return gauge_scale(psi, functionals)
-
-
 def _pullbacks(f: LinearMap, m: int) -> tuple[Vec, ...]:
     """Codomain level-m functionals composed with f, deduplicated.
 
@@ -129,7 +108,7 @@ def _op_seminorm_cached(f: LinearMap, m: int):
         return Fraction(1) if dom_s.functionals else Fraction(0)
     best = Fraction(0)
     for psi in _pullbacks(f, m):
-        val = dual_norm_scale(psi, dom_s.functionals)
+        val = gauge_scale(psi, dom_s.functionals)
         if val is None:
             return None
         if val > best:
@@ -152,7 +131,6 @@ def operator_seminorm(f: LinearMap, m: int):
 def upper_witness(f: LinearMap, m: int) -> Vec:
     """A unit-ball vector attaining the operator seminorm at level m."""
     dom_s = f.domain.seminorms[m]
-    cod_s = f.codomain.seminorms[m]
     d = f.domain.dim
     ball = []
     for phi in dom_s.functionals:
@@ -189,7 +167,7 @@ def _lower_constant_cached(f: LinearMap, m: int):
     pulled = _pullbacks(f, m)
     worst = Fraction(0)
     for phi in dom_s.functionals:
-        val = dual_norm_scale(phi, pulled)
+        val = gauge_scale(phi, pulled)
         if val is None:
             return Fraction(0)
         worst = max(worst, val)
@@ -210,7 +188,6 @@ def lower_witness(f: LinearMap, m: int) -> Vec:
     facet by facet in epigraph form.
     """
     dom_s = f.domain.seminorms[m]
-    cod_s = f.codomain.seminorms[m]
     d = f.domain.dim
     best = None
     witness = zero_vec(d)

@@ -1,10 +1,15 @@
 """Polytopes with exact H- and V-representations.
 
-Conversion in both directions runs the double description method on a
+Conversion in both directions runs the double description method
+(Fukuda & Prodon, "Double description method revisited", 1996) on a
 homogenising cone: vertex enumeration inserts constraints incrementally
 starting from a simplicial cone, and facet enumeration applies the same
 ray machinery to the polar cone (lineality there turns into implicit
-equalities, emitted as opposite inequality pairs).
+equalities, emitted as opposite inequality pairs).  The method works in
+integers throughout: the start cone comes from two fraction-free
+eliminations, each ray's tight set is an int bitmask extended by one bit
+per inserted row, and ray pairs are tested for adjacency
+combinatorially, by tight-set containment, with no rank computation.
 """
 
 from __future__ import annotations
@@ -39,76 +44,59 @@ def canon_ineq(a, b) -> Ineq:
     return tuple(Fraction(x) for x in prim[:-1]), Fraction(prim[-1])
 
 
-def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {y : row . y >= 0 for all rows}.
+def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
+    """Extreme rays of the cone {y : row . y >= 0 for all rows}, or None.
 
-    Requires the rows to have full rank ``dim`` (pointed cone).  Double
-    description: start from a simplicial subcone, insert the remaining
-    constraints, recomputing tight sets exactly at every step.
+    Returns None when the rows have rank below ``dim`` (the cone is not
+    pointed).  Double description (Fukuda & Prodon, "Double description
+    method revisited", 1996): start from the simplicial cone of the
+    lexicographically first ``dim`` independent rows, whose rays are the
+    primitive columns of the inverse, then insert the remaining rows one
+    at a time.  Each ray keeps its tight set, the processed rows it lies
+    on, as an int bitmask.  A (+, -) pair is adjacent, and yields the new
+    ray on the inserted hyperplane, iff its common tight set has at least
+    ``dim - 2`` rows and lies in no third ray's tight set.
     """
-    rank, _, _ = _kernel.echelon_int(rows)
+    # The pivot columns of the transpose are the lex-first independent rows.
+    rank, chosen, _ = _kernel.echelon_int([list(c) for c in zip(*rows)])
     if rank < dim:
-        raise ValueError("cone is not pointed")
-    # Greedy choice of dim independent rows for the simplicial start.
-    chosen: list[int] = []
-    cur: list[list[int]] = []
-    for i, r in enumerate(rows):
-        cand = cur + [list(r)]
-        rk, _, _ = _kernel.echelon_int(cand)
-        if rk > len(cur):
-            chosen.append(i)
-            cur = cand
-        if len(cur) == dim:
-            break
-    rest = [i for i in range(len(rows)) if i not in set(chosen)]
-    order = chosen + rest
+        return None
+    # [B | I] reduces to rows c_i * [e_i | row i of B^-1] with c_i > 0.
+    aug = [list(rows[i]) + [int(j == k) for j in range(dim)] for k, i in enumerate(chosen)]
+    _, _, red = _kernel.echelon_int(aug)
+    m = lcm(*(r[i] for i, r in enumerate(red)))
+    scale = [m // r[i] for i, r in enumerate(red)]
+    rays = [_primitive_int([s * r[dim + j] for s, r in zip(scale, red)]) for j in range(dim)]
+    # Ray j lies on every chosen row but row j.
+    full = (1 << dim) - 1
+    tight = [full ^ (1 << j) for j in range(dim)]
 
-    B = Matrix.from_rows([[Fraction(x) for x in rows[i]] for i in chosen])
-    from msn.linalg import inverse
-
-    Binv = inverse(B)
-    rays: list[tuple[int, ...]] = []
-    for j in range(dim):
-        col = [Binv.entries[i][j] for i in range(dim)]
-        m = lcm(*(f.denominator for f in col))
-        rays.append(_primitive_int([int(f * m) for f in col]))
-
-    processed = [rows[i] for i in chosen]
-
-    def tight_set(ray) -> frozenset[int]:
-        return frozenset(k for k, row in enumerate(processed)
-                         if sum(a * x for a, x in zip(row, ray)) == 0)
-
-    tights = {r: tight_set(r) for r in rays}
-
-    for idx in rest:
+    chosen_set = set(chosen)
+    bit = 1 << dim
+    for idx in range(len(rows)):
+        if idx in chosen_set:
+            continue
         row = rows[idx]
-        vals = {r: sum(a * x for a, x in zip(row, r)) for r in rays}
-        plus = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        minus = [r for r in rays if vals[r] < 0]
+        vals = [sum(a * x for a, x in zip(row, r)) for r in rays]
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
-        if minus and plus:
-            for p in plus:
-                tp = tights[p]
-                for q in minus:
-                    common = tp & tights[q]
-                    if len(common) < dim - 2:
-                        continue
-                    sub = [processed[k] for k in sorted(common)]
-                    rk, _, _ = _kernel.echelon_int(sub) if sub else (0, [], [])
-                    if rk != dim - 2:
-                        continue
-                    comb = [vals[p] * qx - vals[q] * px for px, qx in zip(p, q)]
-                    new_rays.append(_primitive_int(comb))
-        processed.append(row)
-        rays = plus + zero + new_rays
-        # Dedupe (combinations can coincide in degenerate positions).
-        seen = {}
-        for r in rays:
-            seen.setdefault(r, None)
-        rays = list(seen)
-        tights = {r: tight_set(r) for r in rays}
+        new_tight: list[int] = []
+        for p in plus:
+            tp, rp, vp = tight[p], rays[p], vals[p]
+            for q in minus:
+                common = tp & tight[q]
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(t & common == common for k, t in enumerate(tight) if k != p and k != q):
+                    continue
+                vq = vals[q]
+                new_rays.append(_primitive_int([vp * qx - vq * px for px, qx in zip(rp, rays[q])]))
+                new_tight.append(common | bit)
+        rays = [rays[k] for k in plus] + [rays[k] for k in zero] + new_rays
+        tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero] + new_tight
+        bit <<= 1
     return rays
 
 
@@ -120,9 +108,8 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
     for a, b in ineqs:
         crows.append([b] + [-x for x in a])
     crows.append([Fraction(1)] + [Fraction(0)] * dim)
-    irows = int_rows(crows)
-    rank, _, _ = _kernel.echelon_int(irows)
-    if rank < dim + 1:
+    rays = _cone_rays(int_rows(crows), dim + 1)
+    if rays is None:
         # The homogenising cone has lineality: the polytope is empty or
         # contains a line.  Decide exactly via feasibility.
         from msn.lp import lp_feasible
@@ -130,7 +117,6 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
         if lp_feasible(ineqs):
             raise UnboundedPolyhedron("feasible set contains a line")
         return []
-    rays = _cone_rays(irows, dim + 1)
     verts = []
     for r in rays:
         t = r[0]

@@ -94,10 +94,6 @@ class PolyhedralSeminorm:
         return not self.functionals
 
 
-def eval_seminorm(s: PolyhedralSeminorm, x) -> Fraction:
-    return s(x)
-
-
 def seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:
     """Canonical basis of {x : s(x) = 0}."""
     if not s.functionals:
