@@ -1,24 +1,10 @@
-"""Kernel backend selection.
+"""Exact pivoting kernels: integer row echelon and the condensed integer simplex.
 
-Prefers the compiled extension (``msn._kernel._speed``) and falls back to
-the pure-Python implementation.  Set ``MSN_KERNEL=pure`` to force the
-fallback, e.g. for benchmarking or debugging.
+``BACKEND`` names the implementation; there is one, in ``pure``.
 """
 
-import os
+from msn._kernel.pure import OPTIMAL, UNBOUNDED, bland_min, echelon_int, pivot
 
-if os.environ.get("MSN_KERNEL", "").lower() == "pure":
-    from msn._kernel.pure import OPTIMAL, UNBOUNDED, bland_min, echelon_int, pivot
-
-    BACKEND = "pure"
-else:
-    try:
-        from msn._kernel._speed import OPTIMAL, UNBOUNDED, bland_min, echelon_int, pivot
-
-        BACKEND = "compiled"
-    except ImportError:
-        from msn._kernel.pure import OPTIMAL, UNBOUNDED, bland_min, echelon_int, pivot
-
-        BACKEND = "pure"
+BACKEND = "pure"
 
 __all__ = ["BACKEND", "OPTIMAL", "UNBOUNDED", "bland_min", "echelon_int", "pivot"]

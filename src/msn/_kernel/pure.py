@@ -5,12 +5,12 @@ Two primitives back every exact computation in the library:
 * ``echelon_int`` -- fraction-free Gauss-Jordan elimination on integer
   matrices (rows may be rescaled, so it preserves row spaces, ranks and
   kernels but not the matrix as a map).
-* integer-pivoting simplex steps (``bland_min`` / ``pivot``) on a tableau
-  held as an integer matrix plus one positive common denominator.  All
-  divisions are exact by the subdeterminant invariant of integer pivoting.
-
-The compiled backend in ``_speed.pyx`` implements the same functions with
-identical outputs; ``msn._kernel`` selects one at import time.
+* integer-pivoting simplex steps (``bland_min`` / ``pivot``) on a
+  condensed tableau (Tucker's dictionary form): an integer matrix whose
+  columns are only the nonbasic variables, named by a ``cols`` list beside
+  ``basis``, plus the RHS, over one positive common denominator.  Basic
+  columns are unit vectors and are never stored.  All divisions are exact
+  by the subdeterminant invariant of integer pivoting.
 """
 
 from math import gcd
@@ -73,40 +73,48 @@ def echelon_int(rows):
     return rank, pivcols, mat[:rank]
 
 
-def pivot(tab, den, basis, r, jc):
+def pivot(tab, den, basis, cols, r, jc):
     """One integer pivot on entry (r, jc); returns the new denominator.
 
-    Requires ``tab[r][jc] > 0`` and ``den > 0``; mutates ``tab``/``basis``.
+    ``tab`` is condensed: its columns are the nonbasic variables named by
+    ``cols`` plus the RHS.  Rows ``i != r`` take the integer-pivoting update
+    ``(piv*v - f*p) // den``; column ``jc`` then holds the leaving variable
+    ``basis[r]``, whose column is ``-f`` off the pivot row and ``den`` on it.
+    Requires ``tab[r][jc] > 0`` and ``den > 0``; mutates ``tab``, ``basis``
+    and ``cols``.
     """
-    piv = tab[r][jc]
     prow = tab[r]
-    nrows = len(tab)
-    for i in range(nrows):
+    piv = prow[jc]
+    for i, row in enumerate(tab):
         if i == r:
             continue
-        row = tab[i]
         f = row[jc]
         if f == 0:
             if piv != den:
                 tab[i] = [v * piv // den for v in row]
             continue
-        tab[i] = [(piv * v - f * p) // den for v, p in zip(row, prow)]
-    basis[r] = jc
+        row = [(piv * v - f * p) // den for v, p in zip(row, prow)]
+        row[jc] = -f
+        tab[i] = row
+    prow[jc] = den
+    basis[r], cols[jc] = cols[jc], basis[r]
     return piv
 
 
-def bland_min(tab, den, basis, nbody, obj):
+def bland_min(tab, den, basis, cols, nbody, obj):
     """Simplex pivots to optimality with guaranteed termination.
 
-    ``tab`` is an integer tableau with common positive denominator ``den``;
-    rows ``< nbody`` are constraints, row ``obj`` carries reduced costs with
-    the negated objective value in the last column.  The entering column is
-    chosen by most-negative reduced cost, falling back to Bland's rule for
-    as long as a degenerate streak persists (anti-cycling).  Returns
-    ``(status, den)``.
+    ``tab`` is a condensed integer tableau with common positive denominator
+    ``den``: one column per nonbasic variable (``cols`` names them) plus the
+    RHS.  Rows ``< nbody`` are constraints, row ``obj`` carries reduced costs
+    with the negated objective value in the last column.  The entering
+    variable is the one with the most negative reduced cost (lowest variable
+    id on ties), falling back to Bland's rule (lowest variable id with a
+    negative cost) for as long as a degenerate streak persists
+    (anti-cycling).  The leaving row is the least ratio, lowest basic
+    variable id on ties.  Returns ``(status, den)``.
     """
-    ncols = len(tab[0])
-    rhs = ncols - 1
+    rhs = len(tab[0]) - 1
     degenerate_streak = 0
     threshold = 10 + nbody
     while True:
@@ -116,14 +124,13 @@ def bland_min(tab, den, basis, nbody, obj):
             best = 0
             for j in range(rhs):
                 v = objrow[j]
-                if v < best:
+                if v < best or (v == best < 0 and cols[j] < cols[jc]):
                     best = v
                     jc = j
         else:
             for j in range(rhs):
-                if objrow[j] < 0:
+                if objrow[j] < 0 and (jc < 0 or cols[j] < cols[jc]):
                     jc = j
-                    break
         if jc < 0:
             return OPTIMAL, den
         r = -1
@@ -141,4 +148,4 @@ def bland_min(tab, den, basis, nbody, obj):
             degenerate_streak += 1
         else:
             degenerate_streak = 0
-        den = pivot(tab, den, basis, r, jc)
+        den = pivot(tab, den, basis, cols, r, jc)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from msn.errors import MsnError
+from msn.errors import DimensionMismatch, MsnError, ShapeMismatch
 from msn.linalg import Matrix
 from msn.maps import LinearMap
 from msn.seminorms import PolyhedralSeminorm
@@ -32,6 +32,8 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise FormatError(f"rational {s!r} is not a string")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -73,6 +75,22 @@ def _check_format(doc, what: str):
         raise FormatError(f"{what} is missing the {FORMAT} format marker")
 
 
+def _field(doc, key: str, kind: type, what: str):
+    """``doc[key]``, which must be present and a ``kind`` (a bool is no int)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise FormatError(f"{what} has no {key!r}")
+    val = doc[key]
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise FormatError(f"{what}: {key!r} is not a {kind.__name__}")
+    return val
+
+
+def _rat_list(doc, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(doc, list):
+        raise FormatError(f"{what} is not a list")
+    return tuple(rat_from_str(x) for x in doc)
+
+
 def space_to_doc(X: MultiSpace) -> dict:
     return {
         "format": FORMAT,
@@ -94,19 +112,30 @@ def space_from_doc(doc) -> MultiSpace:
     The exact LP irredundancy pass runs for lists up to
     ``REDUCE_LOAD_LIMIT`` functionals; larger machine-written lists are
     canonicalised by sign/sort/dominance only (our own writers always
-    emit irredundant lists).
+    emit irredundant lists).  A malformed document raises ``FormatError``.
     """
     _check_format(doc, "space file")
-    dim = int(doc["dim"])
+    dim = _field(doc, "dim", int, "space file")
+    if dim < 0:
+        raise FormatError(f"space file: negative dim {dim}")
+    graded = _field(doc, "graded", bool, "space file") if "graded" in doc else False
     sems = []
-    for entry in doc["seminorms"]:
-        funcs = [tuple(rat_from_str(x) for x in f) for f in entry["functionals"]]
+    for entry in _field(doc, "seminorms", list, "space file"):
+        funcs = [_rat_list(f, "functional") for f in _field(entry, "functionals", list, "seminorm")]
+        if any(len(f) != dim for f in funcs):
+            raise FormatError(f"space file: functional arity != dim {dim}")
         reduce = len(funcs) <= REDUCE_LOAD_LIMIT
-        sems.append(PolyhedralSeminorm.from_functionals(dim, funcs, reduce=reduce)
-                    if funcs else PolyhedralSeminorm.zero(dim))
+        try:
+            sems.append(PolyhedralSeminorm.from_functionals(dim, funcs, reduce=reduce)
+                        if funcs else PolyhedralSeminorm.zero(dim))
+        except ValueError as e:  # a zero functional
+            raise FormatError(f"space file: {e}") from e
     if not sems:
         raise FormatError("space file carries no seminorms")
-    return MultiSpace.make(tuple(sems), graded=bool(doc.get("graded", False)))
+    try:
+        return MultiSpace.make(tuple(sems), graded=graded)
+    except ValueError as e:  # flagged graded, levels not non-decreasing
+        raise FormatError(f"space file: {e}") from e
 
 
 def matrix_to_doc(m: Matrix) -> list:
@@ -114,7 +143,12 @@ def matrix_to_doc(m: Matrix) -> list:
 
 
 def matrix_from_doc(doc) -> Matrix:
-    return Matrix.from_rows([[rat_from_str(x) for x in row] for row in doc])
+    if not isinstance(doc, list):
+        raise FormatError("matrix is not a list of rows")
+    try:
+        return Matrix.from_rows([_rat_list(row, "matrix row") for row in doc])
+    except DimensionMismatch as e:  # ragged rows
+        raise FormatError(f"matrix: {e}") from e
 
 
 def map_to_doc(f: LinearMap) -> dict:
@@ -137,9 +171,15 @@ def map_from_doc(doc, base: Path | None = None) -> LinearMap:
             return space_from_doc(read_json(p))
         return space_from_doc(ref)
 
+    for key in ("domain", "codomain", "matrix"):
+        if key not in doc:
+            raise FormatError(f"map file has no {key!r}")
     dom = resolve(doc["domain"])
     cod = resolve(doc["codomain"])
-    return LinearMap(dom, cod, matrix_from_doc(doc["matrix"]))
+    try:
+        return LinearMap(dom, cod, matrix_from_doc(doc["matrix"]))
+    except ShapeMismatch as e:
+        raise FormatError(f"map file: {e}") from e
 
 
 def load_space(path) -> MultiSpace:

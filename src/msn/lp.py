@@ -2,9 +2,15 @@
 
 ``solve_lp`` minimises a rational objective over a system of inequality
 constraints ``a·x <= b`` with free variables, using a two-phase simplex
-with Bland's anti-cycling rule on an integer tableau (one positive common
-denominator; all pivot divisions exact).  Infeasible and unbounded systems
-are reported distinctly.
+with Bland's anti-cycling rule on a condensed integer tableau (one
+positive common denominator; all pivot divisions exact).  Infeasible and
+unbounded systems are reported distinctly.
+
+The tableau is in Tucker's dictionary form: each row holds only the
+nonbasic variables' columns, named by ``cols``, and the RHS; the basic
+columns, unit vectors, are implicit in ``basis``.  With ``x = u - v``
+and one slack per row, a row holds ``2n + 1`` entries in phase 2 (and one
+more per negative-bound row in phase 1) instead of ``2n + m + 1``.
 
 The work stays in integers from input to result.  Each row ``(a, b)`` is
 scaled by the least common multiple of its denominators, read straight
@@ -68,40 +74,36 @@ def solve_lp(objective, constraints) -> LpResult:
         return LpResult(Fraction(0), (), tuple(i for i, (_, ib) in enumerate(rows) if ib == 0))
 
     m = len(rows)
-    # Columns: u (n), v (n), slacks (m), then artificials, then RHS.
-    # Rows with a negative bound are negated and get an artificial column.
+    # Variables: u (n), v (n), slacks (m), then one artificial per row with
+    # a negative bound (that row is negated).  The tableau is condensed: its
+    # columns are the nonbasic variables, named by ``cols``, then the RHS.
     nu = 2 * n
     art_rows = [i for i, (_, ib) in enumerate(rows) if ib < 0]
     nart = len(art_rows)
-    width = nu + m + nart + 1
+    cols = list(range(nu)) + [nu + i for i in art_rows]
     tab: list[list[int]] = []
     basis: list[int] = []
-    art = nu + m
+    k = 0
     for i, (ia, ib) in enumerate(rows):
         neg = [-x for x in ia]
         if ib < 0:
-            row = neg + ia + [0] * (width - nu)
-            row[nu + i] = -1
-            row[art] = 1
-            row[-1] = -ib
-            basis.append(art)
-            art += 1
+            row = neg + ia + [0] * nart + [-ib]
+            row[nu + k] = -1
+            basis.append(nu + m + k)
+            k += 1
         else:
-            row = ia + neg + [0] * (width - nu)
-            row[nu + i] = 1
-            row[-1] = ib
+            row = ia + neg + [0] * nart + [ib]
             basis.append(nu + i)
         tab.append(row)
 
     den = 1
     if nart:
-        # Phase 1: minimise the sum of artificial variables.
-        obj = [0] * width
+        # Phase 1: minimise the sum of artificial variables (all basic).
+        obj = [0] * (nu + nart + 1)
         for i in art_rows:
             obj = [o - x for o, x in zip(obj, tab[i])]
-        obj[nu + m:-1] = [0] * nart
         tab.append(obj)
-        status, den = _kernel.bland_min(tab, den, basis, m, m)
+        status, den = _kernel.bland_min(tab, den, basis, cols, m, m)
         if status != _kernel.OPTIMAL:
             raise Infeasible("phase-1 unbounded (internal)")
         if tab[m][-1] != 0:
@@ -113,27 +115,29 @@ def solve_lp(objective, constraints) -> LpResult:
         for i in range(m):
             if basis[i] < nu + m:
                 continue
-            jc = next(j for j in range(nu + m) if tab[i][j] != 0)
+            jc = min((j for j in range(len(cols)) if cols[j] < nu + m and tab[i][j] != 0),
+                     key=cols.__getitem__)
             if tab[i][jc] < 0:
                 tab[i] = [-x for x in tab[i]]
-            den = _kernel.pivot(tab, den, basis, i, jc)
-        # Remove artificial columns.
-        tab = [row[:nu + m] + row[-1:] for row in tab]
-        width = nu + m + 1
+            den = _kernel.pivot(tab, den, basis, cols, i, jc)
+        # Every artificial is now nonbasic and never enters again: drop
+        # their columns (after a negated row, one may even have the wrong sign).
+        keep = [j for j in range(len(cols)) if cols[j] < nu + m]
+        tab = [[row[j] for j in keep] + row[-1:] for row in tab]
+        cols = [cols[j] for j in keep]
 
     # Phase 2 objective row: costs (c, -c, 0...) expressed over the basis.
     cm = lcm(*(x.denominator for x in c))
     ci = [x.numerator * (cm // x.denominator) for x in c]
+    cost = ci + [-x for x in ci]
     # den-scaled costs keep the tableau on one common denominator.
-    obj = [x * den for x in ci] + [-x * den for x in ci] + [0] * (width - nu)
-    for i in range(m):
-        cb = 0
-        if basis[i] < nu:
-            cb = ci[basis[i]] if basis[i] < n else -ci[basis[i] - n]
+    obj = [cost[v] * den if v < nu else 0 for v in cols] + [0]
+    for b, row in zip(basis, tab):
+        cb = cost[b] if b < nu else 0
         if cb:
-            obj = [o - cb * x for o, x in zip(obj, tab[i])]
+            obj = [o - cb * x for o, x in zip(obj, row)]
     tab.append(obj)
-    status, den = _kernel.bland_min(tab, den, basis, m, m)
+    status, den = _kernel.bland_min(tab, den, basis, cols, m, m)
     if status != _kernel.OPTIMAL:
         raise Unbounded("objective unbounded below on the feasible set")
 

@@ -86,11 +86,10 @@ def _pullbacks(f: LinearMap, m: int) -> tuple[Vec, ...]:
     from msn.polytope import canon_rep
     from msn.seminorms import _dominance_filter
 
-    d = f.domain.dim
+    columns = tuple(zip(*f.matrix.entries))
     out = set()
     for theta in f.codomain.seminorms[m].functionals:
-        psi = (tuple(dot(theta, f.matrix.col(j)) for j in range(d)) if f.matrix.entries
-               else zero_vec(d))
+        psi = tuple(dot(theta, col) for col in columns)
         if any(x != 0 for x in psi):
             out.add(canon_rep(psi))
     return tuple(_dominance_filter(sorted(out)))
@@ -191,6 +190,7 @@ def lower_witness(f: LinearMap, m: int) -> Vec:
     d = f.domain.dim
     best = None
     witness = zero_vec(d)
+    pulled = _pullbacks(f, m)
     for phi in dom_s.functionals:
         cons = []
         row = tuple(phi) + (Fraction(0),)
@@ -199,7 +199,7 @@ def lower_witness(f: LinearMap, m: int) -> Vec:
         for psi in dom_s.functionals:
             cons.append((tuple(psi) + (Fraction(0),), Fraction(1)))
             cons.append((tuple(-v for v in psi) + (Fraction(0),), Fraction(1)))
-        for comp in _pullbacks(f, m):
+        for comp in pulled:
             cons.append((tuple(comp) + (Fraction(-1),), Fraction(0)))
             cons.append((tuple(-v for v in comp) + (Fraction(-1),), Fraction(0)))
         cons.append((tuple(zero_vec(d)) + (Fraction(-1),), Fraction(0)))

@@ -2,7 +2,9 @@
 
 These deliberately share no code with the library paths they check:
 plain Gaussian elimination over Fraction, constraint-subset vertex and
-cone-ray enumeration, and 1-D breakpoint minimisation.
+cone-ray enumeration, 1-D breakpoint minimisation, and the full-tableau
+integer simplex (``full_pivot``/``full_bland_min``, one column per
+variable) that the condensed kernel in ``msn._kernel.pure`` replaced.
 """
 
 from fractions import Fraction
@@ -113,3 +115,111 @@ def piecewise_min_1d(pieces, lo=Fraction(-100), hi=Fraction(100)):
 
     best_t = min(points, key=lambda t: (val(t), t))
     return val(best_t), best_t
+
+
+def full_pivot(tab, den, basis, r, jc):
+    """One integer pivot on entry (r, jc) of a full tableau; returns the new den.
+
+    Every variable has a column, so each basic column is ``den`` times a
+    unit vector.  Requires ``tab[r][jc] > 0`` and ``den > 0``; mutates
+    ``tab``/``basis``.
+    """
+    piv = tab[r][jc]
+    prow = tab[r]
+    for i in range(len(tab)):
+        if i == r:
+            continue
+        row = tab[i]
+        f = row[jc]
+        if f == 0:
+            if piv != den:
+                tab[i] = [v * piv // den for v in row]
+            continue
+        tab[i] = [(piv * v - f * p) // den for v, p in zip(row, prow)]
+    basis[r] = jc
+    return piv
+
+
+def full_bland_min(tab, den, basis, nbody, obj):
+    """Full-tableau simplex to optimality: ``(status, den)``, 0 optimal, 1 unbounded.
+
+    Most-negative reduced cost (lowest column on ties), falling back to
+    Bland's rule after a degenerate streak longer than ``10 + nbody``; the
+    leaving row is the least ratio, lowest basic variable on ties.
+    """
+    rhs = len(tab[0]) - 1
+    degenerate_streak = 0
+    threshold = 10 + nbody
+    while True:
+        objrow = tab[obj]
+        jc = -1
+        if degenerate_streak <= threshold:
+            best = 0
+            for j in range(rhs):
+                if objrow[j] < best:
+                    best = objrow[j]
+                    jc = j
+        else:
+            jc = next((j for j in range(rhs) if objrow[j] < 0), -1)
+        if jc < 0:
+            return 0, den
+        r = -1
+        rnum = rden = 0
+        for i in range(nbody):
+            a = tab[i][jc]
+            if a <= 0:
+                continue
+            b = tab[i][rhs]
+            if r < 0 or b * rden < rnum * a or (b * rden == rnum * a and basis[i] < basis[r]):
+                r, rnum, rden = i, b, a
+        if r < 0:
+            return 1, den
+        degenerate_streak = degenerate_streak + 1 if rnum == 0 else 0
+        den = full_pivot(tab, den, basis, r, jc)
+
+
+def full_lp(objective, rows):
+    """Outcome of the full-tableau two-phase simplex on integer ``a . x <= b`` rows.
+
+    Free variables ``x = u - v``; one slack per row and one artificial per
+    negative-bound row, each with its own column.  Returns "infeasible",
+    "unbounded" or "optimal"; patch ``full_pivot`` to see the pivots.
+    """
+    n, m = len(objective), len(rows)
+    nu = 2 * n
+    art_rows = [i for i, (_, b) in enumerate(rows) if b < 0]
+    width = nu + m + len(art_rows) + 1
+    tab, basis = [], []
+    for i, (a, b) in enumerate(rows):
+        row = ([-x for x in a] + list(a) if b < 0 else list(a) + [-x for x in a]) + [0] * (width - nu)
+        row[nu + i] = -1 if b < 0 else 1
+        row[-1] = abs(b)
+        if b < 0:
+            basis.append(nu + m + art_rows.index(i))
+            row[basis[-1]] = 1
+        else:
+            basis.append(nu + i)
+        tab.append(row)
+    den = 1
+    if art_rows:
+        obj = [0] * width
+        for i in art_rows:
+            obj = [o - x for o, x in zip(obj, tab[i])]
+        obj[nu + m:-1] = [0] * len(art_rows)
+        tab.append(obj)
+        _, den = full_bland_min(tab, den, basis, m, m)
+        if tab.pop()[-1] != 0:
+            return "infeasible"
+        for i in range(m):
+            if basis[i] >= nu + m:
+                jc = next(j for j in range(nu + m) if tab[i][j] != 0)
+                if tab[i][jc] < 0:
+                    tab[i] = [-x for x in tab[i]]
+                den = full_pivot(tab, den, basis, i, jc)
+        tab = [row[:nu + m] + row[-1:] for row in tab]
+    cost = list(objective) + [-x for x in objective] + [0] * m
+    obj = [x * den for x in cost] + [0]
+    for i in range(m):
+        obj = [o - cost[basis[i]] * x for o, x in zip(obj, tab[i])]
+    tab.append(obj)
+    return "unbounded" if full_bland_min(tab, den, basis, m, m)[0] else "optimal"

@@ -1,0 +1,118 @@
+"""Malformed space and map files end in exit code 1 with a FormatError JSON.
+
+Valid files are mutated the ways hand-edited inputs go wrong: a dropped
+key, a value of the wrong JSON type, a rational written as a number, a
+zero denominator, a negative dimension, or truncated JSON.  Every
+mutant is run through ``cli.main``, which must return 1 and write a
+``FormatError`` diagnostic, never raise.
+"""
+
+import contextlib
+import copy
+import io as stdio
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from msn import io
+from msn.cli import main
+from msn.linalg import Matrix
+from msn.maps import LinearMap, identity_map
+from msn.seminorms import PolyhedralSeminorm
+from msn.spaces import MultiSpace, line_space
+
+S = PolyhedralSeminorm.from_functionals
+F = Fraction
+
+_X2 = MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 0), (0, 1), (1, F(-1, 2))])), graded=True)
+_X3 = MultiSpace.make((S(3, [(1, 0, 0), (0, 1, 0), (0, 0, F(2, 3))]),))
+VALID = [
+    ("space", io.space_to_doc(_X2)),
+    ("space", io.space_to_doc(_X3)),
+    ("space", io.space_to_doc(line_space(F(3, 2), 2))),
+    ("map", io.map_to_doc(identity_map(_X2))),
+    ("map", io.map_to_doc(LinearMap(_X3, _X3, Matrix.from_rows([[1, 0, 0], [0, 1, F(1, 4)], [0, 0, 1]])))),
+]
+# One value of each JSON type; a retyped node gets one of a different type.
+OTHER_TYPES = [0, -1, 1.5, True, None, "x", [], ["1"], {}, {"format": io.FORMAT}]
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _nodes(v, path + (k,))
+
+
+def _rational(path):
+    return "functionals" in path or "matrix" in path
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutants(draw):
+    kind, doc = draw(st.sampled_from(VALID))
+    doc = copy.deepcopy(doc)
+    nodes = list(_nodes(doc))
+    how = draw(st.sampled_from(["drop", "retype", "number", "div0", "negdim", "truncate"]))
+    if how == "drop":
+        keys = [(p, k) for p, v in nodes if isinstance(v, dict) for k in v if k != "graded"]
+        path, key = draw(st.sampled_from(keys))
+        node = doc
+        for k in path:
+            node = node[k]
+        del node[key]
+    elif how == "retype":
+        path, old = draw(st.sampled_from(nodes))
+        new = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)]))
+        doc = _set(doc, path, copy.deepcopy(new))
+    elif how in ("number", "div0"):
+        path, old = draw(st.sampled_from([(p, v) for p, v in nodes if isinstance(v, str) and _rational(p)]))
+        x = Fraction(old)
+        new = "1/0" if how == "div0" else x.numerator if x.denominator == 1 else float(x)
+        doc = _set(doc, path, new)
+    elif how == "negdim":
+        path = draw(st.sampled_from([p for p, _ in nodes if p and p[-1] == "dim"]))
+        doc = _set(doc, path, -draw(st.integers(1, 4)))
+    text = io.dumps(doc)
+    if how == "truncate":
+        text = text[:draw(st.integers(0, len(text.rstrip()) - 1))]
+    return kind, text
+
+
+def _run(kind, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.json"
+        path.write_text(text)
+        argv = (["space", "inspect", str(path)] if kind == "space"
+                else ["map", "check", str(path), "--delta", "1"])
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            rc = main(argv)
+    return rc, err.getvalue()
+
+
+def test_valid_files_load():
+    for kind, doc in VALID:
+        assert _run(kind, io.dumps(doc)) == (0, "")
+
+
+@settings(max_examples=400)
+@given(mutants())
+def test_mutated_files_fail_with_format_error(case):
+    rc, err = _run(*case)
+    assert rc == 1
+    assert json.loads(err)["error"] == "FormatError"
