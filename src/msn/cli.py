@@ -22,7 +22,6 @@ from msn.maps import (
     map_distance,
     operator_seminorm,
 )
-from msn.parallel import parallel_map
 from msn.ramsey import build_net, oscillation, search_monochromatic
 from msn.spaces import (
     extend_with_norm,
@@ -129,7 +128,7 @@ def cmd_map_distance(args):
     f = io.load_map(args.f)
     g = io.load_map(args.g)
     levels = range(f.domain.length) if args.level is None else [args.level]
-    vals = parallel_map(lambda m: map_distance(f, g, m), levels, args.threads)
+    vals = [map_distance(f, g, m) for m in levels]
     doc = {"perLevel": ["unbounded" if v is None else io.rat_to_str(v) for v in vals]}
     _emit(doc, args.out, "distance.json")
     return 0
@@ -328,7 +327,6 @@ def make_parser() -> argparse.ArgumentParser:
                                 description="exact workbench for multi-seminormed spaces")
     p.add_argument("--out", help="directory for JSON artifacts (default: stdout)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for sampling")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
     sub = p.add_subparsers(dest="group", required=True)
 
     sp = sub.add_parser("space").add_subparsers(dest="cmd", required=True)

@@ -204,15 +204,18 @@ def discharge_to_doc(rec: DischargeRecord) -> dict:
 
 
 def discharge_from_doc(doc) -> DischargeRecord:
+    what = "discharge record"
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} is not an object")
     return DischargeRecord(
-        stage=int(doc["stage"]),
-        source=doc["source"],
-        gamma=map_from_doc(doc["gamma"]),
-        eta=map_from_doc(doc["eta"]),
-        delta=rat_from_str(doc["delta"]),
-        eps=rat_from_str(doc["eps"]),
-        j_map=map_from_doc(doc["j"]),
-        bounds=tuple(rat_from_str(b) for b in doc["bounds"]),
+        stage=_field(doc, "stage", int, what),
+        source=_field(doc, "source", str, what),
+        gamma=map_from_doc(_field(doc, "gamma", dict, what)),
+        eta=map_from_doc(_field(doc, "eta", dict, what)),
+        delta=rat_from_str(_field(doc, "delta", str, what)),
+        eps=rat_from_str(_field(doc, "eps", str, what)),
+        j_map=map_from_doc(_field(doc, "j", dict, what)),
+        bounds=_rat_list(_field(doc, "bounds", list, what), f"{what} bounds"),
     )
 
 
@@ -245,21 +248,47 @@ def save_tower(tower: Tower, outdir) -> None:
     write_json(out / "manifest.json", manifest)
 
 
+def _names(doc, key: str, what: str) -> list[str]:
+    names = _field(doc, key, list, what)
+    if not all(isinstance(x, str) for x in names):
+        raise FormatError(f"{what}: {key!r} is not a list of file names")
+    return names
+
+
 def load_tower(indir) -> Tower:
+    """Read a tower directory written by ``save_tower``.
+
+    Every file, key and type is checked, and so are the counts that
+    ``verify_tower`` relies on; a malformed artifact raises ``FormatError``.
+    """
     root = Path(indir)
+    what = "tower manifest"
     manifest = read_json(root / "manifest.json")
-    _check_format(manifest, "tower manifest")
-    catalog = tuple(load_space(root / p) for p in manifest["catalog"])
-    stages = tuple(load_space(root / p) for p in manifest["stages"])
-    links = tuple(load_map(root / p) for p in manifest["links"])
-    members_doc = read_json(root / manifest["members"])
-    members = tuple(tuple(map_from_doc(d) for d in per_stage)
-                    for per_stage in members_doc["embeddings"])
-    discharges_doc = read_json(root / manifest["discharges"])
-    discharges = tuple(discharge_from_doc(d) for d in discharges_doc["records"])
-    return Tower(catalog, tuple(rat_from_str(d) for d in manifest["deltas"]),
-                 int(manifest["seed"]), bool(manifest["omega"]),
-                 stages, links, members, discharges)
+    _check_format(manifest, what)
+    catalog = tuple(load_space(root / p) for p in _names(manifest, "catalog", what))
+    stages = tuple(load_space(root / p) for p in _names(manifest, "stages", what))
+    links = tuple(load_map(root / p) for p in _names(manifest, "links", what))
+    if len(links) != max(len(stages) - 1, 0):
+        raise FormatError(f"{what}: {len(links)} links for {len(stages)} stages")
+    members_doc = read_json(root / _field(manifest, "members", str, what))
+    _check_format(members_doc, "tower members file")
+    members = []
+    for per_stage in _field(members_doc, "embeddings", list, "tower members file"):
+        if not isinstance(per_stage, list):
+            raise FormatError("tower members file: a stage entry is not a list")
+        members.append(tuple(map_from_doc(d) for d in per_stage))
+    discharges_doc = read_json(root / _field(manifest, "discharges", str, what))
+    _check_format(discharges_doc, "tower discharges file")
+    discharges = tuple(discharge_from_doc(d)
+                       for d in _field(discharges_doc, "records", list, "tower discharges file"))
+    for rec in discharges:
+        if not 0 <= rec.stage < len(links):
+            raise FormatError(f"discharge record: stage {rec.stage} has no link")
+        if len(rec.bounds) != rec.gamma.domain.length:
+            raise FormatError("discharge record: one bound per level of gamma's domain expected")
+    return Tower(catalog, _rat_list(_field(manifest, "deltas", list, what), "tower deltas"),
+                 _field(manifest, "seed", int, what), _field(manifest, "omega", bool, what),
+                 stages, links, tuple(members), discharges)
 
 
 def net_to_doc(net) -> dict:
@@ -275,32 +304,48 @@ def net_to_doc(net) -> dict:
 def net_from_doc(doc):
     from msn.ramsey import EmbeddingNet
 
-    _check_format(doc, "net file")
-    dom = space_from_doc(doc["domain"])
-    cod = space_from_doc(doc["codomain"])
-    points = tuple(LinearMap(dom, cod, matrix_from_doc(m)) for m in doc["points"])
+    what = "net file"
+    _check_format(doc, what)
+    dom = space_from_doc(_field(doc, "domain", dict, what))
+    cod = space_from_doc(_field(doc, "codomain", dict, what))
+    try:
+        points = tuple(LinearMap(dom, cod, matrix_from_doc(m)) for m in _field(doc, "points", list, what))
+    except ShapeMismatch as e:
+        raise FormatError(f"{what}: {e}") from e
     res = doc.get("resolution")
     return EmbeddingNet(dom, cod, points, None if res is None else rat_from_str(res))
 
 
 def colouring_from_doc(doc):
+    """A discrete (int values) or continuous (rational values) colouring,
+    given by a table of point matrices or by a builtin name and arguments."""
     from msn.ramsey import Colouring
 
-    _check_format(doc, "colouring file")
-    kind = doc["kind"]
+    what = "colouring file"
+    _check_format(doc, what)
+    kind = _field(doc, "kind", str, what)
+    if kind not in ("discrete", "continuous"):
+        raise FormatError(f"{what}: unknown kind {kind!r}")
+    colours = _field(doc, "colours", int, what) if doc.get("colours") is not None else None
+    level = _field(doc, "level", int, what) if doc.get("level") is not None else None
     table = None
     if "table" in doc:
         rows = []
-        for entry in doc["table"]:
-            key = tuple(tuple(rat_from_str(x) for x in row) for row in entry["matrix"])
-            v = int(entry["value"]) if kind == "discrete" else rat_from_str(entry["value"])
+        for entry in _field(doc, "table", list, what):
+            key = matrix_from_doc(_field(entry, "matrix", list, "colouring entry")).entries
+            v = (_field(entry, "value", int, "colouring entry") if kind == "discrete"
+                 else rat_from_str(_field(entry, "value", str, "colouring entry")))
             rows.append((key, v))
         table = tuple(rows)
     builtin = None
     if "builtin" in doc:
-        b = doc["builtin"]
+        b = _field(doc, "builtin", list, what)
+        if not b or not all(isinstance(x, str) for x in b):
+            raise FormatError(f"{what}: 'builtin' is not a nonempty list of strings")
         builtin = (b[0],) + tuple(int(x) if x.lstrip("-").isdigit() else x for x in b[1:])
-    return Colouring(kind, doc.get("colours"), doc.get("level"), table, builtin)
+    if table is None and builtin is None:
+        raise FormatError(f"{what} has neither 'table' nor 'builtin'")
+    return Colouring(kind, colours, level, table, builtin)
 
 
 def backforth_to_doc(rec: BackForthRecord) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from msn import _kernel
 from msn.errors import DimensionMismatch
@@ -46,30 +46,41 @@ def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
+def _scale_to_int(row) -> tuple[list[int], int]:
+    """``(ints, m)``: the row times ``m``, the least common multiple of its denominators.
+
+    Reads ``numerator``/``denominator`` straight off int and Fraction
+    entries alike, with no Fraction arithmetic.
+    """
+    m = lcm(*[x.denominator for x in row])
+    if m == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (m // x.denominator) for x in row], m
+
+
 def int_rows(rows) -> list[list[int]]:
     """Clear denominators row-wise, giving integer rows with the same span."""
-    out = []
-    for row in rows:
-        m = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * m) for f in row])
-    return out
+    return [_scale_to_int(row)[0] for row in rows]
+
+
+def _primitive_direction(ints) -> tuple[int, tuple[int, ...]]:
+    """``(g, d)`` with ``ints == g * d``, ``d`` primitive with first nonzero entry positive.
+
+    ``d`` names the +/- direction class of a nonzero integer vector and
+    ``abs(g)`` its size along it; the zero vector gives ``g == 0``.
+    """
+    g = gcd(*ints)
+    if g == 0:
+        return 0, tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return g, tuple(x // g for x in ints)
 
 
 def canon_vector(v: Vec) -> Vec:
     """Scale to a primitive integer vector whose first nonzero entry is positive."""
-    m = lcm(*(f.denominator for f in v)) if v else 1
-    ints = [int(f * m) for f in v]
-    from math import gcd
-
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        g = -g
-    return tuple(Fraction(x, g) for x in ints)
+    _, d = _primitive_direction(_scale_to_int(v)[0])
+    return tuple(Fraction(x) for x in d)
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,8 @@ def row_space_basis(rows: list[Vec]) -> list[Vec]:
     if not rows:
         return []
     _, _, out = _kernel.echelon_int(int_rows(rows))
-    return [tuple(Fraction(x) for x in canon_vector(tuple(Fraction(v) for v in r))) for r in out]
+    # echelon_int rows are primitive with a positive pivot first: canonical already.
+    return [tuple(map(Fraction, r)) for r in out]
 
 
 def nullspace(mat: Matrix) -> list[Vec]:

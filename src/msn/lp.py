@@ -19,18 +19,25 @@ alike).  After phase 2 the optimum is read off the tableau over its
 common denominator ``den``: the point as integer numerators ``X`` over
 ``den``, the value as one ``Fraction``, and the active set by the integer
 test ``ia·X == ib·den`` on the scaled rows.
+
+Gauges, ``sup psi·x`` over the ball ``{x : |f·x| <= 1}``, come in two
+forms that share the phase-2 code (``_optimise``: cost row, ``bland_min``,
+and ``_numerators``: the point read-out).  ``gauge_scale`` is one
+``solve_lp`` per objective.  ``gauge_max`` serves many objectives over one
+ball: it builds the ball's integer tableau once, with no phase 1 since
+every RHS is positive, and optimises each objective from the previous
+optimal basis, which stays feasible because only the cost row changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from msn import _kernel
 from msn.errors import DimensionMismatch, Infeasible, Unbounded
-from msn.linalg import Vec, vec
+from msn.linalg import Vec, _scale_to_int, vec
 
 
 @dataclass(frozen=True)
@@ -47,13 +54,36 @@ class LpResult:
     active: tuple[int, ...]
 
 
-def _int_row(coeffs, rhs):
-    """``(ia, ib)``: the row times the least common multiple of its denominators."""
-    coeffs = tuple(coeffs)
-    m = lcm(rhs.denominator, *[x.denominator for x in coeffs])
-    if m == 1:
-        return [x.numerator for x in coeffs], rhs.numerator
-    return [x.numerator * (m // x.denominator) for x in coeffs], rhs.numerator * (m // rhs.denominator)
+def _optimise(tab, den, basis, cols, ci):
+    """Phase 2: minimise ``ci . x``, ``x = u - v``, from the feasible basis of ``tab``.
+
+    ``ci`` are integer costs.  The den-scaled cost row is built over the
+    current basis, ``bland_min`` runs below it, and the row is popped
+    again, so the tableau can be re-optimised for the next objective.
+    Returns ``(status, den)``.
+    """
+    nu = 2 * len(ci)
+    cost = ci + [-x for x in ci]
+    # den-scaled costs keep the tableau on one common denominator.
+    obj = [cost[v] * den if v < nu else 0 for v in cols] + [0]
+    for b, row in zip(basis, tab):
+        cb = cost[b] if b < nu else 0
+        if cb:
+            obj = [o - cb * x for o, x in zip(obj, row)]
+    m = len(tab)
+    tab.append(obj)
+    status, den = _kernel.bland_min(tab, den, basis, cols, m, m)
+    tab.pop()
+    return status, den
+
+
+def _numerators(tab, basis, n):
+    """Integer numerators over ``den`` of ``x = u - v``: basic variables are their RHS."""
+    uv = [0] * (2 * n)
+    for b, row in zip(basis, tab):
+        if b < 2 * n:
+            uv[b] = row[-1]
+    return [uv[j] - uv[n + j] for j in range(n)]
 
 
 def solve_lp(objective, constraints) -> LpResult:
@@ -63,7 +93,11 @@ def solve_lp(objective, constraints) -> LpResult:
     entries.  Raises ``Infeasible`` or ``Unbounded``.
     """
     c = tuple(objective)
-    rows = [_int_row(a, b) for a, b in constraints]
+    rows = []
+    for a, b in constraints:
+        ia, _ = _scale_to_int((*a, b))
+        ib = ia.pop()
+        rows.append((ia, ib))
     n = len(c)
     for ia, _ in rows:
         if len(ia) != n:
@@ -126,27 +160,11 @@ def solve_lp(objective, constraints) -> LpResult:
         tab = [[row[j] for j in keep] + row[-1:] for row in tab]
         cols = [cols[j] for j in keep]
 
-    # Phase 2 objective row: costs (c, -c, 0...) expressed over the basis.
-    cm = lcm(*(x.denominator for x in c))
-    ci = [x.numerator * (cm // x.denominator) for x in c]
-    cost = ci + [-x for x in ci]
-    # den-scaled costs keep the tableau on one common denominator.
-    obj = [cost[v] * den if v < nu else 0 for v in cols] + [0]
-    for b, row in zip(basis, tab):
-        cb = cost[b] if b < nu else 0
-        if cb:
-            obj = [o - cb * x for o, x in zip(obj, row)]
-    tab.append(obj)
-    status, den = _kernel.bland_min(tab, den, basis, cols, m, m)
+    ci, cm = _scale_to_int(c)
+    status, den = _optimise(tab, den, basis, cols, ci)
     if status != _kernel.OPTIMAL:
         raise Unbounded("objective unbounded below on the feasible set")
-
-    # x = u - v, each basic variable being its row's RHS over den.
-    uv = [0] * nu
-    for i in range(m):
-        if basis[i] < nu:
-            uv[basis[i]] = tab[i][-1]
-    X = [uv[j] - uv[n + j] for j in range(n)]
+    X = _numerators(tab, basis, n)
     value = Fraction(sum(map(mul, ci, X)), cm * den)
     active = tuple(i for i, (ia, ib) in enumerate(rows) if sum(map(mul, ia, X)) == ib * den)
     return LpResult(value, tuple(Fraction(x, den) for x in X), active)
@@ -165,11 +183,27 @@ def lp_feasible(constraints) -> bool:
         return False
 
 
+def _ball_rows(functionals):
+    """``|f . x| <= 1`` as the integer rows ``f`` and ``-f``, in input order.
+
+    Negating ints is cheaper than negating Fractions, and the tableau is
+    the same.
+    """
+    rows = []
+    for f in functionals:
+        ia, _ = _scale_to_int((*f, 1))
+        ib = ia.pop()
+        rows.append((ia, ib))
+        rows.append(([-x for x in ia], ib))
+    return rows
+
+
 def gauge_scale(psi, functionals) -> Fraction | None:
     """sup of psi over the unit ball {x : |f . x| <= 1 for all f}.
 
     Equals the least c with psi in c times the symmetric convex hull of
     the functionals; None when psi is outside their span (infinite sup).
+    One ``solve_lp`` per call; ``gauge_max`` serves many objectives.
     """
     psi = vec(psi)
     funcs = list(functionals)
@@ -177,15 +211,46 @@ def gauge_scale(psi, functionals) -> Fraction | None:
         return Fraction(0)
     if not funcs:
         return None
-    rows = []
-    for f in funcs:
-        # |f . x| <= 1 as two integer rows: the tableau is the same, and
-        # negating ints is cheaper than negating Fractions.
-        ia, ib = _int_row(f, 1)
-        rows.append((ia, ib))
-        rows.append(([-x for x in ia], ib))
     try:
-        res = solve_lp(tuple(-x for x in psi), rows)
+        res = solve_lp(tuple(-x for x in psi), _ball_rows(funcs))
     except Unbounded:
         return None
     return -res.value
+
+
+def gauge_max(objectives, functionals) -> tuple[Fraction | None, Vec | None]:
+    """Largest gauge ``sup psi . x`` over one ball ``{x : |f . x| <= 1}``, and a point attaining it.
+
+    Returns ``(value, point)``: the maximum over the objectives of
+    ``gauge_scale(psi, functionals)`` and a ball point where the first
+    objective reaching it attains it.  No objectives give ``0`` at the
+    origin; the first objective with an infinite sup (outside the span
+    of the functionals) gives ``(None, None)``.
+
+    The integer +/- tableau of the ball is built once.  Every RHS is
+    positive, so the slack basis is feasible and there is no phase 1.
+    Each objective gets a new cost row over the current basis and is
+    optimised from the previous optimum, whose basis stays feasible
+    because only the cost row changed.
+    """
+    objectives = [tuple(psi) for psi in objectives]
+    rows = _ball_rows(functionals)
+    n = len(objectives[0]) if objectives else len(rows[0][0]) if rows else 0
+    if any(len(psi) != n for psi in objectives) or any(len(ia) != n for ia, _ in rows):
+        raise DimensionMismatch("objective and functional arities differ")
+    tab = [ia + [-x for x in ia] + [ib] for ia, ib in rows]
+    basis = list(range(2 * n, 2 * n + len(tab)))
+    cols = list(range(2 * n))
+    den = 1
+    # The best value so far is num / vden, attained at X / xden.
+    num, vden, X, xden = 0, 1, [0] * n, 1
+    for psi in objectives:
+        pi, pm = _scale_to_int(psi)
+        status, den = _optimise(tab, den, basis, cols, [-x for x in pi])
+        if status != _kernel.OPTIMAL:
+            return None, None
+        Y = _numerators(tab, basis, n)
+        y = sum(map(mul, pi, Y))
+        if y * vden > num * pm * den:
+            num, vden, X, xden = y, pm * den, Y, den
+    return Fraction(num, vden), tuple(Fraction(x, xden) for x in X)

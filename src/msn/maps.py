@@ -1,11 +1,18 @@
 """Linear maps between multi-seminormed spaces.
 
-Operator seminorms are computed exactly: the supremum over the unit ball
-of a level is attained on the vertices of the quotient unit ball, and the
-infimum over the unit sphere is attained facet-wise, each facet giving one
-epigraph LP.  On top of these sit distortion reports, embedding
-certificates, distances between maps, and the kernel-splitting
-construction of multi-isomorphisms from matching kernel invariants.
+Operator seminorms are computed exactly as gauges.  At level m the
+codomain functionals are pulled back along the map (``_pullbacks``, in
+integers: one scaled matrix, one integer dot per functional and column,
+duplicates merged by primitive integer direction).  The operator seminorm
+is the largest gauge of a pullback over the domain's unit ball, and the
+lower constant is the reciprocal of the largest gauge of a domain
+functional over the pullbacks' ball; each is one ``lp.gauge_max`` call,
+one integer tableau re-optimised per objective, which also yields the
+upper witness.  The lower witness is the infimum over the unit sphere,
+taken facet by facet with one epigraph LP each.  On top of these sit
+distortion reports, embedding certificates, distances between maps, and
+the kernel-splitting construction of multi-isomorphisms from matching
+kernel invariants.
 """
 
 from __future__ import annotations
@@ -13,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from msn.errors import BadLevel, DimensionMismatch, LengthMismatch, ShapeMismatch, Unbounded
+from msn.errors import BadLevel, DimensionMismatch, LengthMismatch, ShapeMismatch
 from msn.linalg import (
     Matrix,
     Vec,
+    _primitive_direction,
+    _scale_to_int,
     dot,
     in_span,
     intersect_spans,
@@ -26,7 +36,7 @@ from msn.linalg import (
     vec,
     zero_vec,
 )
-from msn.lp import gauge_scale, solve_lp
+from msn.lp import gauge_max, solve_lp
 from msn.seminorms import seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
@@ -80,19 +90,29 @@ def map_sub(f: LinearMap, g: LinearMap) -> LinearMap:
 def _pullbacks(f: LinearMap, m: int) -> tuple[Vec, ...]:
     """Codomain level-m functionals composed with f, deduplicated.
 
-    Sign-canonicalised with dominated multiples dropped: defines the same
-    pulled-back seminorm with a usually much shorter list.
+    One representative per +/- direction, the largest multiple of it:
+    defines the same pulled-back seminorm with a usually much shorter
+    list.  The matrix is scaled to integers once and each functional
+    once, so a pullback is one integer dot per column; directions are
+    compared as primitive integer vectors, and Fractions are built only
+    for the kept entries.
     """
-    from msn.polytope import canon_rep
-    from msn.seminorms import _dominance_filter
-
-    columns = tuple(zip(*f.matrix.entries))
-    out = set()
+    cols = list(zip(*f.matrix.entries))
+    ints, den = _scale_to_int([x for col in cols for x in col])
+    r = f.matrix.rows
+    columns = [ints[j * r:(j + 1) * r] for j in range(len(cols))]
+    best: dict[tuple[int, ...], tuple[int, int]] = {}
     for theta in f.codomain.seminorms[m].functionals:
-        psi = tuple(dot(theta, col) for col in columns)
-        if any(x != 0 for x in psi):
-            out.add(canon_rep(psi))
-    return tuple(_dominance_filter(sorted(out)))
+        it, t = _scale_to_int(theta)
+        g, d = _primitive_direction([sum(map(mul, it, col)) for col in columns])
+        if g == 0:
+            continue
+        # theta . f == d * |g| / (t * den): keep the largest |g| / t per d.
+        g = abs(g)
+        cur = best.get(d)
+        if cur is None or g * cur[1] > cur[0] * t:
+            best[d] = (g, t)
+    return tuple(sorted(tuple(Fraction(x * g, t * den) for x in d) for d, (g, t) in best.items()))
 
 
 def _is_identity_on_level(f: LinearMap, m: int) -> bool:
@@ -105,14 +125,7 @@ def _op_seminorm_cached(f: LinearMap, m: int):
     dom_s = f.domain.seminorms[m]
     if _is_identity_on_level(f, m):
         return Fraction(1) if dom_s.functionals else Fraction(0)
-    best = Fraction(0)
-    for psi in _pullbacks(f, m):
-        val = gauge_scale(psi, dom_s.functionals)
-        if val is None:
-            return None
-        if val > best:
-            best = val
-    return best
+    return gauge_max(_pullbacks(f, m), dom_s.functionals)[0]
 
 
 def operator_seminorm(f: LinearMap, m: int):
@@ -128,25 +141,16 @@ def operator_seminorm(f: LinearMap, m: int):
 
 
 def upper_witness(f: LinearMap, m: int) -> Vec:
-    """A unit-ball vector attaining the operator seminorm at level m."""
-    dom_s = f.domain.seminorms[m]
-    d = f.domain.dim
-    ball = []
-    for phi in dom_s.functionals:
-        ball.append((phi, Fraction(1)))
-        ball.append((tuple(-x for x in phi), Fraction(1)))
-    best = None
-    arg = zero_vec(d)
-    for psi in _pullbacks(f, m):
-        for sgn in (1, -1):
-            try:
-                res = solve_lp(tuple(Fraction(sgn) * x for x in psi), ball)
-            except Unbounded:
-                continue
-            if best is None or -res.value > best:
-                best = -res.value
-                arg = res.point
-    return arg
+    """A unit-ball vector attaining the operator seminorm at level m.
+
+    When the seminorm is infinite: a level-m kernel vector whose image has
+    nonzero level-m seminorm.
+    """
+    value, point = gauge_max(_pullbacks(f, m), f.domain.seminorms[m].functionals)
+    if value is None:
+        return _kernel_escape_witness(f, m)
+    # With no pullbacks and no domain functionals the point has no coordinates.
+    return point or zero_vec(f.domain.dim)
 
 
 @lru_cache(maxsize=None)
@@ -163,13 +167,9 @@ def _lower_constant_cached(f: LinearMap, m: int):
         return None
     if _is_identity_on_level(f, m):
         return Fraction(1)
-    pulled = _pullbacks(f, m)
-    worst = Fraction(0)
-    for phi in dom_s.functionals:
-        val = gauge_scale(phi, pulled)
-        if val is None:
-            return Fraction(0)
-        worst = max(worst, val)
+    worst = gauge_max(dom_s.functionals, _pullbacks(f, m))[0]
+    if worst is None:
+        return Fraction(0)
     # phi nonzero in the span of the pullbacks has positive sup
     return 1 / worst
 
@@ -252,9 +252,7 @@ def is_embedding(f: LinearMap, delta) -> tuple[bool, dict]:
     lo_req = 1 / (1 + delta)
     for m in range(f.domain.length):
         up = operator_seminorm(f, m)
-        if up is None:
-            return False, {"kind": "upper", "level": m, "vector": _kernel_escape_witness(f, m)}
-        if up > hi:
+        if up is None or up > hi:
             return False, {"kind": "upper", "level": m, "vector": upper_witness(f, m)}
         lo = lower_constant(f, m)
         if lo is not None and lo < lo_req:

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from msn import _kernel
 from msn.errors import DimensionMismatch, UnboundedPolyhedron
-from msn.linalg import Matrix, Vec, coordinate_complement, dot, frac, int_rows, vec
+from msn.linalg import Matrix, Vec, _scale_to_int, coordinate_complement, dot, frac, int_rows, vec
 
 Ineq = tuple[Vec, Fraction]  # a . x <= b
 
@@ -36,10 +36,7 @@ def _primitive_int(vals: list[int]) -> tuple[int, ...]:
 
 def canon_ineq(a, b) -> Ineq:
     """Scale a . x <= b by a positive rational to primitive integers."""
-    a = vec(a)
-    b = frac(b)
-    m = lcm(*(f.denominator for f in a), b.denominator) if a else b.denominator
-    ints = [int(f * m) for f in a] + [int(b * m)]
+    ints, _ = _scale_to_int((*vec(a), frac(b)))
     prim = _primitive_int(ints)
     return tuple(Fraction(x) for x in prim[:-1]), Fraction(prim[-1])
 
@@ -104,11 +101,13 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
     """All vertices of {x : a . x <= b}; raises if the set is unbounded."""
     if dim == 0:
         return [()] if all(b >= 0 for _, b in ineqs) else []
+    # Homogenised rows (b, -a) in integers: scale (b, a), then negate ints.
     crows = []
     for a, b in ineqs:
-        crows.append([b] + [-x for x in a])
-    crows.append([Fraction(1)] + [Fraction(0)] * dim)
-    rays = _cone_rays(int_rows(crows), dim + 1)
+        row, _ = _scale_to_int((b, *a))
+        crows.append(row[:1] + [-x for x in row[1:]])
+    crows.append([1] + [0] * dim)
+    rays = _cone_rays(crows, dim + 1)
     if rays is None:
         # The homogenising cone has lineality: the polytope is empty or
         # contains a line.  Decide exactly via feasibility.

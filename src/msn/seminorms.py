@@ -14,25 +14,36 @@ from fractions import Fraction
 from functools import lru_cache
 
 from msn.errors import DimensionMismatch
-from msn.linalg import Matrix, Vec, canon_vector, coordinate_complement, dot, inverse, nullspace, vec
+from msn.linalg import (
+    Matrix,
+    Vec,
+    _primitive_direction,
+    _scale_to_int,
+    coordinate_complement,
+    dot,
+    inverse,
+    nullspace,
+    vec,
+)
 from msn.lp import gauge_scale
 from msn.polytope import Polytope, canon_rep, dd_convert, polytope_vertices
 
 
 def _dominance_filter(funcs: list[Vec]) -> list[Vec]:
-    """Keep only the largest multiple within each +/- direction class."""
-    best: dict[Vec, Vec] = {}
+    """Keep only the largest multiple within each +/- direction class.
+
+    A direction is keyed by its primitive integer vector; ``f`` is
+    ``g / m`` times it, so sizes compare as ``|g| / m`` in integers.
+    """
+    best: dict[tuple[int, ...], tuple[int, int, Vec]] = {}
     for f in funcs:
-        d = canon_vector(f)
+        ints, m = _scale_to_int(f)
+        g, d = _primitive_direction(ints)
+        g = abs(g)
         cur = best.get(d)
-        if cur is None:
-            best[d] = f
-            continue
-        # compare |scale| against the primitive direction
-        j = next(i for i, x in enumerate(d) if x != 0)
-        if abs(f[j]) > abs(cur[j]):
-            best[d] = f
-    return sorted(best.values())
+        if cur is None or g * cur[1] > cur[0] * m:
+            best[d] = (g, m, f)
+    return sorted(f for _, _, f in best.values())
 
 
 def _in_symmetric_hull(phi: Vec, others: list[Vec]) -> bool:

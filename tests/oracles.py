@@ -2,9 +2,11 @@
 
 These deliberately share no code with the library paths they check:
 plain Gaussian elimination over Fraction, constraint-subset vertex and
-cone-ray enumeration, 1-D breakpoint minimisation, and the full-tableau
+cone-ray enumeration, 1-D breakpoint minimisation, the full-tableau
 integer simplex (``full_pivot``/``full_bland_min``, one column per
-variable) that the condensed kernel in ``msn._kernel.pure`` replaced.
+variable) that the condensed kernel in ``msn._kernel.pure`` replaced, and
+the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
+``msn.maps`` replaced.
 """
 
 from fractions import Fraction
@@ -223,3 +225,24 @@ def full_lp(objective, rows):
         obj = [o - cost[basis[i]] * x for o, x in zip(obj, tab[i])]
     tab.append(obj)
     return "unbounded" if full_bland_min(tab, den, basis, m, m)[0] else "optimal"
+
+
+def fraction_pullbacks(entries, functionals):
+    """The functional list of ``maps._pullbacks`` in Fraction arithmetic.
+
+    ``theta . M`` for every codomain functional ``theta`` and matrix ``M``
+    (rows ``entries``); zero ones dropped, each signed so that its first
+    nonzero entry is positive.  Within a direction (the vector over that
+    entry) only the largest multiple is kept.  Sorted.
+    """
+    best = {}
+    for theta in functionals:
+        psi = tuple(sum((Fraction(a) * b for a, b in zip(theta, col)), Fraction(0))
+                    for col in zip(*entries))
+        lead = next((x for x in psi if x != 0), None)
+        if lead is None:
+            continue
+        key = tuple(x / lead for x in psi)
+        if key not in best or abs(lead) > best[key]:
+            best[key] = abs(lead)
+    return tuple(sorted(tuple(x * size for x in key) for key, size in best.items()))

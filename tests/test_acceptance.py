@@ -2,9 +2,13 @@
 pass/fail line each (run with -s to see them)."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,20 +308,24 @@ def test_criterion_8_micro_ramsey_exhaustive():
 
 
 def test_criterion_9_determinism_and_round_trip(tmp_path, six_stage_tower):
-    from msn.cli import main as cli_main
-
-    # criterion-1 workload through the CLI at 1 vs 8 threads
-    q = line_space(1)
-    io.write_json(tmp_path / "q.json", io.space_to_doc(q))
-    io.write_json(tmp_path / "id.json", io.map_to_doc(identity_map(q)))
+    # A criterion-1 pushout through the CLI in two fresh processes whose
+    # string hashing differs, so no set or dict order may reach the output.
+    X, Y, Z, f, g, delta = _triple(random.Random(0), 1)
+    for name, doc in (("x", io.space_to_doc(X)), ("y", io.space_to_doc(Y)), ("z", io.space_to_doc(Z)),
+                      ("f", io.map_to_doc(f)), ("g", io.map_to_doc(g))):
+        io.write_json(tmp_path / f"{name}.json", doc)
+    src = str(Path(io.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
-    for threads in (1, 8):
-        out = tmp_path / f"amal{threads}"
-        rc = cli_main(["--threads", str(threads), "--out", str(out), "amalgam", "push",
-                       "--x", str(tmp_path / "q.json"), "--y", str(tmp_path / "q.json"),
-                       "--z", str(tmp_path / "q.json"), "--f", str(tmp_path / "id.json"),
-                       "--g", str(tmp_path / "id.json"), "--delta", "0", "--eps", "1/2"])
-        assert rc == 0
+    for hashseed in ("1", "2"):
+        out = tmp_path / f"amal{hashseed}"
+        argv = ["--out", str(out), "amalgam", "push"]
+        for name in "xyzfg":
+            argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+        proc = subprocess.run([sys.executable, "-m", "msn.cli", *argv, "--delta", str(delta), "--eps", "1/2"],
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hashseed},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]
 
@@ -342,6 +350,6 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, six_stage_tower):
     assert len(again.discharges) == len(six_stage_tower.discharges)
 
     # space and map file round-trips are byte-stable
-    saved = io.dumps(io.space_to_doc(q))
-    assert io.dumps(io.space_to_doc(io.space_from_doc(io.read_json(tmp_path / "q.json")))) == saved
-    _criterion(9, True, "byte-identical across 1 vs 8 threads; round-trips stable")
+    saved = io.dumps(io.space_to_doc(X))
+    assert io.dumps(io.space_to_doc(io.space_from_doc(io.read_json(tmp_path / "x.json")))) == saved
+    _criterion(9, True, "byte-identical across PYTHONHASHSEED 1 vs 2; round-trips stable")

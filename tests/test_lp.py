@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from msn.errors import Infeasible, Unbounded
+from msn.errors import DimensionMismatch, Infeasible, Unbounded
 from msn.linalg import dot, vec
-from msn.lp import gauge_scale, solve_lp
+from msn.lp import gauge_max, gauge_scale, solve_lp
 
 from oracles import brute_lp_min, brute_vertices, gauss_rank, piecewise_min_1d
 
@@ -119,6 +119,45 @@ def test_gauge_scale_matches_vertex_oracle():
     assert spans >= 10 and full >= 40, (spans, full)
     assert gauge_scale((F(0), F(0)), []) == 0
     assert gauge_scale((F(1), F(0)), []) is None
+
+
+def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
+    rng = random.Random(5581)
+    unbounded = bounded = 0
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        funcs = [tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim))
+                 for _ in range(rng.randint(0, 6))]
+        funcs = [f for f in funcs if any(f)]
+        objs = [tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim))
+                for _ in range(rng.randint(0, 5))]
+        if objs and rng.random() < 0.2:
+            objs.insert(rng.randrange(len(objs)), (F(0),) * dim)
+        # max over objectives of the one-objective gauges; None if any is infinite
+        singles = [gauge_scale(psi, funcs) for psi in objs]
+        want = None if None in singles else max(singles, default=F(0))
+        value, point = gauge_max(objs, funcs)
+        assert value == want
+        if value is None:
+            assert point is None
+            unbounded += 1
+            continue
+        bounded += 1
+        assert len(point) == dim if funcs or objs else point == ()
+        assert all(abs(dot(f, point)) <= 1 for f in funcs)
+        assert max((dot(psi, point) for psi in objs), default=F(0)) == value
+        if funcs and gauss_rank(funcs) == dim and objs:
+            ball = [(f, F(1)) for f in funcs] + [(tuple(-x for x in f), F(1)) for f in funcs]
+            verts = brute_vertices(ball, dim)
+            assert value == max(dot(psi, v) for psi in objs for v in verts)
+    assert unbounded >= 20 and bounded >= 40, (unbounded, bounded)
+    assert gauge_max([], []) == (0, ())
+    assert gauge_max([(F(0), F(0))], []) == (0, (0, 0))
+    assert gauge_max([(F(1), F(0))], []) == (None, None)
+    # psi escapes the span of the functionals (it is nonzero on their kernel)
+    assert gauge_max([(F(1), F(1)), (F(0), F(1))], [(F(1), F(0))]) == (None, None)
+    with pytest.raises(DimensionMismatch):
+        gauge_max([(F(1),)], [(F(1), F(0))])
 
 
 # --- golden records ---------------------------------------------------

@@ -1,10 +1,11 @@
-"""Malformed space and map files end in exit code 1 with a FormatError JSON.
+"""Malformed space, map and tower files end in exit code 1 with a FormatError JSON.
 
 Valid files are mutated the ways hand-edited inputs go wrong: a dropped
 key, a value of the wrong JSON type, a rational written as a number, a
 zero denominator, a negative dimension, or truncated JSON.  Every
 mutant is run through ``cli.main``, which must return 1 and write a
-``FormatError`` diagnostic, never raise.
+``FormatError`` diagnostic, never raise.  Tower directories get one
+mutated file each and are run through ``msn tower verify``.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from msn.linalg import Matrix
 from msn.maps import LinearMap, identity_map
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import MultiSpace, line_space
+from msn.tower import build_tower
 
 S = PolyhedralSeminorm.from_functionals
 F = Fraction
@@ -49,7 +52,7 @@ def _nodes(doc, path=()):
 
 
 def _rational(path):
-    return "functionals" in path or "matrix" in path
+    return any(k in path for k in ("functionals", "matrix", "deltas", "delta", "eps", "bounds"))
 
 
 def _set(doc, path, value):
@@ -62,12 +65,15 @@ def _set(doc, path, value):
     return doc
 
 
-@st.composite
-def mutants(draw):
-    kind, doc = draw(st.sampled_from(VALID))
+def _mutate(draw, doc):
+    """The text of ``doc`` after one drawn mutation."""
     doc = copy.deepcopy(doc)
     nodes = list(_nodes(doc))
-    how = draw(st.sampled_from(["drop", "retype", "number", "div0", "negdim", "truncate"]))
+    rationals = [(p, v) for p, v in nodes if isinstance(v, str) and _rational(p)]
+    dims = [p for p, _ in nodes if p and p[-1] == "dim"]
+    hows = (["drop", "retype"] + (["number", "div0"] if rationals else [])
+            + (["negdim"] if dims else []) + ["truncate"])
+    how = draw(st.sampled_from(hows))
     if how == "drop":
         keys = [(p, k) for p, v in nodes if isinstance(v, dict) for k in v if k != "graded"]
         path, key = draw(st.sampled_from(keys))
@@ -80,17 +86,23 @@ def mutants(draw):
         new = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)]))
         doc = _set(doc, path, copy.deepcopy(new))
     elif how in ("number", "div0"):
-        path, old = draw(st.sampled_from([(p, v) for p, v in nodes if isinstance(v, str) and _rational(p)]))
+        path, old = draw(st.sampled_from(rationals))
         x = Fraction(old)
         new = "1/0" if how == "div0" else x.numerator if x.denominator == 1 else float(x)
         doc = _set(doc, path, new)
     elif how == "negdim":
-        path = draw(st.sampled_from([p for p, _ in nodes if p and p[-1] == "dim"]))
+        path = draw(st.sampled_from(dims))
         doc = _set(doc, path, -draw(st.integers(1, 4)))
     text = io.dumps(doc)
     if how == "truncate":
         text = text[:draw(st.integers(0, len(text.rstrip()) - 1))]
-    return kind, text
+    return text
+
+
+@st.composite
+def mutants(draw):
+    kind, doc = draw(st.sampled_from(VALID))
+    return kind, _mutate(draw, doc)
 
 
 def _run(kind, text):
@@ -116,3 +128,64 @@ def test_mutated_files_fail_with_format_error(case):
     rc, err = _run(*case)
     assert rc == 1
     assert json.loads(err)["error"] == "FormatError"
+
+
+def _tower_files():
+    tower = build_tower((line_space(1), line_space(2)), [F(0), F(1, 4)], 3, seed=3, dim_cap=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        io.save_tower(tower, tmp)
+        return {p.name: json.loads(p.read_text()) for p in sorted(Path(tmp).iterdir())}
+
+
+TOWER = _tower_files()
+
+
+@st.composite
+def tower_mutants(draw):
+    name = draw(st.sampled_from(sorted(TOWER)))
+    return name, _mutate(draw, TOWER[name])
+
+
+def _verify(name=None, text=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, doc in TOWER.items():
+            (Path(tmp) / file).write_text(text if file == name else io.dumps(doc))
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            rc = main(["tower", "verify", tmp])
+    return rc, err.getvalue()
+
+
+def test_valid_tower_verifies():
+    assert _verify() == (0, "")
+
+
+@settings(max_examples=200)
+@given(tower_mutants())
+def test_mutated_tower_fails_with_format_error(case):
+    rc, err = _verify(*case)
+    assert rc == 1
+    assert json.loads(err)["error"] == "FormatError"
+
+
+def test_net_and_colouring_documents_are_checked():
+    q = io.space_to_doc(line_space(1))
+    net = {"format": io.FORMAT, "domain": q, "codomain": q, "points": [[["1"]], [["-1"]]],
+           "resolution": "2"}
+    assert len(io.net_from_doc(net).points) == 2
+    for key, bad in (("points", [[["1", "0"]]]), ("points", None), ("domain", "q.json"), ("resolution", 2)):
+        with pytest.raises(io.FormatError):
+            io.net_from_doc({**net, key: bad})
+    colouring = {"format": io.FORMAT, "kind": "discrete", "colours": 2,
+                 "table": [{"matrix": [["1"]], "value": 0}, {"matrix": [["-1"]], "value": 1}]}
+    assert io.colouring_from_doc(colouring).table[1] == (((F(-1),),), 1)
+    clamp = {"format": io.FORMAT, "kind": "continuous", "level": 1, "builtin": ["coordinate-clamp", "0"]}
+    assert io.colouring_from_doc(clamp).builtin == ("coordinate-clamp", 0)
+    for doc in ({**colouring, "kind": "x"}, {**colouring, "colours": "2"},
+                {**colouring, "table": [{"matrix": [["1"]], "value": "0"}]},
+                {**colouring, "table": [{"matrix": [["1"]]}]},
+                {k: v for k, v in colouring.items() if k != "table"},
+                {**clamp, "builtin": []}, {**clamp, "builtin": ["coordinate-clamp", 0]},
+                {**clamp, "level": True}):
+        with pytest.raises(io.FormatError):
+            io.colouring_from_doc(doc)

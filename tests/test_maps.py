@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+from msn.amalgam import pushout
 from msn.linalg import Matrix, in_span, inverse
+from msn.lp import gauge_scale
 from msn.maps import (
     LinearMap,
+    _pullbacks,
     bm_upper_bound,
     build_iso_from_invariant,
     compose,
@@ -11,11 +14,16 @@ from msn.maps import (
     identity_map,
     is_embedding,
     map_distance,
+    lower_constant,
     operator_seminorm,
     sup_distance,
+    upper_witness,
 )
 from msn.seminorms import PolyhedralSeminorm, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, line_space
+
+from genhelpers import block_embedding_triple, image_space, random_invertible
+from oracles import fraction_pullbacks
 
 F = Fraction
 S = PolyhedralSeminorm.from_functionals
@@ -194,3 +202,76 @@ def test_build_iso_succeeds_on_isomorphic_images():
                 assert in_span(seminorm_kernel(Y.seminorms[k]), h(v))
         assert bm_upper_bound(X, Y) >= 1
     assert built == 25
+
+
+def _raw_functionals(rng, dim, count):
+    """A hand-written-style list: some members are midpoints or scaled copies."""
+    funcs = []
+    while len(funcs) < count:
+        r = rng.random()
+        if len(funcs) >= 2 and r < 0.25:
+            a, b = rng.sample(funcs, 2)
+            f = tuple((x + y) / 2 for x, y in zip(a, b))
+        elif funcs and r < 0.35:
+            f = tuple(-x / rng.randint(1, 3) for x in rng.choice(funcs))
+        else:
+            f = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+        if any(f):
+            funcs.append(f)
+    return funcs
+
+
+def _level_maps():
+    """(map, level) pairs: certify-style maps, pushout legs and their inputs,
+    and rank-deficient maps with mixed denominators."""
+    rng = random.Random(4242)
+    out = []
+    for trial in range(24):
+        dim, lam = rng.randint(3, 4), rng.randint(1, 2)
+        X = MultiSpace(tuple(S(dim, _raw_functionals(rng, dim, rng.randint(4, 9))) for _ in range(lam)))
+        T = random_invertible(rng, dim)
+        delta = F(trial % 3, 4)
+        out += [(LinearMap(X, image_space(X, T), T.scale(1 + delta)), m) for m in range(lam)]
+        # a domain with a kernel, so that some sups are infinite
+        W = MultiSpace(tuple(S(dim, _raw_functionals(rng, dim, rng.randint(1, 3))) for _ in range(lam)))
+        Y = MultiSpace(tuple(S(dim, _raw_functionals(rng, dim, rng.randint(2, 6))) for _ in range(lam)))
+        M = Matrix.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 3)) * rng.randint(0, 1)
+                               for _ in range(dim)] for _ in range(dim)])
+        out += [(LinearMap(W, Y, M), m) for m in range(lam)]
+    for trial in range(12):
+        delta = F(trial % 2, 4)
+        X, Y, Z, f, g = block_embedding_triple(rng, rng.randint(1, 2), rng.randint(0, 1), rng.randint(0, 1),
+                                               1, 2, 2, delta=delta)
+        res = pushout(X, Y, Z, f, g, delta, F(1, 8))
+        out += [(h, m) for h in (f, g, res.leg_y, res.leg_z) for m in range(h.domain.length)]
+    return out
+
+
+def test_pullbacks_match_fraction_oracle_and_gauges():
+    escapes = 0
+    for f, m in _level_maps():
+        pulled = _pullbacks(f, m)
+        assert pulled == fraction_pullbacks(f.matrix.entries, f.codomain.seminorms[m].functionals)
+        dom = f.domain.seminorms[m].functionals
+        ups = [gauge_scale(psi, dom) for psi in pulled]
+        assert operator_seminorm(f, m) == (None if None in ups else max(ups, default=F(0)))
+        if dom:
+            downs = [gauge_scale(phi, pulled) for phi in dom]
+            assert lower_constant(f, m) == (F(0) if None in downs else 1 / max(downs))
+        escapes += None in ups
+    assert escapes >= 10, escapes
+
+
+def test_upper_witness_attains_operator_seminorm():
+    finite = 0
+    for f, m in _level_maps():
+        w = upper_witness(f, m)
+        up = operator_seminorm(f, m)
+        if up is None:
+            # a kernel vector whose image is not in the kernel
+            assert f.domain.eval(m, w) == 0 and f.codomain.eval(m, f(w)) != 0
+            continue
+        assert f.domain.eval(m, w) <= 1
+        assert f.codomain.eval(m, f(w)) == up
+        finite += 1
+    assert finite >= 60, finite
