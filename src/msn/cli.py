@@ -14,7 +14,7 @@ from pathlib import Path
 
 from msn import io
 from msn.amalgam import multi_amalgam, product_amalgam, pushout
-from msn.errors import MsnError, NotAnEmbedding, PairNotInCertificates
+from msn.errors import BadLevel, MsnError, NotAnEmbedding, PairNotInCertificates
 from msn.maps import (
     bm_upper_bound,
     build_iso_from_invariant,
@@ -83,6 +83,8 @@ def cmd_space_invariant(args):
 
 def cmd_space_quotient(args):
     X = io.load_space(args.space)
+    if not 0 <= args.level < X.length:
+        raise BadLevel(f"level {args.level} outside 0..{X.length - 1}")
     q = quotient_norm(X.seminorms[args.level])
     doc = {
         "projection": io.matrix_to_doc(q.projection),

@@ -187,10 +187,6 @@ def nullspace(mat: Matrix) -> list[Vec]:
     return basis
 
 
-def column_space_basis(mat: Matrix) -> list[Vec]:
-    return row_space_basis(list(mat.transpose().entries))
-
-
 def in_span(rows: list[Vec], v: Vec) -> bool:
     base = row_space_basis(rows)
     if not any(x != 0 for x in v):
@@ -274,27 +270,3 @@ def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:
         if r == dim:
             break
     return chosen
-
-
-def subspace_ops(a: Matrix, b: Matrix) -> dict:
-    """Kernel/image of ``a`` plus intersection/sum of the two row spans."""
-    if a.cols != b.cols:
-        raise DimensionMismatch("ambient dimensions differ")
-    ker = nullspace(a)
-    img = column_space_basis(a)
-    inter = intersect_spans(list(a.entries), list(b.entries))
-    total = sum_span(list(a.entries), list(b.entries))
-    return {
-        "kernel": ker,
-        "image": img,
-        "intersection": inter,
-        "sum": total,
-        "dims": {
-            "kernel": len(ker),
-            "image": len(img),
-            "intersection": len(inter),
-            "sum": len(total),
-            "aSpan": len(row_space_basis(list(a.entries))),
-            "bSpan": len(row_space_basis(list(b.entries))),
-        },
-    }

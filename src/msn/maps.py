@@ -8,18 +8,19 @@ is the largest gauge of a pullback over the domain's unit ball, and the
 lower constant is the reciprocal of the largest gauge of a domain
 functional over the pullbacks' ball; each is one ``lp.gauge_max`` call,
 one integer tableau re-optimised per objective, which also yields the
-upper witness.  The lower witness is the infimum over the unit sphere,
-taken facet by facet with one epigraph LP each.  On top of these sit
-distortion reports, embedding certificates, distances between maps, and
-the kernel-splitting construction of multi-isomorphisms from matching
-kernel invariants.
+upper witness.  Neither is memoised: a memo keyed on the whole map
+hashes both spaces and the matrix on every lookup and rarely hits.  The
+lower witness is the infimum over the unit sphere, taken facet by facet
+with one epigraph LP each.  On top of these sit distortion reports,
+embedding certificates, distances between maps, and the kernel-splitting
+construction of multi-isomorphisms from matching kernel invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from operator import mul
 
 from msn.errors import BadLevel, DimensionMismatch, LengthMismatch, ShapeMismatch
@@ -120,14 +121,6 @@ def _is_identity_on_level(f: LinearMap, m: int) -> bool:
             and f.domain.seminorms[m] == f.codomain.seminorms[m])
 
 
-@lru_cache(maxsize=None)
-def _op_seminorm_cached(f: LinearMap, m: int):
-    dom_s = f.domain.seminorms[m]
-    if _is_identity_on_level(f, m):
-        return Fraction(1) if dom_s.functionals else Fraction(0)
-    return gauge_max(_pullbacks(f, m), dom_s.functionals)[0]
-
-
 def operator_seminorm(f: LinearMap, m: int):
     """sup of the level-m codomain seminorm over the level-m unit ball.
 
@@ -137,7 +130,10 @@ def operator_seminorm(f: LinearMap, m: int):
     """
     if not 0 <= m < f.domain.length:
         raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
-    return _op_seminorm_cached(f, m)
+    dom_s = f.domain.seminorms[m]
+    if _is_identity_on_level(f, m):
+        return Fraction(1) if dom_s.functionals else Fraction(0)
+    return gauge_max(_pullbacks(f, m), dom_s.functionals)[0]
 
 
 def upper_witness(f: LinearMap, m: int) -> Vec:
@@ -153,8 +149,7 @@ def upper_witness(f: LinearMap, m: int) -> Vec:
     return point or zero_vec(f.domain.dim)
 
 
-@lru_cache(maxsize=None)
-def _lower_constant_cached(f: LinearMap, m: int):
+def lower_constant(f: LinearMap, m: int):
     """inf ||f(x)||_m over the level-m unit sphere.
 
     Equals the reciprocal of the largest dual norm of a domain functional
@@ -162,6 +157,8 @@ def _lower_constant_cached(f: LinearMap, m: int):
     sphere is empty (zero seminorm level: vacuous); 0 when some domain
     functional escapes the span of the pullbacks.
     """
+    if not 0 <= m < f.domain.length:
+        raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
     dom_s = f.domain.seminorms[m]
     if not dom_s.functionals:
         return None
@@ -172,12 +169,6 @@ def _lower_constant_cached(f: LinearMap, m: int):
         return Fraction(0)
     # phi nonzero in the span of the pullbacks has positive sup
     return 1 / worst
-
-
-def lower_constant(f: LinearMap, m: int):
-    if not 0 <= m < f.domain.length:
-        raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
-    return _lower_constant_cached(f, m)
 
 
 def lower_witness(f: LinearMap, m: int) -> Vec:
@@ -293,30 +284,20 @@ def mb_norm(f: LinearMap):
 # --- multi-isomorphisms from kernel invariants -----------------------------
 
 
-def _restricted(X: MultiSpace, lift: Matrix) -> MultiSpace:
-    return pullback_space(X, lift)
-
-
-def _level_kernel_local(sub: MultiSpace, levels) -> list[Vec]:
-    return joint_kernel(sub, levels)
-
-
 def _adapted_complement(sub: MultiSpace, k0: int, active: tuple[int, ...]) -> list[Vec]:
     """Complement of the level-k0 kernel, greedily adapted to the other kernels."""
     m = sub.dim
-    ker = _level_kernel_local(sub, [k0])
+    ker = joint_kernel(sub, [k0])
     r = len(ker)
     inv = invariant_alpha(sub)
     others = [k for k in active if k != k0]
     subsets = []
     for size in range(len(others), 0, -1):
-        from itertools import combinations
-
         subsets.extend(combinations(others, size))
     chosen: list[Vec] = []
     for s in subsets:
         target = inv.alpha(s) - inv.alpha(tuple(sorted(set(s) | {k0})))
-        ks = _level_kernel_local(sub, s)
+        ks = joint_kernel(sub, s)
         while len(intersect_spans(chosen, ks) if chosen else []) < target:
             blocked = sum_span(chosen, ker)
             cand = next((v for v in ks if not in_span(blocked, v)), None)
@@ -335,8 +316,8 @@ def _adapted_complement(sub: MultiSpace, k0: int, active: tuple[int, ...]) -> li
 
 def _build_iso_rec(X: MultiSpace, Y: MultiSpace, liftX: Matrix, liftY: Matrix,
                    active: tuple[int, ...]) -> Matrix | None:
-    subX = _restricted(X, liftX)
-    subY = _restricted(Y, liftY)
+    subX = pullback_space(X, liftX)
+    subY = pullback_space(Y, liftY)
     m = subX.dim
     if subY.dim != m:
         return None
@@ -344,11 +325,11 @@ def _build_iso_rec(X: MultiSpace, Y: MultiSpace, liftX: Matrix, liftY: Matrix,
         return Matrix(())
     if invariant_alpha(subX).entries != invariant_alpha(subY).entries:
         return None
-    k0 = next((k for k in active if _level_kernel_local(subX, [k])), None)
+    k0 = next((k for k in active if joint_kernel(subX, [k])), None)
     if k0 is None:
         return Matrix.identity(m)
-    kerX = _level_kernel_local(subX, [k0])
-    kerY = _level_kernel_local(subY, [k0])
+    kerX = joint_kernel(subX, [k0])
+    kerY = joint_kernel(subY, [k0])
     if len(kerX) == m:
         # whole subspace degenerate at k0: drop the level and recurse
         rest = tuple(k for k in active if k != k0)
@@ -434,10 +415,6 @@ def bm_upper_bound(X: MultiSpace, Y: MultiSpace):
     None means no witness: the invariants differ, or the construction
     failed to align the kernels.
     """
-    if X.length != Y.length:
-        raise LengthMismatch("lengths differ")
-    if invariant_alpha(X).entries != invariant_alpha(Y).entries:
-        return None
     h = build_iso_from_invariant(X, Y)
     if h is None:
         return None

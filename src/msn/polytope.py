@@ -1,6 +1,9 @@
-"""Polytopes with exact H- and V-representations.
+"""Exact conversion between H- and V-representations of polytopes.
 
-Conversion in both directions runs the double description method
+Polytopes are plain data: inequality lists ``a . x <= b`` and point
+lists.  ``polytope_vertices`` enumerates the vertices of an inequality
+system and ``polytope_facets`` the canonical irredundant facets of a
+point hull.  Both run the double description method
 (Fukuda & Prodon, "Double description method revisited", 1996) on a
 homogenising cone: vertex enumeration inserts constraints incrementally
 starting from a simplicial cone, and facet enumeration applies the same
@@ -14,13 +17,12 @@ combinatorially, by tight-set containment, with no rank computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from msn import _kernel
-from msn.errors import DimensionMismatch, UnboundedPolyhedron
-from msn.linalg import Matrix, Vec, _scale_to_int, coordinate_complement, dot, frac, int_rows, vec
+from msn.errors import UnboundedPolyhedron
+from msn.linalg import Matrix, Vec, _scale_to_int, coordinate_complement, frac, int_rows, vec
 
 Ineq = tuple[Vec, Fraction]  # a . x <= b
 
@@ -171,83 +173,3 @@ def canon_rep(v: Vec) -> Vec:
         if x != 0:
             return v if x > 0 else tuple(-y for y in v)
     return v
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Bounded rational polytope; at least one representation present.
-
-    When ``symmetric`` is set the vertex list stores one canonical
-    representative per +/- pair.
-    """
-
-    dim: int
-    hrep: tuple[Ineq, ...] | None = None
-    vrep: tuple[Vec, ...] | None = None
-    symmetric: bool = False
-
-    def __post_init__(self):
-        if self.hrep is None and self.vrep is None:
-            raise DimensionMismatch("polytope needs at least one representation")
-        for a, _ in self.hrep or ():
-            if len(a) != self.dim:
-                raise DimensionMismatch("facet arity != dim")
-        for v in self.vrep or ():
-            if len(v) != self.dim:
-                raise DimensionMismatch("vertex arity != dim")
-
-    def vertices_full(self) -> list[Vec]:
-        """Vertex list with +/- pairs expanded for symmetric storage."""
-        if self.vrep is None:
-            raise ValueError("no V-representation")
-        if not self.symmetric:
-            return list(self.vrep)
-        out = set()
-        for v in self.vrep:
-            out.add(v)
-            out.add(tuple(-x for x in v))
-        return sorted(out)
-
-    @staticmethod
-    def from_h(ineqs, dim: int, symmetric: bool = False) -> "Polytope":
-        canon = tuple(sorted(set(canon_ineq(a, b) for a, b in ineqs)))
-        return Polytope(dim, hrep=canon, vrep=None, symmetric=symmetric)
-
-    @staticmethod
-    def from_v(points, dim: int, symmetric: bool = False) -> "Polytope":
-        pts = [vec(p) for p in points]
-        if symmetric:
-            canon = tuple(sorted(set(canon_rep(p) for p in pts)))
-        else:
-            canon = tuple(sorted(set(pts)))
-        return Polytope(dim, hrep=None, vrep=canon, symmetric=symmetric)
-
-
-def dd_convert(p: Polytope) -> Polytope:
-    """Complete and canonicalise both representations.
-
-    Output vertex lists contain extreme points only, facet lists are
-    irredundant, both sorted; converting twice is the identity.
-    """
-    if p.vrep is not None:
-        pts = p.vertices_full()
-        facets = polytope_facets(pts, p.dim) if pts else None
-        if facets is None:
-            raise ValueError("empty polytope has no H-representation")
-        verts = polytope_vertices(facets, p.dim)
-    else:
-        verts = polytope_vertices(list(p.hrep), p.dim)
-        facets = polytope_facets(verts, p.dim) if verts else list(p.hrep)
-    if p.symmetric:
-        vstore = tuple(sorted(set(canon_rep(v) for v in verts)))
-    else:
-        vstore = tuple(verts)
-    return Polytope(p.dim, hrep=tuple(sorted(set(facets))), vrep=vstore, symmetric=p.symmetric)
-
-
-def support_value(p: Polytope, direction: Vec) -> Fraction:
-    """max of direction . x over the polytope (vertex max; exact)."""
-    verts = p.vertices_full() if p.vrep is not None else polytope_vertices(list(p.hrep), p.dim)
-    if not verts:
-        raise ValueError("support of empty polytope")
-    return max(dot(v, direction) for v in verts)

@@ -49,12 +49,6 @@ class EmbeddingNet:
     points: tuple[LinearMap, ...]
     resolution: Fraction | None
 
-    def index_of(self, f: LinearMap) -> int:
-        for i, p in enumerate(self.points):
-            if p.matrix == f.matrix:
-                return i
-        raise UndefinedPoint("map is not a net point")
-
 
 def _line_image_constraints(X: MultiSpace, Y: MultiSpace):
     """Values the image vector of the basis of a line must attain."""

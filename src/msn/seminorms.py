@@ -4,7 +4,9 @@ A seminorm is stored as the canonical finite family of functionals whose
 absolute values it maximises.  The list keeps one representative per +/-
 pair, sorted, with redundant members (those inside the convex hull of the
 others and their negatives) removed by exact LP membership tests.  The
-empty family encodes the zero seminorm.
+empty family encodes the zero seminorm.  The dual ball, the symmetric
+hull of the functionals, is used through its facets
+(``dual_ball_facets``), the one memoised function in the package.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from msn.linalg import (
     inverse,
     nullspace,
     vec,
+    zero_vec,
 )
 from msn.lp import gauge_scale
-from msn.polytope import Polytope, canon_rep, dd_convert, polytope_vertices
+from msn.polytope import canon_rep, polytope_facets
 
 
 def _dominance_filter(funcs: list[Vec]) -> list[Vec]:
@@ -112,34 +115,15 @@ def seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:
     return nullspace(Matrix.from_rows(s.functionals))
 
 
-def dual_ball(s: PolyhedralSeminorm) -> Polytope:
-    """conv of the functionals and their negatives (support function = s)."""
-    if not s.functionals:
-        return Polytope.from_v([tuple(Fraction(0) for _ in range(s.dim))], s.dim, symmetric=True)
-    return Polytope.from_v(s.functionals, s.dim, symmetric=True)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def dual_ball_facets(s: PolyhedralSeminorm) -> tuple:
-    """Canonical H-representation of the dual ball."""
-    return dd_convert(dual_ball(s)).hrep
+    """Canonical H-representation of the dual ball conv(+/- functionals).
 
-
-@lru_cache(maxsize=None)
-def unit_ball_vertices(s: PolyhedralSeminorm) -> tuple[Vec, ...]:
-    """Vertices of {x : s(x) <= 1}; requires a trivial kernel."""
-    if seminorm_kernel(s):
-        raise ValueError("unit ball of a degenerate seminorm is unbounded")
-    ineqs = []
-    for f in s.functionals:
-        ineqs.append((f, Fraction(1)))
-        ineqs.append((tuple(-x for x in f), Fraction(1)))
-    return tuple(polytope_vertices(ineqs, s.dim))
-
-
-def reduce_functionals(s: PolyhedralSeminorm) -> PolyhedralSeminorm:
-    """Re-canonicalise; output evaluates identically with an irredundant list."""
-    return PolyhedralSeminorm.from_functionals(s.dim, s.functionals, reduce=True)
+    The zero seminorm's dual ball is the origin.  Memoised because equal
+    seminorms recur across pushouts; bounded so memory stays flat.
+    """
+    pts = sorted({v for f in s.functionals for v in (f, tuple(-x for x in f))})
+    return tuple(polytope_facets(pts or [zero_vec(s.dim)], s.dim))
 
 
 @dataclass(frozen=True)
@@ -157,7 +141,6 @@ class QuotientNorm:
     norm: PolyhedralSeminorm
 
 
-@lru_cache(maxsize=None)
 def quotient_norm(s: PolyhedralSeminorm) -> QuotientNorm:
     """Quotient by the kernel along the lex-first coordinate complement."""
     ker = seminorm_kernel(s)

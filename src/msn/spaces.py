@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
 
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
@@ -101,7 +100,6 @@ def _subsets(n: int):
     return chain.from_iterable(combinations(range(n), r) for r in range(n + 1))
 
 
-@lru_cache(maxsize=None)
 def invariant_alpha(X: MultiSpace) -> KernelInvariant:
     entries = []
     for s in _subsets(X.length):

@@ -41,6 +41,16 @@ def test_space_invariant_output(files, capsys):
     assert doc == {"alpha": {"": 2, "0": 1, "1": 1, "0,1": 0}}
 
 
+def test_space_quotient_rejects_levels_outside_the_space(files, capsys):
+    assert run(["space", "quotient", files / "q.json", "--level", "0"]) == 0
+    capsys.readouterr()
+    for level in ("3", "-1"):
+        assert run(["space", "quotient", files / "q.json", "--level", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "BadLevel", "detail": f"level {level} outside 0..0"}
+
+
 def test_map_check_exit_codes(files, capsys):
     assert run(["map", "check", files / "id.json", "--delta", "0"]) == 0
     rc = run(["map", "check", files / "two.json", "--delta", "1/2"])

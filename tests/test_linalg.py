@@ -11,7 +11,7 @@ from msn.linalg import (
     nullspace,
     row_space_basis,
     solve,
-    subspace_ops,
+    sum_span,
     inverse,
 )
 
@@ -62,14 +62,14 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 def test_rank_nullity_and_modularity(arows, brows):
     a = Matrix.from_rows(arows)
     b = Matrix.from_rows(brows)
-    ops = subspace_ops(a, b)
-    d = ops["dims"]
-    # rank-nullity on a
-    assert d["kernel"] + d["image"] == a.cols
+    ua, ub = list(a.entries), list(b.entries)
+    # rank-nullity on a: kernel plus image (the column span) fill the domain
+    assert len(nullspace(a)) + len(row_space_basis(list(a.transpose().entries))) == a.cols
     # modular law on the two row spans
-    assert d["intersection"] + d["sum"] == d["aSpan"] + d["bSpan"]
-    for v in ops["intersection"]:
-        assert in_span(list(a.entries), v) and in_span(list(b.entries), v)
+    inter = intersect_spans(ua, ub)
+    assert len(inter) + len(sum_span(ua, ub)) == len(row_space_basis(ua)) + len(row_space_basis(ub))
+    for v in inter:
+        assert in_span(ua, v) and in_span(ub, v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from msn.amalgam import pushout
 from msn.errors import UnboundedPolyhedron
-from msn.polytope import Polytope, _cone_rays, canon_ineq, dd_convert, polytope_facets, polytope_vertices, support_value
+from msn.linalg import vec
+from msn.polytope import _cone_rays, canon_ineq, canon_rep, polytope_facets, polytope_vertices
 
 from genhelpers import block_embedding_triple
 from oracles import brute_cone_rays, brute_vertices, gauss_rank
@@ -30,8 +31,8 @@ def _box(dim, r=1):
 
 
 def test_square_h_to_v():
-    p = dd_convert(Polytope.from_h(_box(2), 2))
-    assert list(p.vrep) == sorted({(F(s), F(t)) for s in (-1, 1) for t in (-1, 1)})
+    verts = polytope_vertices(_box(2), 2)
+    assert verts == sorted({(F(s), F(t)) for s in (-1, 1) for t in (-1, 1)})
 
 
 def test_hexagon_strip_example():
@@ -57,16 +58,16 @@ def test_unbounded_raises():
 
 def test_lower_dimensional_segment_roundtrip():
     # conv{(1,1), (-1,-1)}: implicit equality x1 = x2 plus endpoints.
-    p = dd_convert(Polytope.from_v([(1, 1), (-1, -1)], 2))
-    assert set(p.vrep) == {(F(-1), F(-1)), (F(1), F(1))}
-    q = dd_convert(p)
-    assert q.hrep == p.hrep and q.vrep == p.vrep
+    facets = polytope_facets([(F(1), F(1)), (F(-1), F(-1))], 2)
+    assert {canon_ineq((1, -1), 0), canon_ineq((-1, 1), 0)} <= set(facets)
+    verts = polytope_vertices(facets, 2)
+    assert verts == [(F(-1), F(-1)), (F(1), F(1))]
+    assert polytope_facets(verts, 2) == facets
 
 
 def test_point_polytope():
-    p = dd_convert(Polytope.from_v([(0, 0)], 2))
-    assert p.vrep == ((F(0), F(0)),)
-    assert polytope_vertices(list(p.hrep), 2) == [(F(0), F(0))]
+    facets = polytope_facets([(F(0), F(0))], 2)
+    assert polytope_vertices(facets, 2) == [(F(0), F(0))]
 
 
 def test_involution_and_oracle_agreement_random():
@@ -81,11 +82,10 @@ def test_involution_and_oracle_agreement_random():
             ineqs.append((a, F(rng.randint(1, 4))))
         verts = polytope_vertices(ineqs, dim)
         assert verts == brute_vertices(ineqs, dim)
-        p = dd_convert(Polytope.from_h(ineqs, dim))
-        q = dd_convert(p)
-        assert (q.hrep, q.vrep) == (p.hrep, p.vrep)
+        # the vertices of the vertices' facets are the vertices again
+        assert polytope_vertices(polytope_facets(verts, dim), dim) == verts
         # every vertex satisfies all constraints, at least dim of them tight
-        for v in p.vrep:
+        for v in verts:
             tight = 0
             for a, b in ineqs:
                 s = sum(x * y for x, y in zip(a, v))
@@ -95,10 +95,13 @@ def test_involution_and_oracle_agreement_random():
 
 
 def test_symmetric_storage_and_support():
-    p = Polytope.from_v([(1, 0), (-1, 0), (0, 1), (0, -1)], 2, symmetric=True)
-    assert p.vrep == ((F(0), F(1)), (F(1), F(0)))
-    assert p.vertices_full() == sorted([(F(-1), F(0)), (F(0), F(-1)), (F(0), F(1)), (F(1), F(0))])
-    assert support_value(p, (F(3), F(-4))) == 4
+    # The hull of one representative per +/- pair and its negatives.
+    pts = [(F(1), F(0)), (F(0), F(1))]
+    full = sorted({v for p in pts for v in (p, tuple(-x for x in p))})
+    verts = polytope_vertices(polytope_facets(full, 2), 2)
+    assert verts == full
+    assert sorted({canon_rep(v) for v in verts}) == sorted(pts)
+    assert max(sum(x * y for x, y in zip(v, (F(3), F(-4)))) for v in verts) == 4
 
 
 # --- oracle properties of double description ---------------------------
@@ -174,7 +177,8 @@ def test_polytope_vertices_match_brute_force(dim, r, data):
 # conversions below, recorded with the double description that tested
 # every candidate ray pair by an ``echelon_int`` rank computation and
 # rebuilt all tight sets after each insertion.  The instances run
-# through both directions (H to V, V to H, ``dd_convert``) at dims 1-6,
+# through both directions (H to V, V to H, and both in turn for ``dd``,
+# once without and once with +/- pairs folded) at dims 1-6,
 # with many more tight rows than ``dim`` at a vertex, duplicate and
 # opposite rows, lower-dimensional hulls and the empty and unbounded
 # cases, and through ``amalgam.pushout``, whose functional lists are
@@ -291,7 +295,7 @@ def _golden_instance(rng, kind):
     symmetric = kind == "dd_symmetric"
     if rng.random() < 0.5:
         pts = [tuple(F(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(rng.randint(1, dim + 4))]
-        return "dd", Polytope.from_v(pts, dim, symmetric=symmetric), dim
+        return "dd", ("v", pts, symmetric), dim
     ineqs = _box(dim, rng.randint(1, 2))
     for _ in range(rng.randint(0, 3)):
         a = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
@@ -300,7 +304,7 @@ def _golden_instance(rng, kind):
             ineqs.append((a, b))
             if symmetric:
                 ineqs.append((tuple(-x for x in a), b))
-    return "dd", Polytope.from_h(ineqs, dim, symmetric=symmetric), dim
+    return "dd", ("h", ineqs, symmetric), dim
 
 
 def golden_instances():
@@ -325,14 +329,40 @@ def _strs(vectors):
     return [[str(x) for x in v] for v in vectors]
 
 
+def _ineq_strs(ineqs):
+    return [[[str(x) for x in a], str(b)] for a, b in ineqs]
+
+
+def _dd(rep, items, symmetric, dim):
+    """Facets and vertices of a point hull or an inequality system.
+
+    With ``symmetric`` the points stand for themselves and their
+    negatives, and the vertices come back one per +/- pair.  An infeasible
+    inequality system keeps its own canonical inequalities as facets.
+    """
+    if rep == "v":
+        pts = {vec(p) for p in items}
+        if symmetric:
+            pts |= {tuple(-x for x in p) for p in pts}
+        facets = polytope_facets(sorted(pts), dim)
+        verts = polytope_vertices(facets, dim)
+    else:
+        ineqs = sorted({canon_ineq(a, b) for a, b in items})
+        verts = polytope_vertices(ineqs, dim)
+        facets = polytope_facets(verts, dim) if verts else ineqs
+    if symmetric:
+        verts = sorted({canon_rep(v) for v in verts})
+    return facets, verts
+
+
 def _outcome(op, arg, dim):
     try:
         if op == "vertices":
             return _strs(polytope_vertices(arg, dim))
         if op == "facets":
-            return [[[str(x) for x in a], str(b)] for a, b in polytope_facets(arg, dim)]
-        p = dd_convert(arg)
-        return [[[[str(x) for x in a], str(b)] for a, b in p.hrep], _strs(p.vrep)]
+            return _ineq_strs(polytope_facets(arg, dim))
+        facets, verts = _dd(*arg, dim)
+        return [_ineq_strs(facets), _strs(verts)]
     except (UnboundedPolyhedron, ValueError) as e:
         return type(e).__name__
 

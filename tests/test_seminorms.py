@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msn.linalg import dot, in_span, vec
-from msn.polytope import support_value
+from msn.polytope import polytope_vertices
 from msn.seminorms import (
     PolyhedralSeminorm,
-    dual_ball,
+    dual_ball_facets,
     quotient_norm,
-    reduce_functionals,
     seminorm_kernel,
-    unit_ball_vertices,
 )
 
 F = Fraction
@@ -48,18 +46,38 @@ def test_quotient_examples():
     assert q.norm(q.projection.apply(x)) == s(x) == 4
 
 
+def _dual_support(s, x):
+    """max of x . phi over the vertices of the dual ball's facets."""
+    return max(dot(v, x) for v in polytope_vertices(list(dual_ball_facets(s)), s.dim))
+
+
+def _signed(funcs):
+    return sorted({v for f in funcs for v in (f, tuple(-x for x in f))})
+
+
 def test_dual_ball_support_examples():
     s = S(2, [(1, 0), (0, 1)])
-    assert support_value(dual_ball(s), (F(3), F(-4))) == 4
+    assert _dual_support(s, (F(3), F(-4))) == 4
     seg = S(2, [(1, 1)])
-    assert dual_ball(seg).vrep == ((F(1), F(1)),)
+    assert polytope_vertices(list(dual_ball_facets(seg)), 2) == [(F(-1), F(-1)), (F(1), F(1))]
     hexn = S(2, [(1, 1), (1, F(1, 2)), (F(1, 2), 1)])
-    assert support_value(dual_ball(hexn), (F(1), F(-1))) == F(1, 2)
+    assert _dual_support(hexn, (F(1), F(-1))) == F(1, 2)
+
+
+def test_dual_ball_facets_vertices_are_the_signed_functionals():
+    zero = PolyhedralSeminorm.zero(3)
+    assert polytope_vertices(list(dual_ball_facets(zero)), 3) == [(F(0),) * 3]
+    degenerate = S(3, [(1, 1, 0), (1, -1, 0), (F(1, 2), 0, 0)])
+    assert seminorm_kernel(degenerate) == [(F(0), F(0), F(1))]
+    full = S(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    for s in (degenerate, full, S(2, [(1, 1), (1, F(1, 2)), (F(1, 2), 1)])):
+        assert polytope_vertices(list(dual_ball_facets(s)), s.dim) == _signed(s.functionals)
 
 
 def test_unit_ball_vertices_hexagon():
     hexn = S(2, [(1, 1), (1, F(1, 2)), (F(1, 2), 1)])
-    verts = set(unit_ball_vertices(hexn))
+    ball = [(f, F(1)) for f in _signed(hexn.functionals)]
+    verts = set(polytope_vertices(ball, 2))
     assert verts == {(F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)), (F(2), F(-2)), (F(-2), F(2))}
 
 
@@ -90,8 +108,7 @@ def test_kernel_iff_zero_and_dual_support(funcs, x):
     s = _rand_seminorm(funcs, 3)
     x = vec(x)
     assert (s(x) == 0) == in_span(seminorm_kernel(s), x)
-    if s.functionals:
-        assert support_value(dual_ball(s), x) == s(x)
+    assert _dual_support(s, x) == s(x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,7 +118,7 @@ def test_reduce_never_changes_eval(funcs, x):
     if not funcs:
         return
     raw = PolyhedralSeminorm(2, tuple(vec(f) for f in funcs))
-    red = reduce_functionals(raw)
+    red = S(2, raw.functionals)
     assert red(vec(x)) == raw(vec(x))
 
 
