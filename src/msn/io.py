@@ -66,7 +66,7 @@ def write_json(path, obj) -> None:
 def read_json(path):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, bad UTF-8, a NUL in the path
         raise FormatError(f"cannot read {path}: {e}") from e
 
 
@@ -151,35 +151,42 @@ def matrix_from_doc(doc) -> Matrix:
         raise FormatError(f"matrix: {e}") from e
 
 
-def map_to_doc(f: LinearMap) -> dict:
+def map_to_doc(f: LinearMap, space=space_to_doc) -> dict:
+    """The document of ``f``, its two spaces rendered by ``space``."""
     return {
         "format": FORMAT,
-        "domain": space_to_doc(f.domain),
-        "codomain": space_to_doc(f.codomain),
+        "domain": space(f.domain),
+        "codomain": space(f.codomain),
         "matrix": matrix_to_doc(f.matrix),
     }
 
 
-def map_from_doc(doc, base: Path | None = None) -> LinearMap:
+def _map_from_doc(doc, space) -> LinearMap:
+    """Parse a map document; ``space`` resolves its two space references."""
     _check_format(doc, "map file")
-
-    def resolve(ref):
-        if isinstance(ref, str):
-            p = Path(ref)
-            if base is not None and not p.is_absolute():
-                p = base / p
-            return space_from_doc(read_json(p))
-        return space_from_doc(ref)
-
     for key in ("domain", "codomain", "matrix"):
         if key not in doc:
             raise FormatError(f"map file has no {key!r}")
-    dom = resolve(doc["domain"])
-    cod = resolve(doc["codomain"])
+    dom = space(doc["domain"])
+    cod = space(doc["codomain"])
     try:
         return LinearMap(dom, cod, matrix_from_doc(doc["matrix"]))
     except ShapeMismatch as e:
         raise FormatError(f"map file: {e}") from e
+
+
+def map_from_doc(doc, base: Path | None = None) -> LinearMap:
+    """Parse a map document.
+
+    A space reference is an inline space document or a path to a space
+    file, relative to ``base`` when given.
+    """
+    def space(ref):
+        if isinstance(ref, str):
+            return load_space(Path(ref) if base is None else base / ref)
+        return space_from_doc(ref)
+
+    return _map_from_doc(doc, space)
 
 
 def load_space(path) -> MultiSpace:
@@ -190,38 +197,56 @@ def load_map(path) -> LinearMap:
     return map_from_doc(read_json(path), base=Path(path).parent)
 
 
-def discharge_to_doc(rec: DischargeRecord) -> dict:
+def discharge_to_doc(rec: DischargeRecord, space) -> dict:
+    """The document of ``rec``, its spaces rendered by ``space``."""
     return {
         "stage": rec.stage,
         "source": rec.source,
         "delta": rat_to_str(rec.delta),
         "eps": rat_to_str(rec.eps),
-        "gamma": map_to_doc(rec.gamma),
-        "eta": map_to_doc(rec.eta),
-        "j": map_to_doc(rec.j_map),
+        "gamma": map_to_doc(rec.gamma, space),
+        "eta": map_to_doc(rec.eta, space),
+        "j": map_to_doc(rec.j_map, space),
         "bounds": [rat_to_str(b) for b in rec.bounds],
     }
 
 
-def discharge_from_doc(doc) -> DischargeRecord:
+def discharge_from_doc(doc, space) -> DischargeRecord:
+    """Parse a discharge record; ``space`` resolves the space references of its maps."""
     what = "discharge record"
     if not isinstance(doc, dict):
         raise FormatError(f"{what} is not an object")
     return DischargeRecord(
         stage=_field(doc, "stage", int, what),
         source=_field(doc, "source", str, what),
-        gamma=map_from_doc(_field(doc, "gamma", dict, what)),
-        eta=map_from_doc(_field(doc, "eta", dict, what)),
+        gamma=_map_from_doc(_field(doc, "gamma", dict, what), space),
+        eta=_map_from_doc(_field(doc, "eta", dict, what), space),
         delta=rat_from_str(_field(doc, "delta", str, what)),
         eps=rat_from_str(_field(doc, "eps", str, what)),
-        j_map=map_from_doc(_field(doc, "j", dict, what)),
+        j_map=_map_from_doc(_field(doc, "j", dict, what), space),
         bounds=_rat_list(_field(doc, "bounds", list, what), f"{what} bounds"),
     )
 
 
 def save_tower(tower: Tower, outdir) -> None:
+    """Write ``tower`` to the directory ``outdir``.
+
+    Each distinct space object is rendered to its document once, however
+    many stages, links, members and discharges hold it; the memo is keyed
+    by object identity and lives for this call only (the tower keeps every
+    space alive meanwhile).  The files are the same as with one rendering
+    per occurrence.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    rendered: dict[int, dict] = {}
+
+    def space(X: MultiSpace) -> dict:
+        doc = rendered.get(id(X))
+        if doc is None:
+            doc = rendered[id(X)] = space_to_doc(X)
+        return doc
+
     manifest = {
         "format": FORMAT,
         "seed": tower.seed,
@@ -234,17 +259,18 @@ def save_tower(tower: Tower, outdir) -> None:
         "discharges": "discharges.json",
     }
     for i, m in enumerate(tower.catalog):
-        write_json(out / f"catalog{i}.json", space_to_doc(m))
+        write_json(out / f"catalog{i}.json", space(m))
     for i, s in enumerate(tower.stages):
-        write_json(out / f"stage{i}.json", space_to_doc(s))
+        write_json(out / f"stage{i}.json", space(s))
     for i, l in enumerate(tower.links):
-        write_json(out / f"link{i}.json", map_to_doc(l))
+        write_json(out / f"link{i}.json", map_to_doc(l, space))
     write_json(out / "members.json",
                {"format": FORMAT,
-                "embeddings": [[map_to_doc(e) for e in per_stage]
+                "embeddings": [[map_to_doc(e, space) for e in per_stage]
                                for per_stage in tower.member_embeddings]})
     write_json(out / "discharges.json",
-               {"format": FORMAT, "records": [discharge_to_doc(r) for r in tower.discharges]})
+               {"format": FORMAT,
+                "records": [discharge_to_doc(r, space) for r in tower.discharges]})
     write_json(out / "manifest.json", manifest)
 
 
@@ -255,31 +281,70 @@ def _names(doc, key: str, what: str) -> list[str]:
     return names
 
 
+def _tower_file(root: Path, name: str) -> Path:
+    """The file ``name`` of the tower directory ``root``; only a plain file name is accepted."""
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise FormatError(f"tower file reference {name!r} is not a plain file name")
+    return root / name
+
+
+def _tower_spaces(root: Path):
+    """A resolver for the space references of the tower directory ``root``.
+
+    A reference is an inline space document or the plain name of a space
+    file in ``root``.  Each distinct document is parsed once, keyed by its
+    content, so equal references resolve to one shared ``MultiSpace``.
+    The memo lives as long as the resolver.
+    """
+    parsed: dict[str, MultiSpace] = {}
+
+    def space(ref) -> MultiSpace:
+        doc = read_json(_tower_file(root, ref)) if isinstance(ref, str) else ref
+        key = json.dumps(doc, sort_keys=True)
+        X = parsed.get(key)
+        if X is None:
+            X = parsed[key] = space_from_doc(doc)
+        return X
+
+    return space
+
+
 def load_tower(indir) -> Tower:
     """Read a tower directory written by ``save_tower``.
 
     Every file, key and type is checked, and so are the counts that
     ``verify_tower`` relies on; a malformed artifact raises ``FormatError``.
+    A file or space reference must be a plain file name in ``indir``.
+
+    Each distinct space document, inline or by file, is parsed once, and
+    every stage, link, member embedding and discharge map that names it
+    gets the same ``MultiSpace`` object.  The memo lives for this call
+    only: two calls share no objects.
     """
     root = Path(indir)
+    space = _tower_spaces(root)
+
+    def read(name: str):
+        return read_json(_tower_file(root, name))
+
     what = "tower manifest"
     manifest = read_json(root / "manifest.json")
     _check_format(manifest, what)
-    catalog = tuple(load_space(root / p) for p in _names(manifest, "catalog", what))
-    stages = tuple(load_space(root / p) for p in _names(manifest, "stages", what))
-    links = tuple(load_map(root / p) for p in _names(manifest, "links", what))
+    catalog = tuple(space(p) for p in _names(manifest, "catalog", what))
+    stages = tuple(space(p) for p in _names(manifest, "stages", what))
+    links = tuple(_map_from_doc(read(p), space) for p in _names(manifest, "links", what))
     if len(links) != max(len(stages) - 1, 0):
         raise FormatError(f"{what}: {len(links)} links for {len(stages)} stages")
-    members_doc = read_json(root / _field(manifest, "members", str, what))
+    members_doc = read(_field(manifest, "members", str, what))
     _check_format(members_doc, "tower members file")
     members = []
     for per_stage in _field(members_doc, "embeddings", list, "tower members file"):
         if not isinstance(per_stage, list):
             raise FormatError("tower members file: a stage entry is not a list")
-        members.append(tuple(map_from_doc(d) for d in per_stage))
-    discharges_doc = read_json(root / _field(manifest, "discharges", str, what))
+        members.append(tuple(_map_from_doc(d, space) for d in per_stage))
+    discharges_doc = read(_field(manifest, "discharges", str, what))
     _check_format(discharges_doc, "tower discharges file")
-    discharges = tuple(discharge_from_doc(d)
+    discharges = tuple(discharge_from_doc(d, space)
                        for d in _field(discharges_doc, "records", list, "tower discharges file"))
     for rec in discharges:
         if not 0 <= rec.stage < len(links):

@@ -7,8 +7,8 @@ duplicates merged by primitive integer direction).  The operator seminorm
 is the largest gauge of a pullback over the domain's unit ball, and the
 lower constant is the reciprocal of the largest gauge of a domain
 functional over the pullbacks' ball; each is one ``lp.gauge_max`` call,
-one integer tableau re-optimised per objective, which also yields the
-upper witness.  Neither is memoised: a memo keyed on the whole map
+one integer tableau scaled once and optimised per objective, which also
+yields the upper witness.  Neither is memoised: a memo keyed on the whole map
 hashes both spaces and the matrix on every lookup and rarely hits.  The
 lower witness is the infimum over the unit sphere, taken facet by facet
 with one epigraph LP each.  On top of these sit distortion reports,

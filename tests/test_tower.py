@@ -1,9 +1,16 @@
+import contextlib
+import io as stdio
+import json
+import shutil
 from fractions import Fraction
 
 import pytest
 
+from msn import io
+from msn.cli import main
 from msn.errors import PairNotInCertificates
 from msn.maps import identity_map, is_embedding
+from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import line_space
 from msn.tower import BackForthRecord, back_and_forth, build_tower, discharge, verify_tower
 
@@ -106,3 +113,115 @@ def test_back_and_forth_twin_towers_bounds():
         assert is_embedding(j, 0)[0]
     for l_map in rec.l_maps:
         assert is_embedding(l_map, 0)[0]
+
+
+@pytest.fixture(scope="module")
+def saved_tower(tmp_path_factory):
+    t = build_tower(small_catalog(), [0, F(1, 4)], 3, seed=3, dim_cap=4)
+    d = tmp_path_factory.mktemp("tower")
+    io.save_tower(t, d)
+    return t, d
+
+
+def _maps(t):
+    yield from t.links
+    for per_stage in t.member_embeddings:
+        yield from per_stage
+    for rec in t.discharges:
+        yield from (rec.gamma, rec.eta, rec.j_map)
+
+
+def _spaces(t):
+    yield from t.catalog
+    yield from t.stages
+    for f in _maps(t):
+        yield from (f.domain, f.codomain)
+
+
+def _tower_docs(d):
+    """The JSON documents of a tower directory, by file name."""
+    return {p.name: json.loads(p.read_text()) for p in d.iterdir()}
+
+
+def _map_docs(docs):
+    """Every map document among a tower's files."""
+    for name in docs["manifest.json"]["links"]:
+        yield docs[name]
+    for per_stage in docs["members.json"]["embeddings"]:
+        yield from per_stage
+    for rec in docs["discharges.json"]["records"]:
+        yield from (rec[k] for k in ("gamma", "eta", "j"))
+
+
+def test_loaded_tower_shares_each_distinct_space(saved_tower, monkeypatch):
+    t, d = saved_tower
+    parse = PolyhedralSeminorm.from_functionals
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(PolyhedralSeminorm, "from_functionals", staticmethod(counted))
+    loaded = io.load_tower(d)
+    assert loaded == t
+    for f in _maps(loaded):
+        for X in (f.domain, f.codomain):
+            assert all(X is S for S in loaded.stages if X == S)
+
+    # one parse per distinct space document, against one per occurrence before
+    docs = _tower_docs(d)
+    spaces = [docs[n] for n in docs["manifest.json"]["catalog"] + docs["manifest.json"]["stages"]]
+    spaces += [m[side] for m in _map_docs(docs) for side in ("domain", "codomain")]
+    distinct = {json.dumps(doc, sort_keys=True): doc for doc in spaces}
+    assert len(distinct) < len(spaces)
+    per_load = len(calls)
+    calls.clear()
+    for doc in distinct.values():
+        io.space_from_doc(doc)
+    assert per_load == len(calls)
+
+
+def test_load_tower_memo_is_scoped_to_one_call(saved_tower):
+    _, d = saved_tower
+    a, b = io.load_tower(d), io.load_tower(d)
+    assert a == b
+    assert not {id(X) for X in _spaces(a)} & {id(X) for X in _spaces(b)}
+
+
+def _verify(d):
+    err = stdio.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+        rc = main(["tower", "verify", str(d)])
+    return rc, err.getvalue()
+
+
+def test_space_references_resolve_in_the_tower_directory(saved_tower, tmp_path, monkeypatch):
+    # Every map space equal to a stage names the stage file instead.
+    t, d = saved_tower
+    docs = _tower_docs(d)
+    stage_files = {json.dumps(docs[n], sort_keys=True): n for n in docs["manifest.json"]["stages"]}
+    for m in _map_docs(docs):
+        for side in ("domain", "codomain"):
+            m[side] = stage_files.get(json.dumps(m[side], sort_keys=True), m[side])
+    members = docs["members.json"]
+    assert docs["link0.json"]["domain"] == members["embeddings"][0][0]["codomain"] == "stage0.json"
+    assert any(isinstance(rec["j"]["domain"], str) for rec in docs["discharges.json"]["records"])
+    ref = tmp_path / "byref"
+    ref.mkdir()
+    for name, doc in docs.items():
+        io.write_json(ref / name, doc)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert io.load_tower(ref) == t
+    assert _verify(ref) == (0, "")
+
+    # a reference that leaves the directory is refused, even where the file exists
+    shutil.copy(d / "stage0.json", tmp_path / "stage0.json")
+    for bad in ("../stage0.json", str(tmp_path / "stage0.json"), "", ".", "stage0.json\0"):
+        members["embeddings"][0][0]["codomain"] = bad
+        io.write_json(ref / "members.json", members)
+        rc, err = _verify(ref)
+        assert rc == 1
+        assert json.loads(err)["error"] == "FormatError"
