@@ -23,10 +23,11 @@ test ``ia·X == ib·den`` on the scaled rows.
 Gauges, ``sup psi·x`` over the ball ``{x : |f·x| <= 1}``, come in two
 forms that share the phase-2 code (``_optimise``: cost row, ``bland_min``,
 and ``_numerators``: the point read-out).  ``gauge_scale`` is one
-``solve_lp`` per objective.  ``gauge_max`` serves many objectives over one
-ball: it scales the ball's rows to an integer slack tableau once, with no
-phase 1 since every RHS is positive, and optimises each objective from a
-copy of that tableau.
+``solve_lp`` per objective on Fraction input.  ``gauge_max`` serves many
+objectives over one ball and takes both already as integer rows
+``(ints, m)``, so a caller that reuses a list scales it once.  It builds
+the integer slack tableau once, with no phase 1 since every RHS is
+positive, and optimises each objective from a copy of that tableau.
 """
 
 from __future__ import annotations
@@ -183,18 +184,17 @@ def lp_feasible(constraints) -> bool:
         return False
 
 
-def _ball_rows(functionals):
-    """``|f . x| <= 1`` as the integer rows ``f`` and ``-f``, in input order.
+def _ball_rows(ball):
+    """``|f . x| <= 1`` as the integer rows ``ia`` and ``-ia``, each ``<= m``, in input order.
 
-    Negating ints is cheaper than negating Fractions, and the tableau is
-    the same.
+    ``ball`` holds each ``f`` as ``(ia, m)``, ``f`` times ``m`` in
+    integers (``_scale_to_int``).  Negating ints is cheaper than negating
+    Fractions, and the tableau is the same.
     """
     rows = []
-    for f in functionals:
-        ia, _ = _scale_to_int((*f, 1))
-        ib = ia.pop()
-        rows.append((ia, ib))
-        rows.append(([-x for x in ia], ib))
+    for ia, m in ball:
+        rows.append((ia, m))
+        rows.append(([-x for x in ia], m))
     return rows
 
 
@@ -212,14 +212,21 @@ def gauge_scale(psi, functionals) -> Fraction | None:
     if not funcs:
         return None
     try:
-        res = solve_lp(tuple(-x for x in psi), _ball_rows(funcs))
+        res = solve_lp(tuple(-x for x in psi), _ball_rows([_scale_to_int(f) for f in funcs]))
     except Unbounded:
         return None
     return -res.value
 
 
-def gauge_max(objectives, functionals) -> tuple[Fraction | None, Vec | None]:
+def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
     """Largest gauge ``sup psi . x`` over one ball ``{x : |f . x| <= 1}``, and a point attaining it.
+
+    Objectives and ball functionals come as integer rows ``(ints, m)``,
+    each ``psi`` or ``f`` times ``m``, the ``linalg._scale_to_int`` form.
+    ``_ball_rows`` turns each ball row into the pair ``ints . x <= m`` and
+    ``-ints . x <= m``, the rows ``gauge_scale`` solves, so every tableau
+    row is the one the Fraction input gave.  Callers that reuse a list
+    scale it once.
 
     Returns ``(value, point)``: the maximum over the objectives of
     ``gauge_scale(psi, functionals)`` and a ball point where the first
@@ -227,23 +234,19 @@ def gauge_max(objectives, functionals) -> tuple[Fraction | None, Vec | None]:
     origin; the first objective with an infinite sup (outside the span
     of the functionals) gives ``(None, None)``.
 
-    The integer +/- tableau of the ball is built once.  Every RHS is
-    positive, so the slack basis is feasible and there is no phase 1.
-    Each objective is optimised from a copy of the slack tableau.  A warm
-    start from the previous optimum, also feasible, took more pivots:
-    2.15 against 2.05 per objective over the 3592 objectives of the first
-    108 ``certify`` ops of perfbench seed 5.
+    Every RHS is positive, so the slack basis is feasible and there is
+    no phase 1.  Each objective is optimised from a copy of the slack
+    tableau.  A warm start from the previous optimum, also feasible,
+    took more pivots: 2.15 against 2.05 per objective over the 3592
+    objectives of the first 108 ``certify`` ops of perfbench seed 5.
     """
-    objectives = [tuple(psi) for psi in objectives]
-    rows = _ball_rows(functionals)
-    n = len(objectives[0]) if objectives else len(rows[0][0]) if rows else 0
-    if any(len(psi) != n for psi in objectives) or any(len(ia) != n for ia, _ in rows):
+    n = len(objectives[0][0]) if objectives else len(ball[0][0]) if ball else 0
+    if any(len(pi) != n for pi, _ in objectives) or any(len(ia) != n for ia, _ in ball):
         raise DimensionMismatch("objective and functional arities differ")
-    slack = [ia + [-x for x in ia] + [ib] for ia, ib in rows]
+    slack = [ia + [-x for x in ia] + [ib] for ia, ib in _ball_rows(ball)]
     # The best value so far is num / vden, attained at X / xden.
     num, vden, X, xden = 0, 1, [0] * n, 1
-    for psi in objectives:
-        pi, pm = _scale_to_int(psi)
+    for pi, pm in objectives:
         tab = [row[:] for row in slack]
         basis = list(range(2 * n, 2 * n + len(tab)))
         cols = list(range(2 * n))

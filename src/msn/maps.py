@@ -1,19 +1,23 @@
 """Linear maps between multi-seminormed spaces.
 
-Operator seminorms are computed exactly as gauges.  At level m the
-codomain functionals are pulled back along the map (``_pullbacks``, in
-integers: one scaled matrix, one integer dot per functional and column,
-duplicates merged by primitive integer direction).  The operator seminorm
-is the largest gauge of a pullback over the domain's unit ball, and the
-lower constant is the reciprocal of the largest gauge of a domain
-functional over the pullbacks' ball; each is one ``lp.gauge_max`` call,
-one integer tableau scaled once and optimised per objective, which also
-yields the upper witness.  Neither is memoised: a memo keyed on the whole map
-hashes both spaces and the matrix on every lookup and rarely hits.  The
-lower witness is the infimum over the unit sphere, taken facet by facet
-with one epigraph LP each.  On top of these sit distortion reports,
-embedding certificates, distances between maps, and the kernel-splitting
-construction of multi-isomorphisms from matching kernel invariants.
+Operator seminorms are computed exactly as gauges, in integers.  At level
+m the codomain functionals are pulled back along the map
+(``_pullbacks``: one scaled matrix, one integer dot per functional and
+column, duplicates merged by primitive integer direction), and each
+pullback is returned as an integer row with its scale, the form
+``lp.gauge_max`` takes.  The operator seminorm is the largest gauge of a
+pullback over the domain's unit ball, and the lower constant is the
+reciprocal of the largest gauge of a domain functional over the
+pullbacks' ball; each is one ``gauge_max`` call, which also yields the
+upper witness.  The lower witness is the infimum over the unit sphere,
+taken facet by facet with one epigraph LP each, on the same integer rows.
+``is_embedding`` and ``distortion`` read each level in one pass
+(``_level_pass``) that pulls back once and shares the rows between both
+constants and their witnesses.  Nothing is memoised: a memo keyed on the
+whole map hashes both spaces and the matrix on every lookup and rarely
+hits.  On top of these sit distortion reports, embedding certificates,
+distances between maps, and the kernel-splitting construction of
+multi-isomorphisms from matching kernel invariants.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import mul
 
 from msn.errors import BadLevel, DimensionMismatch, LengthMismatch, ShapeMismatch
@@ -88,37 +93,126 @@ def map_sub(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(f.domain, f.codomain, f.matrix.sub(g.matrix))
 
 
-def _pullbacks(f: LinearMap, m: int) -> tuple[Vec, ...]:
-    """Codomain level-m functionals composed with f, deduplicated.
+def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
+    """Codomain level-m functionals composed with f, deduplicated, as integer rows.
 
     One representative per +/- direction, the largest multiple of it:
     defines the same pulled-back seminorm with a usually much shorter
-    list.  The matrix is scaled to integers once and each functional
-    once, so a pullback is one integer dot per column; directions are
-    compared as primitive integer vectors, and Fractions are built only
-    for the kept entries.
+    list.  The matrix and the functional list are each scaled to
+    integers once, so a pullback is one integer dot per column;
+    directions are compared as primitive integer vectors.  Each kept
+    pullback ``psi`` is returned as ``(ints, s)``, ``psi`` times ``s`` in
+    lowest terms: the ``_scale_to_int`` form of ``psi``, whose Fractions
+    are never built.  The rows are sorted as those Fractions would sort.
     """
     cols = list(zip(*f.matrix.entries))
     ints, den = _scale_to_int([x for col in cols for x in col])
     r = f.matrix.rows
     columns = [ints[j * r:(j + 1) * r] for j in range(len(cols))]
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    for theta in f.codomain.seminorms[m].functionals:
-        it, t = _scale_to_int(theta)
+    # All codomain functionals over one common denominator t.
+    thetas = f.codomain.seminorms[m].functionals
+    flat, t = _scale_to_int([x for theta in thetas for x in theta])
+    k = f.codomain.dim
+    best: dict[tuple[int, ...], int] = {}
+    for i in range(len(thetas)):
+        it = flat[i * k:(i + 1) * k]
         g, d = _primitive_direction([sum(map(mul, it, col)) for col in columns])
-        if g == 0:
-            continue
-        # theta . f == d * |g| / (t * den): keep the largest |g| / t per d.
-        g = abs(g)
-        cur = best.get(d)
-        if cur is None or g * cur[1] > cur[0] * t:
-            best[d] = (g, t)
-    return tuple(sorted(tuple(Fraction(x * g, t * den) for x in d) for d, (g, t) in best.items()))
+        # theta . f == d * |g| / (t * den): keep the largest |g| per d.
+        if abs(g) > best.get(d, 0):
+            best[d] = abs(g)
+    q = t * den
+    rows = []
+    for d, g in best.items():
+        # d is primitive, so d * g / q has lowest common denominator q / gcd(g, q).
+        h = gcd(g, q)
+        rows.append(([x * (g // h) for x in d], q // h))
+    common = lcm(*[s for _, s in rows])
+    rows.sort(key=lambda row: [x * (common // row[1]) for x in row[0]])
+    return rows
+
+
+def _ball(s) -> list[tuple[list[int], int]]:
+    """The seminorm's functionals as ``_scale_to_int`` rows, the ball form ``gauge_max`` takes."""
+    return [_scale_to_int(phi) for phi in s.functionals]
 
 
 def _is_identity_on_level(f: LinearMap, m: int) -> bool:
     return (f.matrix.entries == Matrix.identity(f.domain.dim).entries
             and f.domain.seminorms[m] == f.codomain.seminorms[m])
+
+
+def _check_level(f: LinearMap, m: int) -> None:
+    if not 0 <= m < f.domain.length:
+        raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
+
+
+def _lower(ball, pulled):
+    """The lower constant from the scaled domain functionals and pullbacks."""
+    if not ball:
+        return None
+    worst = gauge_max(ball, pulled)[0]
+    # phi nonzero in the span of the pullbacks has positive sup
+    return Fraction(0) if worst is None else 1 / worst
+
+
+def _upper_vector(f: LinearMap, m: int, point: Vec | None) -> Vec:
+    """The upper witness from the point ``gauge_max`` returned for level m."""
+    if point is None:
+        return _kernel_escape_witness(f, m)
+    # With no pullbacks and no domain functionals the point has no coordinates.
+    return point or zero_vec(f.domain.dim)
+
+
+def _lower_vector(d: int, ball, pulled) -> Vec:
+    """The lower witness: one epigraph LP in ``(x, t)`` per facet, on integer rows.
+
+    For each domain functional ``phi`` (the facet ``phi . x == 1``), minimise
+    ``t`` over the domain ball subject to ``|psi . x| <= t`` for every
+    pullback ``psi``.  The rows are the ``_scale_to_int`` rows of the
+    Fraction constraints, so ``solve_lp`` builds the same tableau.
+    """
+    shared = []
+    for ia, s in ball:
+        shared.append(([*ia, 0], s))
+        shared.append(([-x for x in ia] + [0], s))
+    for ia, s in pulled:
+        shared.append(([*ia, -s], 0))
+        shared.append(([-x for x in ia] + [-s], 0))
+    shared.append(([0] * d + [-1], 0))
+    objective = [0] * d + [1]
+    best = None
+    witness = zero_vec(d)
+    for ia, s in ball:
+        res = solve_lp(objective, [([*ia, 0], s), ([-x for x in ia] + [0], -s)] + shared)
+        if best is None or res.value < best:
+            best = res.value
+            witness = res.point[:d]
+    return witness
+
+
+def _level_pass(f: LinearMap, m: int, hi=None, lo_req=None):
+    """Level m of ``f`` in one pass: ``(up, lo, failure)``.
+
+    ``up`` is ``operator_seminorm(f, m)`` and ``lo`` is ``lower_constant(f, m)``.
+    The codomain functionals are pulled back once and the domain ones
+    scaled once; both gauges and either witness read those rows.  With
+    bounds, as in ``is_embedding``, the pass stops at the first side that
+    fails: an ``up`` that is None or above ``hi`` gives the upper failure
+    record (and ``lo`` None, not computed), an ``lo`` below ``lo_req`` the
+    lower one.  Otherwise ``failure`` is None.
+    """
+    dom = f.domain.seminorms[m]
+    if _is_identity_on_level(f, m):
+        return (Fraction(1), Fraction(1), None) if dom.functionals else (Fraction(0), None, None)
+    ball = _ball(dom)
+    pulled = _pullbacks(f, m)
+    up, point = gauge_max(pulled, ball)
+    if hi is not None and (up is None or up > hi):
+        return up, None, {"kind": "upper", "level": m, "vector": _upper_vector(f, m, point)}
+    lo = _lower(ball, pulled)
+    if lo_req is not None and lo is not None and lo < lo_req:
+        return up, lo, {"kind": "lower", "level": m, "vector": _lower_vector(f.domain.dim, ball, pulled)}
+    return up, lo, None
 
 
 def operator_seminorm(f: LinearMap, m: int):
@@ -128,12 +222,11 @@ def operator_seminorm(f: LinearMap, m: int):
     functional.  Returns a Fraction, or None when the supremum is infinite
     (the map does not send the level kernel into the level kernel).
     """
-    if not 0 <= m < f.domain.length:
-        raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
+    _check_level(f, m)
     dom_s = f.domain.seminorms[m]
     if _is_identity_on_level(f, m):
         return Fraction(1) if dom_s.functionals else Fraction(0)
-    return gauge_max(_pullbacks(f, m), dom_s.functionals)[0]
+    return gauge_max(_pullbacks(f, m), _ball(dom_s))[0]
 
 
 def upper_witness(f: LinearMap, m: int) -> Vec:
@@ -142,11 +235,7 @@ def upper_witness(f: LinearMap, m: int) -> Vec:
     When the seminorm is infinite: a level-m kernel vector whose image has
     nonzero level-m seminorm.
     """
-    value, point = gauge_max(_pullbacks(f, m), f.domain.seminorms[m].functionals)
-    if value is None:
-        return _kernel_escape_witness(f, m)
-    # With no pullbacks and no domain functionals the point has no coordinates.
-    return point or zero_vec(f.domain.dim)
+    return _upper_vector(f, m, gauge_max(_pullbacks(f, m), _ball(f.domain.seminorms[m]))[1])
 
 
 def lower_constant(f: LinearMap, m: int):
@@ -157,18 +246,13 @@ def lower_constant(f: LinearMap, m: int):
     sphere is empty (zero seminorm level: vacuous); 0 when some domain
     functional escapes the span of the pullbacks.
     """
-    if not 0 <= m < f.domain.length:
-        raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
+    _check_level(f, m)
     dom_s = f.domain.seminorms[m]
     if not dom_s.functionals:
         return None
     if _is_identity_on_level(f, m):
         return Fraction(1)
-    worst = gauge_max(dom_s.functionals, _pullbacks(f, m))[0]
-    if worst is None:
-        return Fraction(0)
-    # phi nonzero in the span of the pullbacks has positive sup
-    return 1 / worst
+    return _lower(_ball(dom_s), _pullbacks(f, m))
 
 
 def lower_witness(f: LinearMap, m: int) -> Vec:
@@ -177,28 +261,7 @@ def lower_witness(f: LinearMap, m: int) -> Vec:
     Facet LPs: the infimum of a convex function over the sphere is taken
     facet by facet in epigraph form.
     """
-    dom_s = f.domain.seminorms[m]
-    d = f.domain.dim
-    best = None
-    witness = zero_vec(d)
-    pulled = _pullbacks(f, m)
-    for phi in dom_s.functionals:
-        cons = []
-        row = tuple(phi) + (Fraction(0),)
-        cons.append((row, Fraction(1)))
-        cons.append((tuple(-v for v in row), Fraction(-1)))
-        for psi in dom_s.functionals:
-            cons.append((tuple(psi) + (Fraction(0),), Fraction(1)))
-            cons.append((tuple(-v for v in psi) + (Fraction(0),), Fraction(1)))
-        for comp in pulled:
-            cons.append((tuple(comp) + (Fraction(-1),), Fraction(0)))
-            cons.append((tuple(-v for v in comp) + (Fraction(-1),), Fraction(0)))
-        cons.append((tuple(zero_vec(d)) + (Fraction(-1),), Fraction(0)))
-        res = solve_lp(tuple(zero_vec(d)) + (Fraction(1),), cons)
-        if best is None or res.value < best:
-            best = res.value
-            witness = res.point[:d]
-    return witness
+    return _lower_vector(f.domain.dim, _ball(f.domain.seminorms[m]), _pullbacks(f, m))
 
 
 @dataclass(frozen=True)
@@ -217,8 +280,7 @@ def distortion(f: LinearMap) -> DistortionReport:
     delta = Fraction(0)
     infinite = False
     for m in range(f.domain.length):
-        up = operator_seminorm(f, m)
-        lo = lower_constant(f, m)
+        up, lo, _ = _level_pass(f, m)
         levels.append((up, lo))
         if up is None or (lo is not None and lo == 0):
             infinite = True
@@ -242,12 +304,9 @@ def is_embedding(f: LinearMap, delta) -> tuple[bool, dict]:
     hi = 1 + delta
     lo_req = 1 / (1 + delta)
     for m in range(f.domain.length):
-        up = operator_seminorm(f, m)
-        if up is None or up > hi:
-            return False, {"kind": "upper", "level": m, "vector": upper_witness(f, m)}
-        lo = lower_constant(f, m)
-        if lo is not None and lo < lo_req:
-            return False, {"kind": "lower", "level": m, "vector": lower_witness(f, m)}
+        failure = _level_pass(f, m, hi, lo_req)[2]
+        if failure:
+            return False, failure
     return True, {}
 
 

@@ -4,9 +4,13 @@ A seminorm is stored as the canonical finite family of functionals whose
 absolute values it maximises.  The list keeps one representative per +/-
 pair, sorted, with redundant members (those inside the convex hull of the
 others and their negatives) removed by exact LP membership tests.  The
-empty family encodes the zero seminorm.  The dual ball, the symmetric
-hull of the functionals, is used through its facets
-(``dual_ball_facets``), the one memoised function in the package.
+empty family encodes the zero seminorm.  Evaluation is in integers: each
+call scales ``x`` and the whole list to integers once, takes one integer
+dot per functional and builds one ``Fraction`` at the end.  The integer
+form is not stored on the seminorm; kept on every instance it cost more
+memory than it saved time.  The dual ball, the symmetric hull of the
+functionals, is used through its facets (``dual_ball_facets``), the one
+memoised function in the package.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from msn.errors import DimensionMismatch
 from msn.linalg import (
@@ -22,7 +27,6 @@ from msn.linalg import (
     _primitive_direction,
     _scale_to_int,
     coordinate_complement,
-    dot,
     inverse,
     nullspace,
     vec,
@@ -97,12 +101,19 @@ class PolyhedralSeminorm:
         return PolyhedralSeminorm(dim, tuple(eye.entries))
 
     def __call__(self, x) -> Fraction:
+        """``max |f . x|`` in integers: one scaling of ``x`` and of the list per call."""
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionMismatch("vector arity != dim")
         if not self.functionals:
             return Fraction(0)
-        return max(abs(dot(f, x)) for f in self.functionals)
+        ix, xm = _scale_to_int(x)
+        # The whole list over one common denominator m, so the integer
+        # dots compare directly and the maximum needs no Fraction.
+        flat, m = _scale_to_int([a for f in self.functionals for a in f])
+        n = self.dim
+        best = max(abs(sum(map(mul, flat[i:i + n], ix))) for i in range(0, len(flat), n))
+        return Fraction(best, m * xm)
 
     def is_zero(self) -> bool:
         return not self.functionals

@@ -6,7 +6,9 @@ cone-ray enumeration, 1-D breakpoint minimisation, the full-tableau
 integer simplex (``full_pivot``/``full_bland_min``, one column per
 variable) that the condensed kernel in ``msn._kernel.pure`` replaced, and
 the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
-``msn.maps`` replaced.
+``msn.maps`` replaced, and the Fraction seminorm value
+(``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
+replaced.
 """
 
 from fractions import Fraction
@@ -246,3 +248,9 @@ def fraction_pullbacks(entries, functionals):
         if key not in best or abs(lead) > best[key]:
             best[key] = abs(lead)
     return tuple(sorted(tuple(x * size for x in key) for key, size in best.items()))
+
+
+def fraction_seminorm(functionals, x):
+    """``max |f . x|`` over the functionals in Fraction arithmetic; 0 for none."""
+    return max((abs(sum((Fraction(a) * Fraction(b) for a, b in zip(f, x)), Fraction(0)))
+                for f in functionals), default=Fraction(0))

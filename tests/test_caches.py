@@ -1,7 +1,13 @@
 import importlib
 import pkgutil
+from dataclasses import fields
+from fractions import Fraction as F
 
 import msn
+from msn.linalg import Matrix
+from msn.maps import LinearMap, distortion, is_embedding
+from msn.seminorms import PolyhedralSeminorm
+from msn.spaces import MultiSpace
 
 
 def test_every_lru_cache_is_bounded():
@@ -15,3 +21,19 @@ def test_every_lru_cache_is_bounded():
                 caches[f"{mod.__name__}.{name}"] = obj.cache_parameters()["maxsize"]
     assert "msn.seminorms.dual_ball_facets" in caches
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_seminorms_and_maps_hold_only_their_fields():
+    # Evaluation and the embedding check scale to integers inside each
+    # call; an integer form kept on every seminorm raised amalgam's peak
+    # RSS by 1.8 MB after 1024 ops.  No derived state may land on the
+    # instances.
+    S = PolyhedralSeminorm.from_functionals
+    X = MultiSpace.make((S(2, [(1, 0), (F(1, 2), 1)]), S(2, [(1, 1), (F(1, 3), -1)])))
+    f = LinearMap(X, X, Matrix.from_rows([[1, F(1, 2)], [0, F(3, 2)]]))
+    for s in X.seminorms:
+        s((F(1, 2), 3))
+    assert not is_embedding(f, 0)[0] and is_embedding(f, 3)[0]
+    distortion(f)
+    for obj in (*X.seminorms, f):
+        assert set(vars(obj)) == {fld.name for fld in fields(obj)}, type(obj).__name__

@@ -2,12 +2,14 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
+from msn import _kernel
 from msn.errors import DimensionMismatch, Infeasible, Unbounded
-from msn.linalg import dot, vec
+from msn.linalg import _scale_to_int, dot, vec
 from msn.lp import gauge_max, gauge_scale, solve_lp
 
 from oracles import brute_lp_min, brute_vertices, gauss_rank, piecewise_min_1d
@@ -121,6 +123,11 @@ def test_gauge_scale_matches_vertex_oracle():
     assert gauge_scale((F(1), F(0)), []) is None
 
 
+def _rows(vectors):
+    """The integer ``(ints, m)`` rows ``gauge_max`` takes."""
+    return [_scale_to_int(v) for v in vectors]
+
+
 def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
     rng = random.Random(5581)
     unbounded = bounded = 0
@@ -136,7 +143,7 @@ def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
         # max over objectives of the one-objective gauges; None if any is infinite
         singles = [gauge_scale(psi, funcs) for psi in objs]
         want = None if None in singles else max(singles, default=F(0))
-        value, point = gauge_max(objs, funcs)
+        value, point = gauge_max(_rows(objs), _rows(funcs))
         assert value == want
         if value is None:
             assert point is None
@@ -152,12 +159,46 @@ def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
             assert value == max(dot(psi, v) for psi in objs for v in verts)
     assert unbounded >= 20 and bounded >= 40, (unbounded, bounded)
     assert gauge_max([], []) == (0, ())
-    assert gauge_max([(F(0), F(0))], []) == (0, (0, 0))
-    assert gauge_max([(F(1), F(0))], []) == (None, None)
+    assert gauge_max(_rows([(F(0), F(0))]), []) == (0, (0, 0))
+    assert gauge_max(_rows([(F(1), F(0))]), []) == (None, None)
     # psi escapes the span of the functionals (it is nonzero on their kernel)
-    assert gauge_max([(F(1), F(1)), (F(0), F(1))], [(F(1), F(0))]) == (None, None)
+    assert gauge_max(_rows([(F(1), F(1)), (F(0), F(1))]), _rows([(F(1), F(0))])) == (None, None)
     with pytest.raises(DimensionMismatch):
-        gauge_max([(F(1),)], [(F(1), F(0))])
+        gauge_max(_rows([(F(1),)]), _rows([(F(1), F(0))]))
+
+
+def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
+    # Integer input must not change a single tableau entry: the slack rows
+    # are each functional f times the lcm of its denominators, then -f,
+    # in input order, and the cost row is -psi times its own lcm.
+    seen = []
+    real = _kernel.bland_min
+    monkeypatch.setattr(_kernel, "bland_min", lambda tab, *a: seen.append([r[:] for r in tab]) or real(tab, *a))
+
+    def scaled(v):
+        m = lcm(*[x.denominator for x in v])
+        return [int(x * m) for x in v], m
+
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        funcs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim))
+                 for _ in range(rng.randint(1, 4))]
+        funcs = [f for f in funcs if any(f)]
+        objs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim)) for _ in range(3)]
+        slack = []
+        for f in funcs:
+            ia, m = scaled(f)
+            neg = [-x for x in ia]
+            slack += [ia + neg + [m], neg + ia + [m]]
+        seen.clear()
+        gauge_max(_rows(objs), _rows(funcs))
+        for tab, psi in zip(seen, objs):
+            pi, _ = scaled(psi)
+            assert tab == slack + [[-x for x in pi] + pi + [0]]
+        checked += len(seen)
+    assert checked >= 60, checked
 
 
 # --- golden records ---------------------------------------------------

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+from msn import maps
 from msn.amalgam import pushout
-from msn.linalg import Matrix, in_span, inverse
+from msn.linalg import Matrix, _scale_to_int, in_span, inverse
 from msn.lp import gauge_scale
 from msn.maps import (
     LinearMap,
+    _is_identity_on_level,
     _pullbacks,
     bm_upper_bound,
     build_iso_from_invariant,
@@ -15,6 +18,7 @@ from msn.maps import (
     is_embedding,
     map_distance,
     lower_constant,
+    lower_witness,
     operator_seminorm,
     sup_distance,
     upper_witness,
@@ -250,8 +254,11 @@ def _level_maps():
 def test_pullbacks_match_fraction_oracle_and_gauges():
     escapes = 0
     for f, m in _level_maps():
-        pulled = _pullbacks(f, m)
+        rows = _pullbacks(f, m)
+        pulled = tuple(tuple(F(x, s) for x in ints) for ints, s in rows)
         assert pulled == fraction_pullbacks(f.matrix.entries, f.codomain.seminorms[m].functionals)
+        # the rows are the lowest-terms scaling of the Fraction pullbacks
+        assert rows == [_scale_to_int(psi) for psi in pulled]
         dom = f.domain.seminorms[m].functionals
         ups = [gauge_scale(psi, dom) for psi in pulled]
         assert operator_seminorm(f, m) == (None if None in ups else max(ups, default=F(0)))
@@ -275,3 +282,58 @@ def test_upper_witness_attains_operator_seminorm():
         assert f.codomain.eval(m, f(w)) == up
         finite += 1
     assert finite >= 60, finite
+
+
+def _pass_maps():
+    """Whole maps: the level maps, identity maps, and maps with identity and zero levels."""
+    out = list({id(f): f for f, _ in _level_maps()}.values())
+    out += [identity_map(f.domain) for f in out[:8]]
+    a, b = S(2, [(1, 0), (F(1, 2), 1)]), S(2, [(1, 1), (F(1, 3), -1)])
+    zero = PolyhedralSeminorm.zero(2)
+    eye, shear = Matrix.identity(2), Matrix.from_rows([[1, F(1, 2)], [0, 1]])
+    spaces = [MultiSpace((a, b)), MultiSpace((a, a)), MultiSpace((zero, b)), MultiSpace((zero, zero))]
+    out += [LinearMap(X, Y, M) for X in spaces for Y in spaces for M in (eye, shear)]
+    return out
+
+
+def _one_by_one(f, delta):
+    """``is_embedding(f, delta)`` from the one-level functions, and the
+    levels it pulls back: those it checks, less the identity ones."""
+    if not f.is_injective():
+        return (False, {"kind": "injectivity"}), []
+    pulled = []
+    for m in range(f.domain.length):
+        if not _is_identity_on_level(f, m):
+            pulled.append(m)
+        up = operator_seminorm(f, m)
+        if up is None or up > 1 + delta:
+            return (False, {"kind": "upper", "level": m, "vector": upper_witness(f, m)}), pulled
+        lo = lower_constant(f, m)
+        if lo is not None and lo < 1 / (1 + delta):
+            return (False, {"kind": "lower", "level": m, "vector": lower_witness(f, m)}), pulled
+    return (True, {}), pulled
+
+
+def test_level_pass_pulls_back_once_per_level_and_matches_one_level_functions(monkeypatch):
+    calls = []
+    real = maps._pullbacks
+    monkeypatch.setattr(maps, "_pullbacks", lambda f, m: calls.append(m) or real(f, m))
+    seen = Counter()
+    for f in _pass_maps():
+        levels = range(f.domain.length)
+        seen["identity levels"] += sum(_is_identity_on_level(f, m) for m in levels)
+        seen["zero levels"] += sum(f.domain.seminorms[m].is_zero() for m in levels)
+        for delta in (F(0), F(1, 8), F(1, 4), F(1, 2)):
+            want, pulled = _one_by_one(f, delta)
+            calls.clear()
+            assert is_embedding(f, delta) == want
+            assert calls == pulled
+            kind = want[1].get("kind", "embedding")
+            seen[kind] += 1
+            if kind == "upper" and operator_seminorm(f, want[1]["level"]) is None:
+                seen["kernel escape"] += 1
+        calls.clear()
+        rep = distortion(f)
+        assert calls == [m for m in levels if not _is_identity_on_level(f, m)]
+        assert rep.per_level == tuple((operator_seminorm(f, m), lower_constant(f, m)) for m in levels)
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msn.errors import DimensionMismatch
 from msn.linalg import dot, in_span, vec
 from msn.polytope import polytope_vertices
 from msn.seminorms import (
@@ -12,6 +14,8 @@ from msn.seminorms import (
     quotient_norm,
     seminorm_kernel,
 )
+
+from oracles import fraction_seminorm
 
 F = Fraction
 S = PolyhedralSeminorm.from_functionals
@@ -22,6 +26,34 @@ def test_eval_examples():
     assert s((3, -4)) == 4
     assert S(2, [(1, 1)])((1, -1)) == 0
     assert S(2, [(2, 0), (1, 1)])((1, 2)) == 3
+
+
+# ints and Fractions with mixed denominators, as inputs arrive
+entry = st.one_of(st.integers(-40, 40), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def _functionals_and_vector(draw):
+    dim = draw(st.integers(1, 4))
+    funcs = draw(st.lists(st.tuples(*[entry] * dim).filter(any), max_size=6))
+    return dim, funcs, draw(st.tuples(*[entry] * dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_functionals_and_vector())
+def test_integer_eval_matches_fraction_oracle(case):
+    dim, funcs, x = case
+    raw = PolyhedralSeminorm(dim, tuple(vec(f) for f in funcs))
+    canon = S(dim, funcs) if funcs else PolyhedralSeminorm.zero(dim)
+    want = fraction_seminorm(funcs, x)
+    for s in (raw, canon):
+        got = s(x)
+        assert type(got) is Fraction and got == want
+        assert s(vec(x)) == want
+        for bad in (x + (0,), x[:-1]):
+            with pytest.raises(DimensionMismatch):
+                s(bad)
+    assert PolyhedralSeminorm.zero(dim)(x) == 0
 
 
 def test_kernel_examples():
