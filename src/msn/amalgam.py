@@ -11,6 +11,12 @@ isometric and the legs nearly commute with exact certificates.
 Variants: a level-count-preserving pushout that is exact below a cutoff
 level and additive above it, the per-level product amalgam for separated
 spaces, and the fold discharging finitely many embedding pairs at once.
+
+The two-leg constructions share one private skeleton: ``_inputs`` checks
+eps, delta and the map shapes, ``_swapped`` reads the result for (Z, Y)
+as the one for (Y, Z) when Y is the longer space, ``_band`` builds the
+levels at or above the length of X, and ``_direct_sum`` builds the two
+block inclusions and the near-commuting certificate.
 """
 
 from __future__ import annotations
@@ -18,14 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from msn.errors import EpsNonPositive, NotAnEmbedding, NotAnNEmbedding, NotSeparated, ShapeMismatch
+from msn.errors import (
+    EpsNonPositive,
+    Infeasible,
+    NotAnEmbedding,
+    NotAnNEmbedding,
+    NotSeparated,
+    ShapeMismatch,
+)
 from msn.linalg import Matrix, Vec, frac
+from msn.lp import solve_lp
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance
 from msn.polytope import canon_rep, polytope_vertices
 from msn.seminorms import PolyhedralSeminorm, dual_ball_facets, quotient_norm
 from msn.spaces import (
     MultiSpace,
+    _pad_functionals,
     extend_with_norm,
+    is_graded_sequence,
     is_separated,
     product_space,
     trivial_space,
@@ -45,14 +61,55 @@ class AmalgamResult:
     eps: Fraction
 
 
-def _pad(funcs, offset: int, total: int):
-    out = []
-    for f in funcs:
-        row = [Fraction(0)] * total
-        for j, x in enumerate(f):
-            row[offset + j] = x
-        out.append(tuple(row))
-    return out
+def _inputs(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: LinearMap,
+            delta, eps) -> tuple[Fraction, Fraction]:
+    """``(delta, eps)`` as Fractions, once both are in range and f: X -> Y, g: X -> Z."""
+    delta = frac(delta)
+    eps = frac(eps)
+    if eps <= 0:
+        raise EpsNonPositive("the amalgamation error must be strictly positive")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    if f.domain != X or g.domain != X or f.codomain != Y or g.codomain != Z:
+        raise ShapeMismatch("pushout maps must share the domain X and land in Y, Z")
+    return delta, eps
+
+
+def _swapped(res: AmalgamResult) -> AmalgamResult:
+    """The amalgam of (g, f) read as the amalgam of (f, g): the legs trade places."""
+    return AmalgamResult(res.space, res.leg_z, res.leg_y, res.bound_certificate, res.delta, res.eps)
+
+
+def _check_embeddings(delta: Fraction, **maps: LinearMap):
+    for who, h in maps.items():
+        ok, wit = is_embedding(h, delta)
+        if not ok:
+            raise NotAnEmbedding(f"{who} is not a multi-{delta}-isometric embedding", wit)
+
+
+def _band(Y: MultiSpace, Z: MultiSpace, n: int, prev: PolyhedralSeminorm | None) -> PolyhedralSeminorm:
+    """Level n of Y (+) Z at or above the length of X.
+
+    The block max of the level-n seminorms the factors have (Y, the
+    shorter, may have none), joined with ``prev`` (the level below, in
+    graded mode) when given.
+    """
+    total = Y.dim + Z.dim
+    funcs = _pad_functionals(Y.seminorms[n].functionals, 0, total) if n < Y.length else []
+    funcs += _pad_functionals(Z.seminorms[n].functionals, Y.dim, total)
+    if prev is not None:
+        funcs += prev.functionals
+    return PolyhedralSeminorm.from_functionals(total, funcs) if funcs else PolyhedralSeminorm.zero(total)
+
+
+def _direct_sum(Y: MultiSpace, Z: MultiSpace, W: MultiSpace, f: LinearMap, g: LinearMap,
+                levels: int, delta: Fraction, eps: Fraction) -> AmalgamResult:
+    """W = Y (+) Z with its two block inclusions, certified on the first ``levels`` levels."""
+    dy, dz = Y.dim, Z.dim
+    leg_y = LinearMap(Y, W, Matrix(Matrix.identity(dy).entries + Matrix.zero(dz, dy).entries))
+    leg_z = LinearMap(Z, W, Matrix(Matrix.zero(dy, dz).entries + Matrix.identity(dz).entries))
+    cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), n) for n in range(levels))
+    return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 
 
 def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
@@ -90,8 +147,6 @@ def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:
     y = u + f(x), z = v - g(x); kept separate from the dual
     materialisation as the cross-check oracle.
     """
-    from msn.lp import solve_lp
-
     dx = X.dim
     # variables: x (dx), then epigraph bounds s >= ||y - f(x)||_Y,n,
     # t >= ||z + g(x)||_Z,n, r >= ||x||_X,n
@@ -121,12 +176,6 @@ def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:
     return solve_lp(obj, cons).value
 
 
-def _check_embedding(f: LinearMap, delta: Fraction, who: str):
-    ok, wit = is_embedding(f, delta)
-    if not ok:
-        raise NotAnEmbedding(f"{who} is not a multi-{delta}-isometric embedding", wit)
-
-
 def pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: LinearMap,
             delta, eps, graded: bool = False, separated: bool = False) -> AmalgamResult:
     """Amalgamate f: X -> Y and g: X -> Z into W = Y (+) Z.
@@ -136,54 +185,21 @@ def pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: Linear
     ``graded`` switches the upper bands to running maxima; ``separated``
     appends a norm level if the sum fails to be separated.
     """
-    delta = frac(delta)
-    eps = frac(eps)
-    if eps <= 0:
-        raise EpsNonPositive("the amalgamation error must be strictly positive")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if f.domain != X or g.domain != X or f.codomain != Y or g.codomain != Z:
-        raise ShapeMismatch("pushout maps must share the domain X and land in Y, Z")
+    delta, eps = _inputs(X, Y, Z, f, g, delta, eps)
     if Y.length > Z.length:
-        swapped = pushout(X, Z, Y, g, f, delta, eps, graded=graded, separated=separated)
-        return AmalgamResult(swapped.space, swapped.leg_z, swapped.leg_y,
-                             swapped.bound_certificate, swapped.delta, swapped.eps)
-    _check_embedding(f, delta, "f")
-    _check_embedding(g, delta, "g")
-
-    dy, dz = Y.dim, Z.dim
-    total = dy + dz
+        return _swapped(pushout(X, Z, Y, g, f, delta, eps, graded=graded, separated=separated))
+    _check_embeddings(delta, f=f, g=g)
     # coupling constant from the expansive rescaling route
     c = (2 * delta + delta * delta + eps) / (1 + delta)
-    sems: list[PolyhedralSeminorm] = []
     use_graded = graded and X.graded and Y.graded and Z.graded
+    sems: list[PolyhedralSeminorm] = []
     for n in range(Z.length):
-        if n < X.length:
-            sem = _coupled_level(Y, Z, X, f, g, n, c)
-        elif n < Y.length:
-            funcs = _pad(Y.seminorms[n].functionals, 0, total) + _pad(Z.seminorms[n].functionals, dy, total)
-            if use_graded:
-                funcs += list(sems[-1].functionals)
-            sem = (PolyhedralSeminorm.from_functionals(total, funcs)
-                   if funcs else PolyhedralSeminorm.zero(total))
-        else:
-            funcs = _pad(Z.seminorms[n].functionals, dy, total)
-            if use_graded:
-                funcs += list(sems[-1].functionals)
-            sem = (PolyhedralSeminorm.from_functionals(total, funcs)
-                   if funcs else PolyhedralSeminorm.zero(total))
-        sems.append(sem)
+        sems.append(_coupled_level(Y, Z, X, f, g, n, c) if n < X.length
+                    else _band(Y, Z, n, sems[-1] if use_graded else None))
     W = MultiSpace.make(tuple(sems), graded=use_graded)
     if separated and not is_separated(W):
         W = extend_with_norm(W)
-    my = Matrix.from_rows([[Fraction(1 if j == i else 0) for j in range(dy)] for i in range(dy)]
-                          + [[Fraction(0)] * dy for _ in range(dz)])
-    mz = Matrix.from_rows([[Fraction(0)] * dz for _ in range(dy)]
-                          + [[Fraction(1 if j == i else 0) for j in range(dz)] for i in range(dz)])
-    leg_y = LinearMap(Y, W, my)
-    leg_z = LinearMap(Z, W, mz)
-    cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), n) for n in range(X.length))
-    return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
+    return _direct_sum(Y, Z, W, f, g, X.length, delta, eps)
 
 
 def _partner_in_ball(target: Vec, adj_rows: list[Vec], ball_funcs, slack_funcs):
@@ -195,9 +211,6 @@ def _partner_in_ball(target: Vec, adj_rows: list[Vec], ball_funcs, slack_funcs):
     (the least c with target - adjoint(psi) in c times the slack ball).
     Returns (psi, c) or None when no alignment exists.
     """
-    from msn.lp import solve_lp
-    from msn.errors import Infeasible
-
     kz = len(ball_funcs)
     kx = len(slack_funcs)
     d = len(target)
@@ -246,25 +259,17 @@ def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     dx = X.dim
     fadj = [adj(f.matrix, phi) for phi in fy]
     gadj = [adj(g.matrix, psi) for psi in fz]
-    funcs = []
-    for i, phi in enumerate(fy):
-        if dx:
-            hit = _partner_in_ball(fadj[i], gadj, fz, fx)
-            if hit is None or hit[1] > c:
-                raise ValueError("no aligned partner within the coupling budget")
-            psi = hit[0] if hit[0] else (Fraction(0),) * dz
-        else:
-            psi = (Fraction(0),) * dz
-        funcs.append(tuple(phi) + tuple(psi))
-    for j, psi in enumerate(fz):
-        if dx:
-            hit = _partner_in_ball(gadj[j], fadj, fy, fx)
-            if hit is None or hit[1] > c:
-                raise ValueError("no aligned partner within the coupling budget")
-            phi = hit[0] if hit[0] else (Fraction(0),) * dy
-        else:
-            phi = (Fraction(0),) * dy
-        funcs.append(tuple(phi) + tuple(psi))
+
+    def partner(target: Vec, adj_rows: list[Vec], ball_funcs, width: int) -> Vec:
+        if not dx:
+            return (Fraction(0),) * width
+        hit = _partner_in_ball(target, adj_rows, ball_funcs, fx)
+        if hit is None or hit[1] > c:
+            raise ValueError("no aligned partner within the coupling budget")
+        return tuple(hit[0]) or (Fraction(0),) * width
+
+    funcs = ([tuple(phi) + partner(fadj[i], gadj, fz, dz) for i, phi in enumerate(fy)]
+             + [partner(gadj[j], fadj, fy, dy) + tuple(psi) for j, psi in enumerate(fz)])
     funcs = [v for v in funcs if any(x != 0 for x in v)]
     if not funcs:
         return PolyhedralSeminorm.zero(dy + dz)
@@ -280,48 +285,21 @@ def sparse_pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g:
     the price of a coarser (non-canonical) seminorm.  Upper bands follow
     the standard construction.
     """
-    delta = frac(delta)
-    eps = frac(eps)
-    if eps <= 0:
-        raise EpsNonPositive("the amalgamation error must be strictly positive")
-    if f.domain != X or g.domain != X or f.codomain != Y or g.codomain != Z:
-        raise ShapeMismatch("pushout maps must share the domain X and land in Y, Z")
+    delta, eps = _inputs(X, Y, Z, f, g, delta, eps)
     if Y.length > Z.length:
-        swapped = sparse_pushout(X, Z, Y, g, f, delta, eps)
-        return AmalgamResult(swapped.space, swapped.leg_z, swapped.leg_y,
-                             swapped.bound_certificate, swapped.delta, swapped.eps)
-    _check_embedding(f, delta, "f")
-    _check_embedding(g, delta, "g")
-    dy, dz = Y.dim, Z.dim
-    total = dy + dz
+        return _swapped(sparse_pushout(X, Z, Y, g, f, delta, eps))
+    _check_embeddings(delta, f=f, g=g)
     c = (2 * delta + delta * delta + eps) / (1 + delta)
-    sems: list[PolyhedralSeminorm] = []
-    for n in range(Z.length):
-        if n < X.length:
-            sems.append(_sparse_level(Y, Z, X, f, g, n, c))
-        elif n < Y.length:
-            funcs = _pad(Y.seminorms[n].functionals, 0, total) + _pad(Z.seminorms[n].functionals, dy, total)
-            sems.append(PolyhedralSeminorm.from_functionals(total, funcs)
-                        if funcs else PolyhedralSeminorm.zero(total))
-        else:
-            funcs = _pad(Z.seminorms[n].functionals, dy, total)
-            sems.append(PolyhedralSeminorm.from_functionals(total, funcs)
-                        if funcs else PolyhedralSeminorm.zero(total))
-    W = MultiSpace(tuple(sems))
-    my = Matrix.from_rows([[Fraction(1 if j == i else 0) for j in range(dy)] for i in range(dy)]
-                          + [[Fraction(0)] * dy for _ in range(dz)])
-    mz = Matrix.from_rows([[Fraction(0)] * dz for _ in range(dy)]
-                          + [[Fraction(1 if j == i else 0) for j in range(dz)] for i in range(dz)])
-    leg_y = LinearMap(Y, W, my)
-    leg_z = LinearMap(Z, W, mz)
-    ok_y, wit_y = is_embedding(leg_y, 0)
-    ok_z, wit_z = is_embedding(leg_z, 0)
+    sems = [_sparse_level(Y, Z, X, f, g, n, c) if n < X.length else _band(Y, Z, n, None)
+            for n in range(Z.length)]
+    res = _direct_sum(Y, Z, MultiSpace(tuple(sems)), f, g, X.length, delta, eps)
+    ok_y, wit_y = is_embedding(res.leg_y, 0)
+    ok_z, wit_z = is_embedding(res.leg_z, 0)
     if not (ok_y and ok_z):
         raise NotAnEmbedding("sparse amalgam produced a non-isometric leg", wit_y or wit_z)
-    cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), n) for n in range(X.length))
-    if any(b is None or b > 2 * delta + eps for b in cert):
+    if any(b is None or b > 2 * delta + eps for b in res.bound_certificate):
         raise ValueError("sparse amalgam certificate exceeded the modulus")
-    return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
+    return res
 
 
 def rescale_expansive(X: MultiSpace, delta) -> MultiSpace:
@@ -377,32 +355,16 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
         if m < n:
             sems.append(_coupled_level(Y, Z, X, f, g, m, eps))
         else:
-            fy = Y.seminorms[m].functionals
-            fz = Z.seminorms[m].functionals
-            funcs = []
-            if fy and fz:
-                for a in fy:
-                    for b in fz:
-                        funcs.append(tuple(a) + tuple(b))
-                        funcs.append(tuple(a) + tuple(-x for x in b))
-            elif fy:
-                funcs = _pad(fy, 0, total)
-            elif fz:
-                funcs = _pad(fz, dy, total)
+            fy, fz = Y.seminorms[m].functionals, Z.seminorms[m].functionals
+            if fy and fz:  # the sum seminorm: every a + b and a - b
+                funcs = [tuple(a) + sb for a in fy for b in fz for sb in (tuple(b), tuple(-x for x in b))]
+            else:  # one factor is zero at this level: the other's seminorm
+                funcs = _pad_functionals(fy, 0, total) + _pad_functionals(fz, dy, total)
             sems.append(PolyhedralSeminorm.from_functionals(total, funcs)
                         if funcs else PolyhedralSeminorm.zero(total))
     graded = X.graded and Y.graded and Z.graded
-    from msn.spaces import is_graded_sequence
-
     W = MultiSpace(tuple(sems), graded and is_graded_sequence(tuple(sems)))
-    my = Matrix.from_rows([[Fraction(1 if j == i else 0) for j in range(dy)] for i in range(dy)]
-                          + [[Fraction(0)] * dy for _ in range(dz)])
-    mz = Matrix.from_rows([[Fraction(0)] * dz for _ in range(dy)]
-                          + [[Fraction(1 if j == i else 0) for j in range(dz)] for i in range(dz)])
-    leg_y = LinearMap(Y, W, my)
-    leg_z = LinearMap(Z, W, mz)
-    cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), m) for m in range(n))
-    return AmalgamResult(W, leg_y, leg_z, cert, Fraction(0), eps)
+    return _direct_sum(Y, Z, W, f, g, n, Fraction(0), eps)
 
 
 def _quotient_block(space: MultiSpace, i: int):
@@ -418,63 +380,39 @@ def product_amalgam(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
     the level-i quotients below the length of X, a joint embedding of the
     quotients between the lengths of X and Y, and Z's quotient above.
     """
-    delta = frac(delta)
-    eps = frac(eps)
-    if eps <= 0:
-        raise EpsNonPositive("eps must be strictly positive")
+    delta, eps = _inputs(X, Y, Z, f, g, delta, eps)
     for name, S in (("X", X), ("Y", Y), ("Z", Z)):
         if not is_separated(S):
             raise NotSeparated(f"{name} must be separated")
     if Y.length > Z.length:
-        swapped = product_amalgam(X, Z, Y, g, f, delta, eps)
-        return AmalgamResult(swapped.space, swapped.leg_z, swapped.leg_y,
-                             swapped.bound_certificate, swapped.delta, swapped.eps)
-    _check_embedding(f, delta, "f")
-    _check_embedding(g, delta, "g")
+        return _swapped(product_amalgam(X, Z, Y, g, f, delta, eps))
+    _check_embeddings(delta, f=f, g=g)
 
     blocks: list[MultiSpace] = []
-    legy_blocks: list[Matrix | None] = []
-    legz_blocks: list[Matrix | None] = []
+    legy_blocks: list[Matrix] = []
+    legz_blocks: list[Matrix] = []
     for i in range(Z.length):
+        Zi, qz = _quotient_block(Z, i)
+        if i >= Y.length:
+            blocks.append(Zi)
+            legy_blocks.append(Matrix.zero(Zi.dim, Y.dim))
+            legz_blocks.append(qz.projection)
+            continue
+        Yi, qy = _quotient_block(Y, i)
         if i < X.length:
             Xi, qx = _quotient_block(X, i)
-            Yi, qy = _quotient_block(Y, i)
-            Zi, qz = _quotient_block(Z, i)
-            f0 = LinearMap(Xi, Yi, qy.projection.mul(f.matrix).mul(qx.lift))
-            g0 = LinearMap(Xi, Zi, qz.projection.mul(g.matrix).mul(qx.lift))
-            res = pushout(Xi, Yi, Zi, f0, g0, delta, eps)
-            blocks.append(res.space)
-            legy_blocks.append(res.leg_y.matrix.mul(qy.projection))
-            legz_blocks.append(res.leg_z.matrix.mul(qz.projection))
-        elif i < Y.length:
-            Yi, qy = _quotient_block(Y, i)
-            Zi, qz = _quotient_block(Z, i)
-            triv = trivial_space(1)
-            z0 = LinearMap(triv, Yi, Matrix(()))
-            z1 = LinearMap(triv, Zi, Matrix(()))
-            res = pushout(triv, Yi, Zi, z0, z1, 0, eps)
-            blocks.append(res.space)
-            legy_blocks.append(res.leg_y.matrix.mul(qy.projection))
-            legz_blocks.append(res.leg_z.matrix.mul(qz.projection))
+            fi = qy.projection.mul(f.matrix).mul(qx.lift)
+            gi = qz.projection.mul(g.matrix).mul(qx.lift)
+            di = delta
         else:
-            Zi, qz = _quotient_block(Z, i)
-            blocks.append(Zi)
-            legy_blocks.append(None)
-            legz_blocks.append(qz.projection)
+            Xi, fi, gi, di = trivial_space(1), Matrix(()), Matrix(()), 0
+        res = pushout(Xi, Yi, Zi, LinearMap(Xi, Yi, fi), LinearMap(Xi, Zi, gi), di, eps)
+        blocks.append(res.space)
+        legy_blocks.append(res.leg_y.matrix.mul(qy.projection))
+        legz_blocks.append(res.leg_z.matrix.mul(qz.projection))
     W = product_space(blocks, "coordinate")
-
-    def stack(blocks_list, src_dim):
-        rows = []
-        for i, blk in enumerate(blocks_list):
-            h = blocks[i].dim
-            if blk is None:
-                rows.extend([[Fraction(0)] * src_dim for _ in range(h)])
-            else:
-                rows.extend([list(r) for r in blk.entries])
-        return Matrix.from_rows(rows) if rows else Matrix(())
-
-    leg_y = LinearMap(Y, W, stack(legy_blocks, Y.dim))
-    leg_z = LinearMap(Z, W, stack(legz_blocks, Z.dim))
+    leg_y = LinearMap(Y, W, Matrix.from_rows(r for m in legy_blocks for r in m.entries))
+    leg_z = LinearMap(Z, W, Matrix.from_rows(r for m in legz_blocks for r in m.entries))
     cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), i) for i in range(X.length))
     return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 
@@ -501,17 +439,14 @@ def multi_amalgam(Y: MultiSpace, pairs, eps) -> MultiAmalgamResult:
     Zc = Y
     I = identity_map(Y)
     js: list[LinearMap] = []
-    deltas = []
     for X, gamma, eta, delta in pairs:
         delta = frac(delta)
-        _check_embedding(gamma, delta, "gamma")
-        _check_embedding(eta, delta, "eta")
+        _check_embeddings(delta, gamma=gamma, eta=eta)
         res = pushout(X, Zc, Y, compose(I, gamma), eta, delta, eps)
         Zc = res.space
         js = [compose(res.leg_y, j) for j in js]
         js.append(res.leg_z)
         I = compose(res.leg_y, I)
-        deltas.append(delta)
     bounds = []
     for (X, gamma, eta, delta), J in zip(pairs, js):
         bounds.append(tuple(map_distance(compose(I, gamma), compose(J, eta), l)

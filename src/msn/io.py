@@ -382,8 +382,10 @@ def net_from_doc(doc):
 
 
 def colouring_from_doc(doc):
-    """A discrete (int values) or continuous (rational values) colouring,
-    given by a table of point matrices or by a builtin name and arguments."""
+    """A discrete (int values, with a colour count) or continuous (rational
+    values) colouring, given by a table of point matrices or by the builtin
+    ``["coordinate-clamp", COORDINATE]`` (the other builtin, ``distance-to``,
+    takes a matrix, which a list of strings cannot carry)."""
     from msn.ramsey import Colouring
 
     what = "colouring file"
@@ -392,6 +394,8 @@ def colouring_from_doc(doc):
     if kind not in ("discrete", "continuous"):
         raise FormatError(f"{what}: unknown kind {kind!r}")
     colours = _field(doc, "colours", int, what) if doc.get("colours") is not None else None
+    if kind == "discrete" and colours is None:
+        raise FormatError(f"{what}: a discrete colouring needs 'colours'")
     level = _field(doc, "level", int, what) if doc.get("level") is not None else None
     table = None
     if "table" in doc:
@@ -407,7 +411,11 @@ def colouring_from_doc(doc):
         b = _field(doc, "builtin", list, what)
         if not b or not all(isinstance(x, str) for x in b):
             raise FormatError(f"{what}: 'builtin' is not a nonempty list of strings")
-        builtin = (b[0],) + tuple(int(x) if x.lstrip("-").isdigit() else x for x in b[1:])
+        if b[0] != "coordinate-clamp":
+            raise FormatError(f"{what}: builtin {b[0]!r} is not available in files, only 'coordinate-clamp' is")
+        if len(b) != 2 or not b[1].isdecimal():
+            raise FormatError(f"{what}: 'coordinate-clamp' takes one coordinate index, a nonnegative integer")
+        builtin = (b[0], int(b[1]))
     if table is None and builtin is None:
         raise FormatError(f"{what} has neither 'table' nor 'builtin'")
     return Colouring(kind, colours, level, table, builtin)

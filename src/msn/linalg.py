@@ -112,9 +112,6 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
@@ -132,11 +129,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(tuple(self.col(j) for j in range(self.cols)))
 
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in add")
-        return Matrix(tuple(vec_add(r, s) for r, s in zip(self.entries, other.entries)))
-
     def sub(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in sub")
@@ -150,11 +142,6 @@ class Matrix:
             return 0
         r, _, _ = _kernel.echelon_int(int_rows(self.entries))
         return r
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.entries and other.entries and self.cols != other.cols:
-            raise DimensionMismatch("vstack width mismatch")
-        return Matrix(self.entries + other.entries)
 
 
 def row_space_basis(rows: list[Vec]) -> list[Vec]:

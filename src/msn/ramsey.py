@@ -26,7 +26,7 @@ from msn.linalg import Matrix, Vec, vec_sub, zero_vec
 from msn.maps import LinearMap, compose, is_embedding, map_distance, sup_distance
 from msn.polytope import polytope_vertices
 from msn.seminorms import PolyhedralSeminorm, quotient_norm
-from msn.spaces import MultiSpace, joint_kernel, product_space
+from msn.spaces import MultiSpace, _pad_functionals, joint_kernel, product_space
 
 
 def _map_metric(f: LinearMap, g: LinearMap) -> Fraction:
@@ -221,6 +221,8 @@ class Colouring:
         name = self.builtin[0]
         if name == "coordinate-clamp":
             coord = self.builtin[1]
+            if not 0 <= coord < f.matrix.rows:
+                raise UndefinedPoint(f"coordinate {coord} outside the codomain of dimension {f.matrix.rows}")
             val = f.matrix.entries[coord][0]
             return min(Fraction(1), max(Fraction(0), val))
         if name == "distance-to":
@@ -366,9 +368,7 @@ def quotient_lift(c, X: MultiSpace, Z: MultiSpace):
     Xq = MultiSpace((q.norm,))
     pi = LinearMap(X, Xq, q.projection)
     total = 2 * Z.dim
-    padded_funcs = []
-    for phi in Z.seminorms[0].functionals:
-        padded_funcs.append(tuple(phi) + (Fraction(0),) * Z.dim)
+    padded_funcs = _pad_functionals(Z.seminorms[0].functionals, 0, total)
     padded = MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False)
                          if padded_funcs else PolyhedralSeminorm.zero(total),))
     pad_matrix = Matrix.from_rows([[Fraction(1 if j == i else 0) for j in range(Z.dim)]

@@ -52,9 +52,6 @@ class MultiSpace:
     def length(self) -> int:
         return len(self.seminorms)
 
-    def seminorm(self, n: int) -> PolyhedralSeminorm:
-        return self.seminorms[n]
-
     def eval(self, n: int, x) -> Fraction:
         return self.seminorms[n](x)
 
@@ -206,7 +203,7 @@ def product_space(factors, mode: str = "coordinate") -> MultiSpace:
     raise ArityMismatch(f"unknown product mode {mode!r}")
 
 
-def pullback_space(X: MultiSpace, lift: Matrix, graded: bool | None = None) -> MultiSpace:
+def pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:
     """Structure induced on a subspace so its inclusion is exactly isometric.
 
     ``lift`` is a dim(X) x m matrix with independent columns; level n of the
@@ -224,5 +221,4 @@ def pullback_space(X: MultiSpace, lift: Matrix, graded: bool | None = None) -> M
         restricted = [f for f in restricted if any(x != 0 for x in f)]
         sems.append(PolyhedralSeminorm.from_functionals(m, restricted)
                     if restricted else PolyhedralSeminorm.zero(m))
-    g = X.graded if graded is None else graded
-    return MultiSpace(tuple(sems), graded=g and is_graded_sequence(tuple(sems)))
+    return MultiSpace(tuple(sems), graded=X.graded and is_graded_sequence(tuple(sems)))

@@ -11,7 +11,8 @@ from msn.amalgam import (
     pushout_n_preserving,
     rescale_expansive,
 )
-from msn.errors import EpsNonPositive, NotAnEmbedding
+from msn import amalgam
+from msn.errors import EpsNonPositive, NotAnEmbedding, ShapeMismatch
 from msn.linalg import Matrix
 from msn.maps import LinearMap, compose, distortion, identity_map, is_embedding, map_distance
 from msn.seminorms import PolyhedralSeminorm
@@ -211,6 +212,23 @@ def test_product_amalgam_longer_z_levels_carry_quotients():
     for _ in range(10):
         z = tuple(F(rng.randint(-3, 3)) for _ in range(2))
         assert res.space.eval(1, res.leg_z(z)) == Z.eval(1, z)
+
+
+def test_product_amalgam_checks_inputs_before_any_pushout(monkeypatch):
+    calls = []
+    monkeypatch.setattr(amalgam, "pushout", lambda *a, **k: calls.append(a))
+    q = line()
+    two = MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 1), (1, -1)])))
+    unseparated = MultiSpace.make((S(2, [(1, 0)]),))
+    i = identity_map(q)
+    g = LinearMap(q, two, Matrix.from_rows([[1], [0]]))
+    # g lands in ``two``, not in the Z given, which is also not separated
+    for Z in (q, unseparated, line_space(2)):
+        with pytest.raises(ShapeMismatch):
+            product_amalgam(q, q, Z, i, g, 0, F(1, 4))
+    with pytest.raises(EpsNonPositive, match="amalgamation error"):
+        product_amalgam(q, q, two, i, g, 0, 0)
+    assert calls == []
 
 
 def test_multi_amalgam_empty_and_single():

@@ -189,3 +189,35 @@ def test_net_and_colouring_documents_are_checked():
                 {**clamp, "level": True}):
         with pytest.raises(io.FormatError):
             io.colouring_from_doc(doc)
+
+
+def _oscillate(colouring):
+    """``(exit code, stderr)`` of ``msn ramsey oscillate`` on a two-point net of the line."""
+    q = io.space_to_doc(line_space(1))
+    net = {"format": io.FORMAT, "domain": q, "codomain": q, "points": [[["1"]], [["-1"]]], "resolution": "2"}
+    with tempfile.TemporaryDirectory() as tmp:
+        io.write_json(Path(tmp) / "net.json", net)
+        (Path(tmp) / "c.json").write_text(io.dumps(colouring))
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            rc = main(["ramsey", "oscillate", "--net", str(Path(tmp) / "net.json"),
+                       "--colouring", str(Path(tmp) / "c.json"), "--eps", "1"])
+    return rc, err.getvalue()
+
+
+def test_malformed_colouring_files_fail_with_format_error():
+    clamp = {"format": io.FORMAT, "kind": "continuous", "level": 1, "builtin": ["coordinate-clamp", "0"]}
+    table = [{"matrix": [["1"]], "value": 0}, {"matrix": [["-1"]], "value": 1}]
+    assert _oscillate(clamp) == (0, "")
+    assert _oscillate({"format": io.FORMAT, "kind": "discrete", "colours": 2, "table": table}) == (0, "")
+    bad = [{**clamp, "builtin": b} for b in (
+        ["distance-to", "x"], ["distance-to"], ["rainbow"], ["coordinate-clamp"], ["coordinate-clamp", "x"],
+        ["coordinate-clamp", "--5"], ["coordinate-clamp", "-1"], ["coordinate-clamp", "1.0"],
+        ["coordinate-clamp", "²"], ["coordinate-clamp", "0", "1"])]
+    bad.append({"format": io.FORMAT, "kind": "discrete", "table": table})
+    for doc in bad:
+        rc, err = _oscillate(doc)
+        assert (rc, json.loads(err)["error"]) == (1, "FormatError"), doc
+    # a well-formed coordinate the net's points do not have
+    rc, err = _oscillate({**clamp, "builtin": ["coordinate-clamp", "7"]})
+    assert (rc, json.loads(err)["error"]) == (2, "UndefinedPoint")
