@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from msn.errors import (
+    BadArgument,
     EpsNonPositive,
     Infeasible,
     NotAnEmbedding,
@@ -69,7 +70,7 @@ def _inputs(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: Linear
     if eps <= 0:
         raise EpsNonPositive("the amalgamation error must be strictly positive")
     if delta < 0:
-        raise ValueError("delta must be nonnegative")
+        raise BadArgument("delta must be nonnegative")
     if f.domain != X or g.domain != X or f.codomain != Y or g.codomain != Z:
         raise ShapeMismatch("pushout maps must share the domain X and land in Y, Z")
     return delta, eps
@@ -99,15 +100,15 @@ def _band(Y: MultiSpace, Z: MultiSpace, n: int, prev: PolyhedralSeminorm | None)
     funcs += _pad_functionals(Z.seminorms[n].functionals, Y.dim, total)
     if prev is not None:
         funcs += prev.functionals
-    return PolyhedralSeminorm.from_functionals(total, funcs) if funcs else PolyhedralSeminorm.zero(total)
+    return PolyhedralSeminorm.from_functionals(total, funcs)
 
 
 def _direct_sum(Y: MultiSpace, Z: MultiSpace, W: MultiSpace, f: LinearMap, g: LinearMap,
                 levels: int, delta: Fraction, eps: Fraction) -> AmalgamResult:
     """W = Y (+) Z with its two block inclusions, certified on the first ``levels`` levels."""
     dy, dz = Y.dim, Z.dim
-    leg_y = LinearMap(Y, W, Matrix(Matrix.identity(dy).entries + Matrix.zero(dz, dy).entries))
-    leg_z = LinearMap(Z, W, Matrix(Matrix.zero(dy, dz).entries + Matrix.identity(dz).entries))
+    leg_y = LinearMap(Y, W, Matrix(Matrix.identity(dy).entries + Matrix.zero(dz, dy).entries, dy))
+    leg_z = LinearMap(Z, W, Matrix(Matrix.zero(dy, dz).entries + Matrix.identity(dz).entries, dz))
     cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), n) for n in range(levels))
     return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 
@@ -128,15 +129,9 @@ def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     for a, b in dual_ball_facets(Z.seminorms[n]):
         rows.append(((Fraction(0),) * dy + tuple(a), b))
     for a, b in dual_ball_facets(X.seminorms[n]):
-        fa = f.matrix.apply(a) if f.matrix.entries else ()
-        ga = g.matrix.apply(a) if g.matrix.entries else ()
-        fa = fa if fa else (Fraction(0),) * dy
-        ga = ga if ga else (Fraction(0),) * dz
-        rows.append((tuple(fa) + tuple(-x for x in ga), c * b))
+        rows.append((f.matrix.apply(a) + tuple(-x for x in g.matrix.apply(a)), c * b))
     verts = polytope_vertices(rows, total)
     funcs = sorted({canon_rep(v) for v in verts if any(x != 0 for x in v)})
-    if not funcs:
-        return PolyhedralSeminorm.zero(total)
     return PolyhedralSeminorm.from_functionals(total, funcs, reduce=False)
 
 
@@ -252,13 +247,10 @@ def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     fz = Z.seminorms[n].functionals
     fx = list(X.seminorms[n].functionals)
 
-    def adj(mat: Matrix, func: Vec) -> Vec:
-        return tuple(sum(func[i] * mat.entries[i][j] for i in range(mat.rows))
-                     for j in range(mat.cols)) if mat.entries else (Fraction(0),) * 0
-
     dx = X.dim
-    fadj = [adj(f.matrix, phi) for phi in fy]
-    gadj = [adj(g.matrix, psi) for psi in fz]
+    ft, gt = f.matrix.transpose(), g.matrix.transpose()
+    fadj = [ft.apply(phi) for phi in fy]
+    gadj = [gt.apply(psi) for psi in fz]
 
     def partner(target: Vec, adj_rows: list[Vec], ball_funcs, width: int) -> Vec:
         if not dx:
@@ -271,8 +263,6 @@ def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     funcs = ([tuple(phi) + partner(fadj[i], gadj, fz, dz) for i, phi in enumerate(fy)]
              + [partner(gadj[j], fadj, fy, dy) + tuple(psi) for j, psi in enumerate(fz)])
     funcs = [v for v in funcs if any(x != 0 for x in v)]
-    if not funcs:
-        return PolyhedralSeminorm.zero(dy + dz)
     return PolyhedralSeminorm.from_functionals(dy + dz, funcs, reduce=True)
 
 
@@ -310,15 +300,14 @@ def rescale_expansive(X: MultiSpace, delta) -> MultiSpace:
     """
     delta = frac(delta)
     if delta < 0:
-        raise ValueError("delta must be nonnegative")
+        raise BadArgument("delta must be nonnegative")
     if delta == 0:
         return X
     factor = Fraction(1, 1) / (1 + delta)
     sems = []
     for s in X.seminorms:
         funcs = [tuple(factor * x for x in f) for f in s.functionals]
-        sems.append(PolyhedralSeminorm.from_functionals(X.dim, funcs, reduce=False)
-                    if funcs else PolyhedralSeminorm.zero(X.dim))
+        sems.append(PolyhedralSeminorm.from_functionals(X.dim, funcs, reduce=False))
     return MultiSpace(tuple(sems), X.graded)
 
 
@@ -360,8 +349,7 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
                 funcs = [tuple(a) + sb for a in fy for b in fz for sb in (tuple(b), tuple(-x for x in b))]
             else:  # one factor is zero at this level: the other's seminorm
                 funcs = _pad_functionals(fy, 0, total) + _pad_functionals(fz, dy, total)
-            sems.append(PolyhedralSeminorm.from_functionals(total, funcs)
-                        if funcs else PolyhedralSeminorm.zero(total))
+            sems.append(PolyhedralSeminorm.from_functionals(total, funcs))
     graded = X.graded and Y.graded and Z.graded
     W = MultiSpace(tuple(sems), graded and is_graded_sequence(tuple(sems)))
     return _direct_sum(Y, Z, W, f, g, n, Fraction(0), eps)
@@ -405,14 +393,14 @@ def product_amalgam(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
             gi = qz.projection.mul(g.matrix).mul(qx.lift)
             di = delta
         else:
-            Xi, fi, gi, di = trivial_space(1), Matrix(()), Matrix(()), 0
+            Xi, fi, gi, di = trivial_space(1), Matrix.zero(Yi.dim, 0), Matrix.zero(Zi.dim, 0), 0
         res = pushout(Xi, Yi, Zi, LinearMap(Xi, Yi, fi), LinearMap(Xi, Zi, gi), di, eps)
         blocks.append(res.space)
         legy_blocks.append(res.leg_y.matrix.mul(qy.projection))
         legz_blocks.append(res.leg_z.matrix.mul(qz.projection))
     W = product_space(blocks, "coordinate")
-    leg_y = LinearMap(Y, W, Matrix.from_rows(r for m in legy_blocks for r in m.entries))
-    leg_z = LinearMap(Z, W, Matrix.from_rows(r for m in legz_blocks for r in m.entries))
+    leg_y = LinearMap(Y, W, Matrix.from_rows((r for m in legy_blocks for r in m.entries), Y.dim))
+    leg_z = LinearMap(Z, W, Matrix.from_rows((r for m in legz_blocks for r in m.entries), Z.dim))
     cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), i) for i in range(X.length))
     return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 

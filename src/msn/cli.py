@@ -2,7 +2,8 @@
 
 Artifacts are written as canonical JSON (see msn.io); diagnostics go to
 stderr as machine-readable JSON.  Exit codes: 0 success, 2 verified
-mathematical failure (with witness), 1 I/O or format errors.
+mathematical failure (with witness) or a rejected argument, 1 I/O or
+format errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from msn import io
 from msn.amalgam import multi_amalgam, product_amalgam, pushout
-from msn.errors import BadLevel, MsnError, NotAnEmbedding, PairNotInCertificates
+from msn.errors import BadLevel, MsnError
 from msn.maps import (
     bm_upper_bound,
     build_iso_from_invariant,
@@ -427,12 +428,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         _diag({"error": "FileNotFound", "detail": str(e)})
         return IO_FAILURE
-    except NotAnEmbedding as e:
-        _diag(e.payload())
-        return MATH_FAILURE
-    except PairNotInCertificates as e:
-        _diag(e.payload())
-        return MATH_FAILURE
     except MsnError as e:
         _diag(e.payload())
         return MATH_FAILURE

@@ -12,6 +12,10 @@ class MsnError(Exception):
         return {"error": type(self).__name__, "detail": str(self)}
 
 
+class BadArgument(MsnError, ValueError):
+    """An argument outside its stated range (a negative delta, no steps, ...)."""
+
+
 class DimensionMismatch(MsnError):
     pass
 

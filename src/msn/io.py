@@ -126,8 +126,7 @@ def space_from_doc(doc) -> MultiSpace:
             raise FormatError(f"space file: functional arity != dim {dim}")
         reduce = len(funcs) <= REDUCE_LOAD_LIMIT
         try:
-            sems.append(PolyhedralSeminorm.from_functionals(dim, funcs, reduce=reduce)
-                        if funcs else PolyhedralSeminorm.zero(dim))
+            sems.append(PolyhedralSeminorm.from_functionals(dim, funcs, reduce=reduce))
         except ValueError as e:  # a zero functional
             raise FormatError(f"space file: {e}") from e
     if not sems:
@@ -142,12 +141,17 @@ def matrix_to_doc(m: Matrix) -> list:
     return [[rat_to_str(x) for x in row] for row in m.entries]
 
 
-def matrix_from_doc(doc) -> Matrix:
+def matrix_from_doc(doc, cols: int | None) -> Matrix:
+    """A matrix of width ``cols``, or of the first row's width when ``cols`` is None.
+
+    Every row must have that width, so ``[]`` loads only where the rows
+    cannot say it: as a map into a zero-dimensional codomain.
+    """
     if not isinstance(doc, list):
         raise FormatError("matrix is not a list of rows")
     try:
-        return Matrix.from_rows([_rat_list(row, "matrix row") for row in doc])
-    except DimensionMismatch as e:  # ragged rows
+        return Matrix.from_rows([_rat_list(row, "matrix row") for row in doc], cols)
+    except DimensionMismatch as e:  # ragged rows, or no rows and no width
         raise FormatError(f"matrix: {e}") from e
 
 
@@ -170,7 +174,7 @@ def _map_from_doc(doc, space) -> LinearMap:
     dom = space(doc["domain"])
     cod = space(doc["codomain"])
     try:
-        return LinearMap(dom, cod, matrix_from_doc(doc["matrix"]))
+        return LinearMap(dom, cod, matrix_from_doc(doc["matrix"], dom.dim))
     except ShapeMismatch as e:
         raise FormatError(f"map file: {e}") from e
 
@@ -374,7 +378,7 @@ def net_from_doc(doc):
     dom = space_from_doc(_field(doc, "domain", dict, what))
     cod = space_from_doc(_field(doc, "codomain", dict, what))
     try:
-        points = tuple(LinearMap(dom, cod, matrix_from_doc(m)) for m in _field(doc, "points", list, what))
+        points = tuple(LinearMap(dom, cod, matrix_from_doc(m, dom.dim)) for m in _field(doc, "points", list, what))
     except ShapeMismatch as e:
         raise FormatError(f"{what}: {e}") from e
     res = doc.get("resolution")
@@ -384,8 +388,7 @@ def net_from_doc(doc):
 def colouring_from_doc(doc):
     """A discrete (int values, with a colour count) or continuous (rational
     values) colouring, given by a table of point matrices or by the builtin
-    ``["coordinate-clamp", COORDINATE]`` (the other builtin, ``distance-to``,
-    takes a matrix, which a list of strings cannot carry)."""
+    ``["coordinate-clamp", COORDINATE]``."""
     from msn.ramsey import Colouring
 
     what = "colouring file"
@@ -401,7 +404,7 @@ def colouring_from_doc(doc):
     if "table" in doc:
         rows = []
         for entry in _field(doc, "table", list, what):
-            key = matrix_from_doc(_field(entry, "matrix", list, "colouring entry")).entries
+            key = matrix_from_doc(_field(entry, "matrix", list, "colouring entry"), None).entries
             v = (_field(entry, "value", int, "colouring entry") if kind == "discrete"
                  else rat_from_str(_field(entry, "value", str, "colouring entry")))
             rows.append((key, v))

@@ -1,8 +1,10 @@
 """Exact rational vectors, matrices and subspace calculus.
 
-Vectors are tuples of ``Fraction``; matrices are immutable row-major grids.
-Row-space computations are delegated to the integer echelon kernel after
-clearing denominators row by row (row scaling preserves spans/kernels).
+Vectors are tuples of ``Fraction``; matrices are immutable row-major grids
+that carry their shape, so matrices with no rows or no columns need no
+special case anywhere else.  Row-space computations are delegated to the
+integer echelon kernel after clearing denominators row by row (row
+scaling preserves spans/kernels).
 """
 
 from __future__ import annotations
@@ -85,61 +87,67 @@ def canon_vector(v: Vec) -> Vec:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable exact matrix; ``entries[i][j]`` is row i, column j."""
+    """Immutable exact ``rows x cols`` matrix; ``entries[i][j]`` is row i, column j.
+
+    The width is stored, not read off the rows, so every shape is a
+    matrix: a 0 x n matrix is the map from n coordinates to none, an
+    n x 0 one the map out of the zero space, and a k x 0 matrix times a
+    0 x n one is the k x n zero matrix.
+    """
 
     entries: tuple[Vec, ...]
+    cols: int
 
     @staticmethod
-    def from_rows(rows) -> "Matrix":
+    def from_rows(rows, cols: int | None = None) -> "Matrix":
+        """The matrix with these rows; ``cols`` defaults to the first row's length."""
         tup = tuple(vec(r) for r in rows)
-        if tup and any(len(r) != len(tup[0]) for r in tup):
-            raise DimensionMismatch("ragged rows")
-        return Matrix(tup)
+        if cols is None:
+            if not tup:
+                raise DimensionMismatch("no rows to read the width from")
+            cols = len(tup[0])
+        if any(len(r) != cols for r in tup):
+            raise DimensionMismatch(f"rows are not all of width {cols}")
+        return Matrix(tup, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple(zero_vec(cols) for _ in range(rows)))
+        return Matrix(tuple(zero_vec(cols) for _ in range(rows)), cols)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
     def apply(self, x: Vec) -> Vec:
-        if self.entries and len(x) != self.cols:
+        if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} into {self.rows}x{self.cols}")
         return tuple(dot(r, x) for r in self.entries)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        if self.entries and other.entries and self.cols != other.rows:
+        if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         ot = other.transpose()
-        return Matrix(tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries))
+        return Matrix(tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries), other.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.col(j) for j in range(self.cols)))
+        return Matrix(tuple(self.col(j) for j in range(self.cols)), self.rows)
 
     def sub(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in sub")
-        return Matrix(tuple(vec_sub(r, s) for r, s in zip(self.entries, other.entries)))
+        return Matrix(tuple(vec_sub(r, s) for r, s in zip(self.entries, other.entries)), self.cols)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(tuple(vec_scale(c, r) for r in self.entries))
+        return Matrix(tuple(vec_scale(c, r) for r in self.entries), self.cols)
 
     def rank(self) -> int:
-        if not self.entries:
-            return 0
         r, _, _ = _kernel.echelon_int(int_rows(self.entries))
         return r
 
@@ -238,7 +246,7 @@ def inverse(mat: Matrix) -> Matrix | None:
         if x is None:
             return None
         cols.append(x)
-    return Matrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    return Matrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), n)
 
 
 def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:

@@ -1,5 +1,9 @@
 """Linear maps between multi-seminormed spaces.
 
+A map's matrix always has the shape codomain dim x domain dim, also
+when either is zero, so maps out of or into the zero-dimensional space
+apply, compose and subtract like any other.
+
 Operator seminorms are computed exactly as gauges, in integers.  At level
 m the codomain functionals are pulled back along the map
 (``_pullbacks``: one scaled matrix, one integer dot per functional and
@@ -28,7 +32,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from msn.errors import BadLevel, DimensionMismatch, LengthMismatch, ShapeMismatch
+from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
 from msn.linalg import (
     Matrix,
     Vec,
@@ -56,20 +60,13 @@ class LinearMap:
     matrix: Matrix
 
     def __post_init__(self):
-        if self.matrix.entries and (self.matrix.rows, self.matrix.cols) != (self.codomain.dim, self.domain.dim):
+        if (self.matrix.rows, self.matrix.cols) != (self.codomain.dim, self.domain.dim):
             raise ShapeMismatch("matrix shape != codomain dim x domain dim")
 
     def __call__(self, x) -> Vec:
-        x = vec(x)
-        if len(x) != self.domain.dim:
-            raise DimensionMismatch("vector outside the domain")
-        if not self.matrix.entries:
-            return zero_vec(self.codomain.dim)
-        return self.matrix.apply(x)
+        return self.matrix.apply(vec(x))
 
     def is_injective(self) -> bool:
-        if self.domain.dim == 0:
-            return True
         return self.matrix.rank() == self.domain.dim
 
 
@@ -80,16 +77,12 @@ def identity_map(X: MultiSpace) -> LinearMap:
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     if g.domain != f.codomain:
         raise ShapeMismatch("composition domain/codomain mismatch")
-    if not f.matrix.entries or not g.matrix.entries:
-        return LinearMap(f.domain, g.codomain, Matrix.zero(g.codomain.dim, f.domain.dim))
     return LinearMap(f.domain, g.codomain, g.matrix.mul(f.matrix))
 
 
 def map_sub(f: LinearMap, g: LinearMap) -> LinearMap:
     if f.domain != g.domain or f.codomain != g.codomain:
         raise ShapeMismatch("difference needs identical domain and codomain")
-    if not f.matrix.entries:
-        return f
     return LinearMap(f.domain, f.codomain, f.matrix.sub(g.matrix))
 
 
@@ -296,7 +289,7 @@ def is_embedding(f: LinearMap, delta) -> tuple[bool, dict]:
     """Exact multi-delta-isometric embedding check with failure witness."""
     delta = Fraction(delta)
     if delta < 0:
-        raise ValueError("delta must be nonnegative")
+        raise BadArgument("delta must be nonnegative")
     if f.domain.length > f.codomain.length:
         raise LengthMismatch("domain carries more seminorms than the codomain")
     if not f.is_injective():
@@ -380,8 +373,6 @@ def _build_iso_rec(X: MultiSpace, Y: MultiSpace, liftX: Matrix, liftY: Matrix,
     m = subX.dim
     if subY.dim != m:
         return None
-    if m == 0:
-        return Matrix(())
     if invariant_alpha(subX).entries != invariant_alpha(subY).entries:
         return None
     k0 = next((k for k in active if joint_kernel(subX, [k])), None)
@@ -423,7 +414,7 @@ def _build_iso_rec(X: MultiSpace, Y: MultiSpace, liftX: Matrix, liftY: Matrix,
     block = [[Fraction(0)] * m for _ in range(m)]
     for i in range(r):
         for j in range(r):
-            block[i][j] = f0.entries[i][j] if f0.entries else Fraction(0)
+            block[i][j] = f0.entries[i][j]
     for i in range(c):
         for j in range(c):
             block[r + i][r + j] = f1.entries[i][j]
@@ -455,7 +446,7 @@ def build_iso_from_invariant(X: MultiSpace, Y: MultiSpace) -> LinearMap | None:
 
 def _verify_iso(h: LinearMap) -> bool:
     X, Y = h.domain, h.codomain
-    if X.dim != Y.dim or (X.dim and h.matrix.rank() != X.dim):
+    if X.dim != Y.dim or h.matrix.rank() != X.dim:
         return False
     for k in range(X.length):
         kx = seminorm_kernel(X.seminorms[k])
@@ -477,7 +468,7 @@ def bm_upper_bound(X: MultiSpace, Y: MultiSpace):
     h = build_iso_from_invariant(X, Y)
     if h is None:
         return None
-    hinv = LinearMap(Y, X, inverse(h.matrix)) if X.dim else LinearMap(Y, X, Matrix(()))
+    hinv = LinearMap(Y, X, inverse(h.matrix))
     a = mb_norm(h)
     b = mb_norm(hinv)
     if a is None or b is None:

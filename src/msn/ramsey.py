@@ -16,10 +16,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from msn.errors import (
+    BadArgument,
     DimensionMismatch,
     EmptyEmbeddingSet,
     MultiLevelInput,
     ShapeMismatch,
+    UnboundedPolyhedron,
     UndefinedPoint,
 )
 from msn.linalg import Matrix, Vec, vec_sub, zero_vec
@@ -166,7 +168,7 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
                 rows.append((tuple(-x for x in k), Fraction(0)))
         try:
             verts = polytope_vertices(rows, Y.dim)
-        except Exception:
+        except UnboundedPolyhedron:
             continue
         if not verts:
             continue
@@ -209,7 +211,7 @@ class Colouring:
     colours: int | None            # discrete only
     level: int | None              # continuous only: Lipschitz level count
     table: tuple[tuple[tuple, Fraction | int], ...] | None
-    builtin: tuple | None          # ("coordinate-clamp", coord) | ("distance-to", matrix)
+    builtin: tuple | None          # ("coordinate-clamp", coord)
 
     def __call__(self, f: LinearMap):
         if self.table is not None:
@@ -225,11 +227,6 @@ class Colouring:
                 raise UndefinedPoint(f"coordinate {coord} outside the codomain of dimension {f.matrix.rows}")
             val = f.matrix.entries[coord][0]
             return min(Fraction(1), max(Fraction(0), val))
-        if name == "distance-to":
-            ref = self.builtin[1]
-            other = LinearMap(f.domain, f.codomain, ref)
-            d = sup_distance(f, other)
-            return min(Fraction(1), d)
         raise UndefinedPoint(f"unknown builtin colouring {name!r}")
 
 
@@ -268,7 +265,7 @@ def oscillation(c: Colouring, points, eps=None):
                 worst = max(worst, abs(Fraction(c(a)) - Fraction(c(b))))
         return worst
     if eps is None:
-        raise ValueError("discrete oscillation needs the stated eps")
+        raise BadArgument("discrete oscillation needs the stated eps")
     eps = Fraction(eps)
     for colour in range(c.colours):
         marked = [p for p in pts if c(p) == colour]
@@ -335,8 +332,7 @@ def product_embedding(factors, Z: MultiSpace, X: MultiSpace) -> LinearMap:
     rows = []
     for f in factors:
         rows.extend(list(f.matrix.entries))
-    m = Matrix.from_rows(rows)
-    return LinearMap(X, Z, m)
+    return LinearMap(X, Z, Matrix.from_rows(rows, X.dim))
 
 
 def product_colouring(c: Colouring, X: MultiSpace, blocks):
@@ -369,11 +365,10 @@ def quotient_lift(c, X: MultiSpace, Z: MultiSpace):
     pi = LinearMap(X, Xq, q.projection)
     total = 2 * Z.dim
     padded_funcs = _pad_functionals(Z.seminorms[0].functionals, 0, total)
-    padded = MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False)
-                         if padded_funcs else PolyhedralSeminorm.zero(total),))
+    padded = MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False),))
     pad_matrix = Matrix.from_rows([[Fraction(1 if j == i else 0) for j in range(Z.dim)]
                                    for i in range(Z.dim)]
-                                  + [[Fraction(0)] * Z.dim for _ in range(Z.dim)])
+                                  + [[Fraction(0)] * Z.dim for _ in range(Z.dim)], Z.dim)
     embed_pad = LinearMap(Z, padded, pad_matrix)
 
     def lifted(gamma: LinearMap):
@@ -394,7 +389,7 @@ def search_monochromatic(c: Colouring, net_xz: EmbeddingNet, net_xy: EmbeddingNe
     for gamma in candidates:
         ok, _ = is_embedding(gamma, 0)
         if not ok:
-            raise ValueError("candidates must be exact embeddings")
+            raise BadArgument("candidates must be exact embeddings")
     for gamma in candidates:
         composed = [compose(gamma, eta) for eta in net_xy.points]
         for colour in range(c.colours):

@@ -2,15 +2,17 @@
 
 A seminorm is stored as the canonical finite family of functionals whose
 absolute values it maximises.  The list keeps one representative per +/-
-pair, sorted, with redundant members (those inside the convex hull of the
-others and their negatives) removed by exact LP membership tests.  The
-empty family encodes the zero seminorm.  Evaluation is in integers: each
-call scales ``x`` and the whole list to integers once, takes one integer
-dot per functional and builds one ``Fraction`` at the end.  The integer
-form is not stored on the seminorm; kept on every instance it cost more
-memory than it saved time.  The dual ball, the symmetric hull of the
-functionals, is used through its facets (``dual_ball_facets``), the one
-memoised function in the package.
+pair, sorted, with redundant members (those inside the convex hull of
+the others and their negatives) removed by exact LP membership tests.
+The empty family encodes the zero seminorm, and ``from_functionals``
+builds it from an empty list like any other, so callers need no special
+case.  Evaluation is in integers: each call scales ``x`` and the whole
+list to integers once, takes one integer dot per functional and builds
+one ``Fraction`` at the end.  The integer form is not stored on the
+seminorm; kept on every instance it cost more memory than it saved time.
+The dual ball, the symmetric hull of the functionals, is used through
+its facets (``dual_ball_facets``), the one memoised function in the
+package.
 """
 
 from __future__ import annotations
@@ -121,9 +123,7 @@ class PolyhedralSeminorm:
 
 def seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:
     """Canonical basis of {x : s(x) = 0}."""
-    if not s.functionals:
-        return list(Matrix.identity(s.dim).entries)
-    return nullspace(Matrix.from_rows(s.functionals))
+    return nullspace(Matrix.from_rows(s.functionals, s.dim))
 
 
 @lru_cache(maxsize=1024)
@@ -159,10 +159,10 @@ def quotient_norm(s: PolyhedralSeminorm) -> QuotientNorm:
     comp = coordinate_complement(ker, d)
     m = len(comp)
     cols: list[Vec] = [k for k in ker] + [tuple(Fraction(1 if i == j else 0) for i in range(d)) for j in comp]
-    M = Matrix.from_rows(cols).transpose()
+    M = Matrix.from_rows(cols, d).transpose()
     Minv = inverse(M)
-    proj = Matrix(tuple(Minv.entries[len(ker) + i] for i in range(m)))
-    lift = Matrix(tuple(tuple(Fraction(1 if i == comp[jj] else 0) for jj in range(m)) for i in range(d)))
+    proj = Matrix(tuple(Minv.entries[len(ker) + i] for i in range(m)), d)
+    lift = Matrix(tuple(tuple(Fraction(1 if i == comp[jj] else 0) for jj in range(m)) for i in range(d)), m)
     restricted = []
     for f in s.functionals:
         restricted.append(tuple(f[j] for j in comp))

@@ -65,8 +65,7 @@ def line_space(*scales) -> MultiSpace:
     sems = []
     for c in scales or (1,):
         c = Fraction(c)
-        sems.append(PolyhedralSeminorm.from_functionals(1, [(c,)]) if c != 0
-                    else PolyhedralSeminorm.zero(1))
+        sems.append(PolyhedralSeminorm.from_functionals(1, [(c,)] if c else []))
     return MultiSpace.make(tuple(sems))
 
 
@@ -103,10 +102,7 @@ def invariant_alpha(X: MultiSpace) -> KernelInvariant:
         rows = []
         for k in s:
             rows.extend(X.seminorms[k].functionals)
-        if not rows:
-            entries.append((tuple(s), X.dim))
-        else:
-            entries.append((tuple(s), len(nullspace(Matrix.from_rows(rows)))))
+        entries.append((tuple(s), len(nullspace(Matrix.from_rows(rows, X.dim)))))
     return KernelInvariant(X.length, tuple(entries))
 
 
@@ -114,9 +110,7 @@ def joint_kernel(X: MultiSpace, levels=None) -> list[Vec]:
     rows = []
     for k in (range(X.length) if levels is None else levels):
         rows.extend(X.seminorms[k].functionals)
-    if not rows:
-        return list(Matrix.identity(X.dim).entries)
-    return nullspace(Matrix.from_rows(rows))
+    return nullspace(Matrix.from_rows(rows, X.dim))
 
 
 def is_separated(X: MultiSpace) -> bool:
@@ -148,8 +142,7 @@ def graded_closure(X: MultiSpace) -> MultiSpace:
     acc: tuple[Vec, ...] = ()
     for s in X.seminorms:
         acc = acc + tuple(s.functionals)
-        sems.append(PolyhedralSeminorm.from_functionals(X.dim, acc) if acc
-                    else PolyhedralSeminorm.zero(X.dim))
+        sems.append(PolyhedralSeminorm.from_functionals(X.dim, acc))
     return MultiSpace(tuple(sems), graded=True)
 
 
@@ -183,8 +176,7 @@ def product_space(factors, mode: str = "coordinate") -> MultiSpace:
         off = 0
         for f in factors:
             padded = _pad_functionals(f.seminorms[0].functionals, off, total)
-            sems.append(PolyhedralSeminorm.from_functionals(total, padded, reduce=False)
-                        if padded else PolyhedralSeminorm.zero(total))
+            sems.append(PolyhedralSeminorm.from_functionals(total, padded, reduce=False))
             off += f.dim
         return MultiSpace(tuple(sems), graded=False)
     if mode == "graded-max":
@@ -196,8 +188,7 @@ def product_space(factors, mode: str = "coordinate") -> MultiSpace:
         off = 0
         for f in factors:
             acc.extend(_pad_functionals(f.seminorms[0].functionals, off, total))
-            sems.append(PolyhedralSeminorm.from_functionals(total, acc)
-                        if acc else PolyhedralSeminorm.zero(total))
+            sems.append(PolyhedralSeminorm.from_functionals(total, acc))
             off += f.dim
         return MultiSpace(tuple(sems), graded=True)
     raise ArityMismatch(f"unknown product mode {mode!r}")
@@ -219,6 +210,5 @@ def pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:
         restricted = [tuple(sum(f[i] * lift.entries[i][j] for i in range(X.dim)) for j in range(m))
                       for f in s.functionals]
         restricted = [f for f in restricted if any(x != 0 for x in f)]
-        sems.append(PolyhedralSeminorm.from_functionals(m, restricted)
-                    if restricted else PolyhedralSeminorm.zero(m))
+        sems.append(PolyhedralSeminorm.from_functionals(m, restricted))
     return MultiSpace(tuple(sems), graded=X.graded and is_graded_sequence(tuple(sems)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from msn.amalgam import multi_amalgam, pushout, sparse_pushout
-from msn.errors import CatalogNotSeparated, PairNotInCertificates
+from msn.errors import BadArgument, CatalogNotSeparated, PairNotInCertificates
 from msn.linalg import Matrix
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance
 from msn.seeding import rng as seeded_rng
@@ -97,14 +97,14 @@ def build_tower(catalog, deltas, stage_budget: int, seed: int, omega: bool = Fal
     catalog = tuple(catalog)
     deltas = tuple(Fraction(d) for d in deltas)
     if not catalog:
-        raise ValueError("catalog must be nonempty")
+        raise BadArgument("catalog must be nonempty")
     if not deltas or deltas[0] != 0:
-        raise ValueError("delta list must start with 0")
+        raise BadArgument("delta list must start with 0")
     for i, m in enumerate(catalog):
         if not is_separated(m):
             raise CatalogNotSeparated(f"catalog member {i} is not separated")
     if stage_budget < 1:
-        raise ValueError("stage budget must be at least 1")
+        raise BadArgument("stage budget must be at least 1")
 
     # Stage 0: joint embedding of the whole catalog over the trivial space.
     stage = catalog[0]
@@ -112,8 +112,8 @@ def build_tower(catalog, deltas, stage_budget: int, seed: int, omega: bool = Fal
     triv = trivial_space(1)
     for j in range(1, len(catalog)):
         res = pushout(triv, stage, catalog[j],
-                      LinearMap(triv, stage, Matrix(())),
-                      LinearMap(triv, catalog[j], Matrix(())), 0, Fraction(1))
+                      LinearMap(triv, stage, Matrix.zero(stage.dim, 0)),
+                      LinearMap(triv, catalog[j], Matrix.zero(catalog[j].dim, 0)), 0, Fraction(1))
         stage = res.space
         embeds = [compose(res.leg_y, e) for e in embeds]
         embeds.append(res.leg_z)
@@ -287,7 +287,7 @@ def back_and_forth(tower_a: Tower, tower_b: Tower, steps: int, start_level: int 
     inequality with the constant 3.
     """
     if steps < 1:
-        raise ValueError("at least one step")
+        raise BadArgument("at least one step")
     n = start_level
     if tower_a.stages == tower_b.stages:
         X0 = _seed_object(tower_a, min(n, len(tower_a.stages) - 1), 1)
@@ -305,8 +305,8 @@ def back_and_forth(tower_a: Tower, tower_b: Tower, steps: int, start_level: int 
     X0 = _seed_object(tower_a, ia, length)
     cb = _seed_object(tower_b, ib, length)
     triv = trivial_space(1)
-    join = sparse_pushout(triv, cb, X0, LinearMap(triv, cb, Matrix(())),
-                          LinearMap(triv, X0, Matrix(())), 0, Fraction(1))
+    join = sparse_pushout(triv, cb, X0, LinearMap(triv, cb, Matrix.zero(cb.dim, 0)),
+                          LinearMap(triv, X0, Matrix.zero(X0.dim, 0)), 0, Fraction(1))
     chain_a = [X0]
     chain_b = [join.space]
     gammas = [join.leg_z]

@@ -67,8 +67,8 @@ def block_embedding_triple(rng, dim_x, extra_y, extra_z, lam_x, lam_y, lam_z,
 
 def random_invertible(rng, dim, lo=-2, hi=2):
     while True:
-        T = Matrix.from_rows([[F(rng.randint(lo, hi)) for _ in range(dim)] for _ in range(dim)])
-        if dim == 0 or T.rank() == dim:
+        T = Matrix.from_rows([[F(rng.randint(lo, hi)) for _ in range(dim)] for _ in range(dim)], dim)
+        if T.rank() == dim:
             return T
 
 

@@ -18,6 +18,7 @@ from msn.maps import LinearMap, compose, distortion, identity_map, is_embedding,
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import MultiSpace, graded_closure, is_separated, line_space, trivial_space
 
+from genhelpers import block_embedding_triple
 from oracles import piecewise_min_1d
 
 F = Fraction
@@ -47,8 +48,8 @@ def test_pushout_line_example():
 def test_pushout_over_trivial_space_is_jep():
     triv = trivial_space(1)
     a, b = line(), line()
-    za = LinearMap(triv, a, Matrix(()))
-    zb = LinearMap(triv, b, Matrix(()))
+    za = LinearMap(triv, a, Matrix.zero(a.dim, 0))
+    zb = LinearMap(triv, b, Matrix.zero(b.dim, 0))
     res = pushout(triv, a, b, za, zb, 0, F(1, 2))
     assert res.bound_certificate == (F(0),)
     assert is_embedding(res.leg_y, 0)[0] and is_embedding(res.leg_z, 0)[0]
@@ -191,11 +192,55 @@ def test_product_amalgam_trivial_base():
     triv = trivial_space(1)
     a = MultiSpace.make((S(1, [(1,)]),))
     b = MultiSpace.make((S(1, [(2,)]),))
-    za = LinearMap(triv, a, Matrix(()))
-    zb = LinearMap(triv, b, Matrix(()))
+    za = LinearMap(triv, a, Matrix.zero(a.dim, 0))
+    zb = LinearMap(triv, b, Matrix.zero(b.dim, 0))
     res = product_amalgam(triv, a, b, za, zb, 0, F(1, 2))
     assert res.space.dim == 2
     assert is_embedding(res.leg_y, 0)[0] and is_embedding(res.leg_z, 0)[0]
+
+
+def _assert_product_amalgam_exact(X, Y, Z, f, g, delta, eps):
+    res = product_amalgam(X, Y, Z, f, g, delta, eps)
+    assert is_embedding(res.leg_y, 0)[0] and is_embedding(res.leg_z, 0)[0]
+    assert len(res.bound_certificate) == X.length
+    assert all(b is not None and b <= 2 * delta + eps for b in res.bound_certificate)
+    return res
+
+
+def test_product_amalgam_over_zero_levels():
+    # Level 1 of X and Z and level 2 of Y and Z are zero: their quotients
+    # are zero-dimensional, so the per-level legs have no columns.
+    X = MultiSpace.make((S(1, [(1,)]), S(1, [])))
+    Y = MultiSpace.make((S(2, [(1, 0)]), S(2, [(0, 2)]), S(2, [])))
+    Z = MultiSpace.make((S(1, [(1,)]), S(1, []), S(1, [])))
+    f = LinearMap(X, Y, Matrix.from_rows([[1], [0]]))
+    g = LinearMap(X, Z, Matrix.from_rows([[1]]))
+    res = _assert_product_amalgam_exact(X, Y, Z, f, g, F(0), F(1, 2))
+    assert res.space.length == 3
+
+
+def _separated_triples(count):
+    """Seeded separated block-embedding triples, many with zero levels."""
+    rng = random.Random(0xA11)
+    out = []
+    while len(out) < count:
+        dim_x = rng.randint(1, 2)
+        lam_x = rng.randint(1, 2)
+        lam_y, lam_z = rng.randint(lam_x, 3), rng.randint(lam_x, 3)
+        extra_y, extra_z = rng.randint(0, 2), rng.randint(0, 2)
+        delta = rng.choice((F(0), F(1, 4)))
+        X, Y, Z, f, g = block_embedding_triple(rng, dim_x, extra_y, extra_z, lam_x, lam_y, lam_z, delta)
+        if all(is_separated(T) for T in (X, Y, Z)):
+            out.append((X, Y, Z, f, g, delta))
+    return out
+
+
+def test_product_amalgam_sweep_of_separated_triples():
+    triples = _separated_triples(40)
+    # most of them have a zero level in X or Y, the shape the legs used to fail on
+    assert sum(any(s.is_zero() for T in t[:2] for s in T.seminorms) for t in triples) >= 20
+    for X, Y, Z, f, g, delta in triples:
+        _assert_product_amalgam_exact(X, Y, Z, f, g, delta, F(1, 2))
 
 
 def test_product_amalgam_longer_z_levels_carry_quotients():

@@ -133,6 +133,37 @@ def test_tower_build_verify_backforth(tmp_path, files):
     assert doc["boundsOk"] is True
 
 
+def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
+    q, one = files / "q.json", files / "id.json"
+    tower = tmp_path / "tower"
+    assert run(["--out", tower, "tower", "build", "--catalog", q,
+                "--stages", "2", "--deltas", "0", "--dim-cap", "4"]) == 0
+    line = io.space_to_doc(line_space(1))
+    io.write_json(tmp_path / "net.json", {"format": io.FORMAT, "domain": line, "codomain": line,
+                                          "points": [[["1"]], [["-1"]]], "resolution": "2"})
+    io.write_json(tmp_path / "c.json", {"format": io.FORMAT, "kind": "discrete", "colours": 1,
+                                        "table": [{"matrix": [["1"]], "value": 0},
+                                                  {"matrix": [["-1"]], "value": 0}]})
+    spaces = ["--x", q, "--y", q, "--z", q, "--f", one, "--g", one, "--eps", "1/2", "--delta=-1/4"]
+    build = ["--out", tmp_path / "unbuilt", "tower", "build", "--catalog", q]
+    commands = [
+        ["map", "check", one, "--delta=-1/4"],
+        ["amalgam", "push", *spaces],
+        ["amalgam", "product", *spaces],
+        ["ramsey", "oscillate", "--net", tmp_path / "net.json", "--colouring", tmp_path / "c.json"],
+        [*build, "--stages", "0"],
+        [*build, "--stages", "2", "--deltas", "1/4"],
+        ["tower", "backforth", tower, tower, "--steps", "0"],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "BadArgument", argv
+    assert not (tmp_path / "unbuilt").exists()
+
+
 def test_ramsey_net_and_search(tmp_path, files):
     rc = run(["--out", tmp_path, "ramsey", "net", "--x", files / "q.json",
               "--y", files / "q.json", "--eps", "2"])

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
     coordinate_complement,
@@ -84,3 +86,37 @@ def test_row_space_basis_canonical():
     b1 = row_space_basis([(F(2), F(4)), (F(1), F(2))])
     b2 = row_space_basis([(F(-3), F(-6))])
     assert b1 == b2 == [(F(1), F(2))]
+
+
+def test_product_through_the_zero_space_is_the_zero_matrix():
+    prod = Matrix.zero(3, 0).mul(Matrix.zero(0, 2))
+    assert (prod.rows, prod.cols) == (3, 2)
+    assert prod == Matrix.zero(3, 2)
+    back = Matrix.zero(0, 2).mul(Matrix.zero(2, 3))
+    assert (back.rows, back.cols) == (0, 3)
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(3, 0).mul(Matrix.zero(1, 2))
+
+
+def test_transpose_of_a_matrix_without_rows():
+    t = Matrix.zero(0, 4).transpose()
+    assert (t.rows, t.cols) == (4, 0)
+    assert t.entries == ((),) * 4
+    assert t.transpose() == Matrix.zero(0, 4)
+    assert t.apply(()) == (F(0),) * 4
+    assert Matrix.zero(0, 4).apply((1, 2, 3, 4)) == ()
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(0, 4).apply((1,))
+    assert t.rank() == Matrix.zero(0, 4).rank() == 0
+    assert nullspace(Matrix.zero(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
+
+
+def test_from_rows_needs_a_width():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows([])
+    assert Matrix.from_rows([], 3) == Matrix.zero(0, 3)
+    assert Matrix.from_rows([[1, 2]]).cols == 2
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows([[1, 2]], 3)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows([[1, 2], [1]])

@@ -25,7 +25,7 @@ from msn.cli import main
 from msn.linalg import Matrix
 from msn.maps import LinearMap, identity_map
 from msn.seminorms import PolyhedralSeminorm
-from msn.spaces import MultiSpace, line_space
+from msn.spaces import MultiSpace, line_space, trivial_space
 from msn.tower import build_tower
 
 S = PolyhedralSeminorm.from_functionals
@@ -128,6 +128,23 @@ def test_mutated_files_fail_with_format_error(case):
     rc, err = _run(*case)
     assert rc == 1
     assert json.loads(err)["error"] == "FormatError"
+
+
+def test_empty_matrix_loads_only_into_the_zero_space():
+    q = io.space_to_doc(line_space(1))
+    doc = {"format": io.FORMAT, "domain": q, "codomain": q, "matrix": []}
+    rc, err = _run("map", io.dumps(doc))
+    assert (rc, json.loads(err)["error"]) == (1, "FormatError")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.json"
+        io.write_json(path, doc)
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()) as out:
+            assert main(["map", "opnorm", str(path)]) == 1
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == "FormatError"
+    f = io.map_from_doc({**doc, "codomain": io.space_to_doc(trivial_space(1))})
+    assert f.matrix == Matrix.zero(0, 1)
 
 
 def _tower_files():

@@ -24,7 +24,7 @@ from msn.maps import (
     upper_witness,
 )
 from msn.seminorms import PolyhedralSeminorm, seminorm_kernel
-from msn.spaces import MultiSpace, invariant_alpha, line_space
+from msn.spaces import MultiSpace, invariant_alpha, line_space, trivial_space
 
 from genhelpers import block_embedding_triple, image_space, random_invertible
 from oracles import fraction_pullbacks
@@ -337,3 +337,22 @@ def test_level_pass_pulls_back_once_per_level_and_matches_one_level_functions(mo
         assert calls == [m for m in levels if not _is_identity_on_level(f, m)]
         assert rep.per_level == tuple((operator_seminorm(f, m), lower_constant(f, m)) for m in levels)
     assert min(seen.values()) >= 10 and len(seen) == 7, seen
+
+
+def test_maps_out_of_the_zero_space():
+    triv = trivial_space(1)
+    Y = linf2()
+    f = LinearMap(triv, Y, Matrix.zero(Y.dim, 0))
+    assert f(()) == (F(0), F(0))
+    assert is_embedding(f, 0) == (True, {})
+    g = LinearMap(Y, line_space(1), Matrix.from_rows([[1, 2]]))
+    gf = compose(g, f)
+    assert gf.domain == triv and gf.matrix == Matrix.zero(1, 0)
+    assert gf(()) == (F(0),)
+    # into the zero space and back: the zero map of Y, a 2x0 times 0x2 product
+    h = LinearMap(Y, triv, Matrix.zero(0, Y.dim))
+    fh = compose(f, h)
+    assert fh.matrix == Matrix.zero(2, 2)
+    assert fh((F(1), F(-3))) == (F(0), F(0))
+    assert compose(h, f).matrix == Matrix.zero(0, 0)
+    assert bm_upper_bound(triv, triv) == 1
