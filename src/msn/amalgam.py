@@ -33,10 +33,10 @@ from msn.errors import (
     NotSeparated,
     ShapeMismatch,
 )
-from msn.linalg import Matrix, Vec, frac
+from msn.linalg import Matrix, Vec, frac, zero_vec
 from msn.lp import solve_lp
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance
-from msn.polytope import canon_rep, polytope_vertices
+from msn.polytope import polytope_vertices
 from msn.seminorms import PolyhedralSeminorm, dual_ball_facets, quotient_norm
 from msn.spaces import (
     MultiSpace,
@@ -131,8 +131,7 @@ def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     for a, b in dual_ball_facets(X.seminorms[n]):
         rows.append((f.matrix.apply(a) + tuple(-x for x in g.matrix.apply(a)), c * b))
     verts = polytope_vertices(rows, total)
-    funcs = sorted({canon_rep(v) for v in verts if any(x != 0 for x in v)})
-    return PolyhedralSeminorm.from_functionals(total, funcs, reduce=False)
+    return PolyhedralSeminorm.from_functionals(total, [v for v in verts if any(v)], reduce=False)
 
 
 def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:
@@ -197,14 +196,16 @@ def pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: Linear
     return _direct_sum(Y, Z, W, f, g, X.length, delta, eps)
 
 
-def _partner_in_ball(target: Vec, adj_rows: list[Vec], ball_funcs, slack_funcs):
+def _partner_in_ball(target: Vec, adj_rows: list[Vec], ball_funcs, slack_funcs, width: int):
     """Least-slack alignment: a ball point whose adjoint image matches target.
 
     Finds coefficients for a point psi of the unit ball of ``ball_funcs``
     and a slack vector in the span of ``slack_funcs`` with
     adjoint(psi) + slack = target, minimising the l1 mass of the slack
     (the least c with target - adjoint(psi) in c times the slack ball).
-    Returns (psi, c) or None when no alignment exists.
+    ``width`` is the dimension of the ball's space, so psi has that
+    length also when ``ball_funcs`` is empty.  Returns (psi, c) or None
+    when no alignment exists.
     """
     kz = len(ball_funcs)
     kx = len(slack_funcs)
@@ -227,15 +228,8 @@ def _partner_in_ball(target: Vec, adj_rows: list[Vec], ball_funcs, slack_funcs):
         res = solve_lp(obj, cons)
     except Infeasible:
         return None
-    lam = res.point[:kz]
-    mu = res.point[kz:2 * kz]
-    psi = None
-    for i, bf in enumerate(ball_funcs):
-        scaled = tuple((lam[i] - mu[i]) * x for x in bf)
-        psi = scaled if psi is None else tuple(a + b for a, b in zip(psi, scaled))
-    if psi is None:
-        psi = ()
-    return psi, res.value
+    coeffs = tuple(a - b for a, b in zip(res.point[:kz], res.point[kz:2 * kz]))
+    return Matrix.from_rows(ball_funcs, width).transpose().apply(coeffs), res.value
 
 
 def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
@@ -253,12 +247,12 @@ def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     gadj = [gt.apply(psi) for psi in fz]
 
     def partner(target: Vec, adj_rows: list[Vec], ball_funcs, width: int) -> Vec:
-        if not dx:
-            return (Fraction(0),) * width
-        hit = _partner_in_ball(target, adj_rows, ball_funcs, fx)
+        if not dx:  # 0 aligns with the empty target; returning it saves one LP per functional
+            return zero_vec(width)
+        hit = _partner_in_ball(target, adj_rows, ball_funcs, fx, width)
         if hit is None or hit[1] > c:
             raise ValueError("no aligned partner within the coupling budget")
-        return tuple(hit[0]) or (Fraction(0),) * width
+        return hit[0]
 
     funcs = ([tuple(phi) + partner(fadj[i], gadj, fz, dz) for i, phi in enumerate(fy)]
              + [partner(gadj[j], fadj, fy, dy) + tuple(psi) for j, psi in enumerate(fz)])

@@ -7,7 +7,8 @@ apply, compose and subtract like any other.
 Operator seminorms are computed exactly as gauges, in integers.  At level
 m the codomain functionals are pulled back along the map
 (``_pullbacks``: one scaled matrix, one integer dot per functional and
-column, duplicates merged by primitive integer direction), and each
+column, one pullback per +/- direction, the largest, by
+``seminorms._dominant`` in integers), and each
 pullback is returned as an integer row with its scale, the form
 ``lp.gauge_max`` takes.  The operator seminorm is the largest gauge of a
 pullback over the domain's unit ball, and the lower constant is the
@@ -29,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
 from msn.linalg import (
     Matrix,
     Vec,
-    _primitive_direction,
     _scale_to_int,
     dot,
     in_span,
@@ -47,7 +47,7 @@ from msn.linalg import (
     zero_vec,
 )
 from msn.lp import gauge_max, solve_lp
-from msn.seminorms import seminorm_kernel
+from msn.seminorms import _dominant, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
 
@@ -92,11 +92,12 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
     One representative per +/- direction, the largest multiple of it:
     defines the same pulled-back seminorm with a usually much shorter
     list.  The matrix and the functional list are each scaled to
-    integers once, so a pullback is one integer dot per column;
-    directions are compared as primitive integer vectors.  Each kept
-    pullback ``psi`` is returned as ``(ints, s)``, ``psi`` times ``s`` in
-    lowest terms: the ``_scale_to_int`` form of ``psi``, whose Fractions
-    are never built.  The rows are sorted as those Fractions would sort.
+    integers once, so a pullback is one integer dot per column, and all
+    pullbacks share one denominator; the +/- and largest-multiple rule is
+    ``seminorms._dominant``, in integers.  Each kept pullback ``psi`` is
+    returned as ``(ints, s)``, ``psi`` times ``s`` in lowest terms: the
+    ``_scale_to_int`` form of ``psi``, whose Fractions are never built.
+    The rows are sorted as those Fractions would sort.
     """
     cols = list(zip(*f.matrix.entries))
     ints, den = _scale_to_int([x for col in cols for x in col])
@@ -106,21 +107,15 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
     thetas = f.codomain.seminorms[m].functionals
     flat, t = _scale_to_int([x for theta in thetas for x in theta])
     k = f.codomain.dim
-    best: dict[tuple[int, ...], int] = {}
-    for i in range(len(thetas)):
-        it = flat[i * k:(i + 1) * k]
-        g, d = _primitive_direction([sum(map(mul, it, col)) for col in columns])
-        # theta . f == d * |g| / (t * den): keep the largest |g| per d.
-        if abs(g) > best.get(d, 0):
-            best[d] = abs(g)
+    # theta . f is the integer vector over q = t * den; zero pullbacks are dropped.
+    pulled = ([sum(map(mul, flat[i * k:(i + 1) * k], col)) for col in columns]
+              for i in range(len(thetas)))
     q = t * den
     rows = []
-    for d, g in best.items():
+    for d, g in _dominant(pulled):
         # d is primitive, so d * g / q has lowest common denominator q / gcd(g, q).
         h = gcd(g, q)
         rows.append(([x * (g // h) for x in d], q // h))
-    common = lcm(*[s for _, s in rows])
-    rows.sort(key=lambda row: [x * (common // row[1]) for x in row[0]])
     return rows
 
 
@@ -228,6 +223,7 @@ def upper_witness(f: LinearMap, m: int) -> Vec:
     When the seminorm is infinite: a level-m kernel vector whose image has
     nonzero level-m seminorm.
     """
+    _check_level(f, m)
     return _upper_vector(f, m, gauge_max(_pullbacks(f, m), _ball(f.domain.seminorms[m]))[1])
 
 
@@ -254,6 +250,7 @@ def lower_witness(f: LinearMap, m: int) -> Vec:
     Facet LPs: the infimum of a convex function over the sphere is taken
     facet by facet in epigraph form.
     """
+    _check_level(f, m)
     return _lower_vector(f.domain.dim, _ball(f.domain.seminorms[m]), _pullbacks(f, m))
 
 
@@ -317,20 +314,17 @@ def map_distance(f: LinearMap, g: LinearMap, m: int):
     return operator_seminorm(map_sub(f, g), m)
 
 
-def sup_distance(f: LinearMap, g: LinearMap):
-    """max of map_distance over all domain levels (None if any is unbounded)."""
-    vals = [map_distance(f, g, m) for m in range(f.domain.length)]
-    if any(v is None for v in vals):
-        return None
-    return max(vals) if vals else Fraction(0)
-
-
 def mb_norm(f: LinearMap):
     """sup over shared levels of the operator seminorms (None = unbounded)."""
     vals = [operator_seminorm(f, m) for m in range(f.domain.length)]
     if any(v is None for v in vals):
         return None
     return max(vals) if vals else Fraction(0)
+
+
+def sup_distance(f: LinearMap, g: LinearMap):
+    """max of map_distance over all domain levels (None if any is unbounded)."""
+    return mb_norm(map_sub(f, g))
 
 
 # --- multi-isomorphisms from kernel invariants -----------------------------

@@ -153,19 +153,19 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
             best = max(best, Y.seminorms[m](vec_sub(a, b)) / targets[m])
         return best
 
+    # faces can be unbounded along degenerate directions; quotient out by
+    # pinning the kernel coordinates to zero for a canonical section
+    pins = []
+    for k in joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0]):
+        pins.append((k, Fraction(0)))
+        pins.append((tuple(-x for x in k), Fraction(0)))
     points: set[Vec] = set()
     for eqs, ineqs in _sphere_faces(Y, targets):
         rows = list(ineqs)
         for a, b in eqs:
             rows.append((a, b))
             rows.append((tuple(-x for x in a), -b))
-        # faces can be unbounded along degenerate directions; quotient out
-        kernel = joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0])
-        if kernel:
-            # pin the kernel coordinates to zero for a canonical section
-            for k in kernel:
-                rows.append((k, Fraction(0)))
-                rows.append((tuple(-x for x in k), Fraction(0)))
+        rows += pins
         try:
             verts = polytope_vertices(rows, Y.dim)
         except UnboundedPolyhedron:

@@ -1,9 +1,11 @@
 """Polyhedral seminorms: evaluation, kernels, duality, quotients.
 
 A seminorm is stored as the canonical finite family of functionals whose
-absolute values it maximises.  The list keeps one representative per +/-
-pair, sorted, with redundant members (those inside the convex hull of
-the others and their negatives) removed by exact LP membership tests.
+absolute values it maximises.  The list keeps one functional per +/-
+direction, the largest multiple, sorted (``_dominant``, in integers over
+one common denominator), with redundant members (those inside the convex
+hull of the others and their negatives) removed by exact LP membership
+tests.
 The empty family encodes the zero seminorm, and ``from_functionals``
 builds it from an empty list like any other, so callers need no special
 case.  Evaluation is in integers: each call scales ``x`` and the whole
@@ -35,24 +37,25 @@ from msn.linalg import (
     zero_vec,
 )
 from msn.lp import gauge_scale
-from msn.polytope import canon_rep, polytope_facets
+from msn.polytope import polytope_facets
 
 
-def _dominance_filter(funcs: list[Vec]) -> list[Vec]:
-    """Keep only the largest multiple within each +/- direction class.
+def _dominant(vectors) -> list[tuple[tuple[int, ...], int]]:
+    """One ``(d, g)`` per +/- direction of the integer ``vectors``, the largest.
 
-    A direction is keyed by its primitive integer vector; ``f`` is
-    ``g / m`` times it, so sizes compare as ``|g| / m`` in integers.
+    ``d`` is the ``_primitive_direction`` key and ``g`` the largest size
+    along it; zero vectors have no direction and are dropped.  Sorted by
+    the integer vector ``g * d``, which is the order of the vectors
+    themselves, signed to a positive first entry, when they share one
+    denominator.
     """
-    best: dict[tuple[int, ...], tuple[int, int, Vec]] = {}
-    for f in funcs:
-        ints, m = _scale_to_int(f)
-        g, d = _primitive_direction(ints)
+    best: dict[tuple[int, ...], int] = {}
+    for v in vectors:
+        g, d = _primitive_direction(v)
         g = abs(g)
-        cur = best.get(d)
-        if cur is None or g * cur[1] > cur[0] * m:
-            best[d] = (g, m, f)
-    return sorted(f for _, _, f in best.values())
+        if g > best.get(d, 0):
+            best[d] = g
+    return sorted(best.items(), key=lambda dg: [dg[1] * x for x in dg[0]])
 
 
 def _in_symmetric_hull(phi: Vec, others: list[Vec]) -> bool:
@@ -79,19 +82,20 @@ class PolyhedralSeminorm:
                 raise DimensionMismatch("functional arity != dim")
             if all(x == 0 for x in f):
                 raise ValueError("zero functionals are not stored; use the empty list")
-            funcs.append(canon_rep(f))
-        funcs = _dominance_filter(sorted(set(funcs)))
+            funcs.append(f)
+        # The whole list over one common denominator m, so _dominant's
+        # integer sizes and order are those of the Fractions.
+        flat, m = _scale_to_int([x for f in funcs for x in f])
+        funcs = [tuple(Fraction(g * x, m) for x in d)
+                 for d, g in _dominant(flat[i * dim:(i + 1) * dim] for i in range(len(funcs)))]
         if reduce and len(funcs) > 1:
-            kept = list(funcs)
             i = 0
-            while i < len(kept):
-                others = kept[:i] + kept[i + 1:]
-                if _in_symmetric_hull(kept[i], others):
-                    kept.pop(i)
+            while i < len(funcs):
+                if _in_symmetric_hull(funcs[i], funcs[:i] + funcs[i + 1:]):
+                    funcs.pop(i)
                 else:
                     i += 1
-            funcs = kept
-        return PolyhedralSeminorm(dim, tuple(sorted(funcs)))
+        return PolyhedralSeminorm(dim, tuple(funcs))
 
     @staticmethod
     def zero(dim: int) -> "PolyhedralSeminorm":

@@ -117,9 +117,6 @@ def build_tower(catalog, deltas, stage_budget: int, seed: int, omega: bool = Fal
         stage = res.space
         embeds = [compose(res.leg_y, e) for e in embeds]
         embeds.append(res.leg_z)
-    if omega:
-        while stage.length < 1:
-            stage = extend_with_norm(stage)
     if not is_separated(stage):
         stage = extend_with_norm(stage)
         embeds = [_retarget(e, stage) for e in embeds]
@@ -145,26 +142,16 @@ def build_tower(catalog, deltas, stage_budget: int, seed: int, omega: bool = Fal
                 continue
             eta = _sampled_eta(base, cur, delta, r)
             pairs.append((f"catalog:{j}", base, eta, delta))
-        res = multi_amalgam(cur, [(src_g.domain, src_g, e, d) for (_, src_g, e, d) in pairs], eps) \
-            if pairs else None
-        if res is not None:
-            nxt = res.space
-            link = res.into
-            j_maps = list(res.legs)
-            bounds = list(res.bounds)
-        else:
-            nxt = cur
-            link = identity_map(cur)
-            j_maps = []
-            bounds = []
+        res = multi_amalgam(cur, [(src_g.domain, src_g, e, d) for (_, src_g, e, d) in pairs], eps)
+        nxt, link = res.space, res.into
         if omega:
             while nxt.length < n + 2:
                 nxt = extend_with_norm(nxt)
         if not is_separated(nxt):
             nxt = extend_with_norm(nxt)
         link = _retarget(link, nxt)
-        j_maps = [_retarget(j, nxt) for j in j_maps]
-        for (src, gamma, eta, delta), j_map, bnd in zip(pairs, j_maps, bounds):
+        j_maps = [_retarget(j, nxt) for j in res.legs]
+        for (src, gamma, eta, delta), j_map, bnd in zip(pairs, j_maps, res.bounds):
             discharges.append(DischargeRecord(n, src, gamma, eta, delta, eps, j_map, bnd))
         for (src, gamma, eta, delta) in trivial_pairs:
             bnd = tuple(Fraction(0) for _ in range(gamma.domain.length))

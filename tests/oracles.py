@@ -6,8 +6,10 @@ cone-ray enumeration, 1-D breakpoint minimisation, the full-tableau
 integer simplex (``full_pivot``/``full_bland_min``, one column per
 variable) that the condensed kernel in ``msn._kernel.pure`` replaced, and
 the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
-``msn.maps`` replaced, and the Fraction seminorm value
+``msn.maps`` replaced, the Fraction seminorm value
 (``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
+replaced, and the Fraction front end of ``from_functionals``
+(``fraction_front_end``) that the integer ``seminorms._dominant``
 replaced.
 """
 
@@ -254,3 +256,23 @@ def fraction_seminorm(functionals, x):
     """``max |f . x|`` over the functionals in Fraction arithmetic; 0 for none."""
     return max((abs(sum((Fraction(a) * Fraction(b) for a, b in zip(f, x)), Fraction(0)))
                 for f in functionals), default=Fraction(0))
+
+
+def fraction_front_end(functionals):
+    """The functional list of ``from_functionals(..., reduce=False)`` in Fraction arithmetic.
+
+    Each functional signed so that its first nonzero entry is positive,
+    then a set, then within a direction (the vector over that entry) only
+    the largest multiple kept, then sorted.
+    """
+    reps = set()
+    for f in functionals:
+        f = tuple(Fraction(x) for x in f)
+        lead = next(x for x in f if x != 0)
+        reps.add(f if lead > 0 else tuple(-x for x in f))
+    best = {}
+    for f in reps:
+        lead = next(x for x in f if x != 0)
+        key = tuple(x / lead for x in f)
+        best[key] = max(best.get(key, lead), lead)
+    return sorted(tuple(x * size for x in key) for key, size in best.items())

@@ -2,8 +2,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from msn import maps
 from msn.amalgam import pushout
+from msn.errors import BadLevel
 from msn.linalg import Matrix, _scale_to_int, in_span, inverse
 from msn.lp import gauge_scale
 from msn.maps import (
@@ -96,6 +99,13 @@ def test_map_distance_examples():
     neg = LinearMap(q, q, Matrix.from_rows([[-1]]))
     assert map_distance(i, i, 0) == 0
     assert map_distance(i, neg, 0) == 2
+    # sup_distance is the largest level distance, None when one is unbounded
+    Y = line_space(1, 3)
+    for X, want in ((line_space(1, 1), F(6)), (MultiSpace((S(1, [(1,)]), S(1, []))), None)):
+        f = LinearMap(X, Y, Matrix.from_rows([[1]]))
+        g = LinearMap(X, Y, Matrix.from_rows([[-1]]))
+        assert map_distance(f, g, 0) == 2
+        assert map_distance(f, g, 1) == want and sup_distance(f, g) == want
 
 
 def test_map_distance_pseudometric_random():
@@ -356,3 +366,14 @@ def test_maps_out_of_the_zero_space():
     assert fh((F(1), F(-3))) == (F(0), F(0))
     assert compose(h, f).matrix == Matrix.zero(0, 0)
     assert bm_upper_bound(triv, triv) == 1
+
+
+def test_one_level_functions_reject_levels_outside_the_domain():
+    # X has levels 0 and 1; Y has a level 2, so an unchecked level -1 would
+    # read X's level 1 against Y's level 2, and level 2 would overrun X.
+    f = LinearMap(line_space(1, 2), line_space(1, 3, 5), Matrix.from_rows([[1]]))
+    for fn in (operator_seminorm, lower_constant, upper_witness, lower_witness):
+        for m in (-1, 2):
+            with pytest.raises(BadLevel):
+                fn(f, m)
+        fn(f, 1)

@@ -15,7 +15,7 @@ from msn.seminorms import (
     seminorm_kernel,
 )
 
-from oracles import fraction_seminorm
+from oracles import fraction_front_end, fraction_seminorm
 
 F = Fraction
 S = PolyhedralSeminorm.from_functionals
@@ -54,6 +54,31 @@ def test_integer_eval_matches_fraction_oracle(case):
             with pytest.raises(DimensionMismatch):
                 s(bad)
     assert PolyhedralSeminorm.zero(dim)(x) == 0
+
+
+@st.composite
+def _redundant_lists(draw):
+    """Functional lists with repeats, sign flips and positive rational multiples."""
+    dim = draw(st.integers(0, 4))
+    if dim == 0:  # no nonzero functional has arity 0
+        return dim, []
+    bases = draw(st.lists(st.tuples(*[entry] * dim).filter(any), min_size=1, max_size=4))
+    multiple = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+    picks = draw(st.lists(st.tuples(st.sampled_from(bases), st.sampled_from((1, -1)), multiple),
+                          max_size=8))
+    return dim, [tuple(sign * c * x for x in b) for b, sign, c in picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_redundant_lists())
+def test_front_end_matches_fraction_oracle(case):
+    dim, funcs = case
+    got = S(dim, funcs, reduce=False).functionals
+    assert list(got) == fraction_front_end(funcs)
+    assert all(type(x) is Fraction for f in got for x in f)
+    # reduction only drops functionals, so the list stays sorted
+    reduced = S(dim, funcs).functionals
+    assert set(reduced) <= set(got) and list(reduced) == sorted(reduced)
 
 
 def test_kernel_examples():
