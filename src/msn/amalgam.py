@@ -392,7 +392,7 @@ def product_amalgam(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
         blocks.append(res.space)
         legy_blocks.append(res.leg_y.matrix.mul(qy.projection))
         legz_blocks.append(res.leg_z.matrix.mul(qz.projection))
-    W = product_space(blocks, "coordinate")
+    W = product_space(blocks)
     leg_y = LinearMap(Y, W, Matrix.from_rows((r for m in legy_blocks for r in m.entries), Y.dim))
     leg_z = LinearMap(Z, W, Matrix.from_rows((r for m in legz_blocks for r in m.entries), Z.dim))
     cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), i) for i in range(X.length))

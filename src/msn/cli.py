@@ -16,15 +16,20 @@ from pathlib import Path
 from msn import io
 from msn.amalgam import multi_amalgam, product_amalgam, pushout
 from msn.errors import BadLevel, MsnError
+from msn.linalg import Matrix
 from msn.maps import (
+    LinearMap,
     bm_upper_bound,
     build_iso_from_invariant,
+    compose,
     is_embedding,
     map_distance,
     operator_seminorm,
 )
-from msn.ramsey import build_net, oscillation, search_monochromatic
+from msn.ramsey import build_net, oscillation, product_colouring, product_embedding, search_monochromatic
+from msn.seeding import rng as seeded_rng
 from msn.spaces import (
+    MultiSpace,
     extend_with_norm,
     graded_closure,
     invariant_alpha,
@@ -292,11 +297,6 @@ def cmd_ramsey_search(args):
 
 
 def cmd_ramsey_product(args):
-    from msn.ramsey import product_colouring, product_embedding
-    from msn.maps import LinearMap, compose
-    from msn.spaces import MultiSpace
-    from msn.seeding import rng as seeded_rng
-
     X = io.load_space(args.x)
     blocks = [io.load_space(p) for p in args.blocks]
     rho = [io.load_map(p) for p in args.rho]
@@ -307,8 +307,6 @@ def cmd_ramsey_product(args):
     checked = 0
     for _ in range(args.samples):
         sgn = -1 if r.randrange(2) else 1
-        from msn.linalg import Matrix
-
         eta = LinearMap(X, X, Matrix.identity(X.dim).scale(sgn))
         lhs = c(compose(rho_full, eta))
         levels = [LinearMap(MultiSpace((X.seminorms[j],)), MultiSpace((X.seminorms[j],)),

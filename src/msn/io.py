@@ -15,6 +15,7 @@ from pathlib import Path
 from msn.errors import DimensionMismatch, MsnError, ShapeMismatch
 from msn.linalg import Matrix
 from msn.maps import LinearMap
+from msn.ramsey import Colouring, EmbeddingNet
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import MultiSpace
 from msn.tower import BackForthRecord, DischargeRecord, Tower
@@ -371,8 +372,6 @@ def net_to_doc(net) -> dict:
 
 
 def net_from_doc(doc):
-    from msn.ramsey import EmbeddingNet
-
     what = "net file"
     _check_format(doc, what)
     dom = space_from_doc(_field(doc, "domain", dict, what))
@@ -389,8 +388,6 @@ def colouring_from_doc(doc):
     """A discrete (int values, with a colour count) or continuous (rational
     values) colouring, given by a table of point matrices or by the builtin
     ``["coordinate-clamp", COORDINATE]``."""
-    from msn.ramsey import Colouring
-
     what = "colouring file"
     _check_format(doc, what)
     kind = _field(doc, "kind", str, what)

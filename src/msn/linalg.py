@@ -2,9 +2,11 @@
 
 Vectors are tuples of ``Fraction``; matrices are immutable row-major grids
 that carry their shape, so matrices with no rows or no columns need no
-special case anywhere else.  Row-space computations are delegated to the
-integer echelon kernel after clearing denominators row by row (row
-scaling preserves spans/kernels).
+special case anywhere else.  Each subspace question but a span
+intersection clears denominators row by row (row scaling preserves spans
+and kernels), makes one call to the integer echelon kernel, and builds
+Fractions only from the primitive integers it returns.  Zero rows need no filter: the kernel never pivots
+on them.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ def _primitive_direction(ints) -> tuple[int, tuple[int, ...]]:
     return g, tuple(x // g for x in ints)
 
 
-def canon_vector(v: Vec) -> Vec:
-    """Scale to a primitive integer vector whose first nonzero entry is positive."""
-    _, d = _primitive_direction(_scale_to_int(v)[0])
-    return tuple(Fraction(x) for x in d)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable exact ``rows x cols`` matrix; ``entries[i][j]`` is row i, column j.
@@ -154,39 +150,45 @@ class Matrix:
 
 def row_space_basis(rows: list[Vec]) -> list[Vec]:
     """Canonical basis (reduced, primitive, positive pivots) of a row span."""
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return []
-    _, _, out = _kernel.echelon_int(int_rows(rows))
     # echelon_int rows are primitive with a positive pivot first: canonical already.
-    return [tuple(map(Fraction, r)) for r in out]
+    return [tuple(map(Fraction, r)) for r in _kernel.echelon_int(int_rows(rows))[2]]
 
 
-def nullspace(mat: Matrix) -> list[Vec]:
-    """Canonical kernel basis of the matrix as a linear map."""
-    n = mat.cols
-    live = [r for r in mat.entries if any(x != 0 for x in r)]
-    if not live:
-        return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    rank, pivcols, red = _kernel.echelon_int(int_rows(live))
+def _int_nullspace(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
+    """Canonical kernel basis of integer rows of width ``n``, as primitive integers.
+
+    Free column f gives v[f] = L and v[p] = -red[i][f] * (L / red[i][p])
+    for each pivot p, with L the lcm of the pivot entries; each vector is
+    then made primitive with its first nonzero entry positive.
+    """
+    _, pivcols, red = _kernel.echelon_int(rows)
     pivset = set(pivcols)
+    m = lcm(*(r[p] for r, p in zip(red, pivcols)))
     basis = []
     for f in range(n):
         if f in pivset:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivcols):
-            v[p] = Fraction(-red[i][f], red[i][p])
-        basis.append(canon_vector(tuple(v)))
+        v = [0] * n
+        v[f] = m
+        for r, p in zip(red, pivcols):
+            v[p] = -r[f] * (m // r[p])
+        basis.append(_primitive_direction(v)[1])
     return basis
 
 
+def nullspace(mat: Matrix) -> list[Vec]:
+    """Canonical kernel basis of the matrix as a linear map."""
+    return [tuple(map(Fraction, v)) for v in _int_nullspace(int_rows(mat.entries), mat.cols)]
+
+
 def in_span(rows: list[Vec], v: Vec) -> bool:
-    base = row_space_basis(rows)
-    if not any(x != 0 for x in v):
-        return True
-    return len(row_space_basis(base + [v])) == len(base)
+    """Whether ``v`` lies in the span of ``rows``.
+
+    The rows ``[r | 0]`` and ``[v | 1]`` reduce to a pivot in the last
+    column iff ``[0 | 1]`` is in their span, that is, iff ``v`` is too.
+    """
+    aug = [(*r, 0) for r in rows] + [(*v, 1)]
+    return len(v) in _kernel.echelon_int(int_rows(aug))[1]
 
 
 def sum_span(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
@@ -199,22 +201,11 @@ def intersect_spans(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
     V = row_space_basis(vrows)
     if not U or not V:
         return []
-    n = len(U[0])
-    # Solve alpha·U - beta·V = 0; intersection vectors are alpha·U.
-    cols = []
-    for j in range(n):
-        cols.append([u[j] for u in U] + [-v[j] for v in V])
-    system = Matrix.from_rows([[cols[j][i] for i in range(len(U) + len(V))] for j in range(n)])
-    sols = nullspace(system)
-    vecs = []
-    for s in sols:
-        alpha = s[: len(U)]
-        w = zero_vec(n)
-        for a, u in zip(alpha, U):
-            w = vec_add(w, vec_scale(a, u))
-        if any(x != 0 for x in w):
-            vecs.append(w)
-    return row_space_basis(vecs)
+    # The system's columns are U's rows and -V's: a kernel vector (alpha, beta)
+    # has alpha·U = beta·V, and the system maps (alpha, 0) to alpha·U.
+    system = Matrix.from_rows(U + [vec_scale(-1, v) for v in V]).transpose()
+    pad = zero_vec(len(V))
+    return row_space_basis([system.apply(s[: len(U)] + pad) for s in nullspace(system)])
 
 
 def solve(mat: Matrix, b: Vec) -> Vec | None:
@@ -222,46 +213,38 @@ def solve(mat: Matrix, b: Vec) -> Vec | None:
     if len(b) != mat.rows:
         raise DimensionMismatch("rhs length")
     n = mat.cols
-    aug_rows = [tuple(mat.entries[i]) + (b[i],) for i in range(mat.rows)]
-    live = [r for r in aug_rows if any(x != 0 for x in r)]
-    if not live:
-        return zero_vec(n)
-    rank, pivcols, red = _kernel.echelon_int(int_rows(live))
+    _, pivcols, red = _kernel.echelon_int(int_rows((*r, x) for r, x in zip(mat.entries, b)))
     if n in pivcols:
         return None
     x = [Fraction(0)] * n
-    for i, p in enumerate(pivcols):
-        x[p] = Fraction(red[i][n], red[i][p])
+    for r, p in zip(red, pivcols):
+        x[p] = Fraction(r[n], r[p])
     return tuple(x)
 
 
 def inverse(mat: Matrix) -> Matrix | None:
+    """The inverse matrix, or None if singular.
+
+    [M | I] reduces to rows c_i * [e_i | row i of M^-1].  Each augmented
+    row is scaled to integers as a whole: scaling M's part alone would
+    give the inverse of the scaled matrix.
+    """
     n = mat.rows
     if mat.cols != n:
         raise DimensionMismatch("inverse of non-square matrix")
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        x = solve(mat, e)
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), n)
+    aug = int_rows((*r, *(int(i == j) for j in range(n))) for i, r in enumerate(mat.entries))
+    _, pivcols, red = _kernel.echelon_int(aug)
+    if pivcols != list(range(n)):
+        return None
+    return Matrix(tuple(tuple(Fraction(x, r[i]) for x in r[n:]) for i, r in enumerate(red)), n)
 
 
 def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:
-    """Lexicographically first coordinate indices complementing a span."""
-    base = row_space_basis(span_rows)
-    chosen: list[int] = []
-    current = list(base)
-    r = len(base)
-    for i in range(dim):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-        cand = row_space_basis(current + [e])
-        if len(cand) > r:
-            chosen.append(i)
-            current = cand
-            r += 1
-        if r == dim:
-            break
-    return chosen
+    """Lexicographically first coordinate indices complementing a span.
+
+    Coordinate i is skipped iff some span vector has its last nonzero
+    entry at i, that is, iff column i pivots once the columns are reversed.
+    """
+    _, pivcols, _ = _kernel.echelon_int([r[::-1] for r in int_rows(span_rows)])
+    last = {dim - 1 - p for p in pivcols}
+    return [i for i in range(dim) if i not in last]

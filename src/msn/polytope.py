@@ -18,29 +18,21 @@ combinatorially, by tight-set containment, with no rank computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from msn import _kernel
+from msn._kernel import _row_primitive
 from msn.errors import UnboundedPolyhedron
-from msn.linalg import Matrix, Vec, _scale_to_int, coordinate_complement, frac, int_rows, vec
+from msn.linalg import Vec, _int_nullspace, _scale_to_int, coordinate_complement, frac, int_rows, vec
+from msn.lp import lp_feasible
 
 Ineq = tuple[Vec, Fraction]  # a . x <= b
 
 
-def _primitive_int(vals: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-    if g == 0:
-        return tuple(vals)
-    return tuple(v // g for v in vals)
-
-
 def canon_ineq(a, b) -> Ineq:
     """Scale a . x <= b by a positive rational to primitive integers."""
-    ints, _ = _scale_to_int((*vec(a), frac(b)))
-    prim = _primitive_int(ints)
-    return tuple(Fraction(x) for x in prim[:-1]), Fraction(prim[-1])
+    *c, d = _row_primitive(_scale_to_int((*vec(a), frac(b)))[0])
+    return tuple(map(Fraction, c)), Fraction(d)
 
 
 def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
@@ -65,7 +57,7 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
     _, _, red = _kernel.echelon_int(aug)
     m = lcm(*(r[i] for i, r in enumerate(red)))
     scale = [m // r[i] for i, r in enumerate(red)]
-    rays = [_primitive_int([s * r[dim + j] for s, r in zip(scale, red)]) for j in range(dim)]
+    rays = [tuple(_row_primitive([s * r[dim + j] for s, r in zip(scale, red)])) for j in range(dim)]
     # Ray j lies on every chosen row but row j.
     full = (1 << dim) - 1
     tight = [full ^ (1 << j) for j in range(dim)]
@@ -91,7 +83,7 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
                 if any(t & common == common for k, t in enumerate(tight) if k != p and k != q):
                     continue
                 vq = vals[q]
-                new_rays.append(_primitive_int([vp * qx - vq * px for px, qx in zip(rp, rays[q])]))
+                new_rays.append(tuple(_row_primitive([vp * qx - vq * px for px, qx in zip(rp, rays[q])])))
                 new_tight.append(common | bit)
         rays = [rays[k] for k in plus] + [rays[k] for k in zero] + new_rays
         tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero] + new_tight
@@ -113,58 +105,47 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
     if rays is None:
         # The homogenising cone has lineality: the polytope is empty or
         # contains a line.  Decide exactly via feasibility.
-        from msn.lp import lp_feasible
-
         if lp_feasible(ineqs):
             raise UnboundedPolyhedron("feasible set contains a line")
         return []
-    verts = []
-    for r in rays:
-        t = r[0]
-        if t < 0:
-            continue
-        if t == 0:
-            raise UnboundedPolyhedron("recession ray found during conversion")
-        verts.append(tuple(Fraction(x, t) for x in r[1:]))
-    return sorted(set(verts))
+    # The last row keeps t = r[0] >= 0 on every ray; t == 0 is a recession ray.
+    if any(r[0] == 0 for r in rays):
+        raise UnboundedPolyhedron("recession ray found during conversion")
+    # Distinct primitive rays are distinct vertices; sort them on integer
+    # numerators over one common denominator.
+    m = lcm(*(r[0] for r in rays))
+    rays.sort(key=lambda r: [x * (m // r[0]) for x in r[1:]])
+    return [tuple(Fraction(x, r[0]) for x in r[1:]) for r in rays]
 
 
 def polytope_facets(points: list[Vec], dim: int) -> list[Ineq]:
     """Canonical irredundant H-representation of conv(points).
 
     Lower-dimensional hulls yield implicit equalities, emitted as pairs of
-    opposite inequalities.
+    opposite inequalities.  Each inequality c . x <= c0 is built as the
+    primitive integer row (c, c0), and becomes Fractions only at the end.
     """
     if not points:
         raise ValueError("cannot convert an empty vertex set")
     if dim == 0:
         return []
     D = dim + 1
-    gens = [[Fraction(1)] + list(p) for p in points]
-    grows = int_rows(gens)
-    gmat = Matrix.from_rows([[Fraction(x) for x in r] for r in grows])
-    from msn.linalg import nullspace
-
-    lin = nullspace(gmat)  # y with gen . y = 0: implicit equalities
-    out: list[Ineq] = []
+    grows = int_rows([(1, *p) for p in points])
+    lin = _int_nullspace(grows, D)  # y with gen . y = 0: implicit equalities
+    out = set()
     for y in lin:
-        c0, c = y[0], y[1:]
-        out.append(canon_ineq(c, -c0))
-        out.append(canon_ineq(tuple(-x for x in c), c0))
+        out.add((*y[1:], -y[0]))
+        out.add((*(-x for x in y[1:]), y[0]))
     comp = coordinate_complement(lin, D)
-    k = len(comp)
     # Constraint matrix of the polar cone restricted to the complement.
     sub = [[row[j] for j in comp] for row in grows]
-    rays = _cone_rays(sub, k)
-    for rz in rays:
-        y = [Fraction(0)] * D
+    for rz in _cone_rays(sub, len(comp)):
+        y = [0] * D
         for zi, j in zip(rz, comp):
-            y[j] = Fraction(zi)
-        c0, c = y[0], tuple(y[1:])
-        if all(x == 0 for x in c):
-            continue
-        out.append(canon_ineq(tuple(-x for x in c), c0))
-    return sorted(set(out))
+            y[j] = zi
+        if any(y[1:]):
+            out.add((*(-x for x in y[1:]), y[0]))
+    return [(tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in sorted(out)]
 
 
 def canon_rep(v: Vec) -> Vec:

@@ -129,6 +129,8 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
     with mesh at most eps.  Raises when the constraint set is empty.
     """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise BadArgument("eps must be positive")
     if X.dim != 1:
         raise DimensionMismatch("exhaustive enumeration needs a one-dimensional domain")
     if X.length > Y.length:
@@ -341,7 +343,7 @@ def product_colouring(c: Colouring, X: MultiSpace, blocks):
     ``blocks`` are the single-level codomains; the induced value on a
     tuple is the value of c on the stacked embedding into their product.
     """
-    Z = product_space(list(blocks), "coordinate")
+    Z = product_space(list(blocks))
 
     def evaluate(factor_maps) -> Fraction | int:
         stacked = product_embedding(factor_maps, Z, X)

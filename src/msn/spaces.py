@@ -156,42 +156,27 @@ def _pad_functionals(funcs, offset: int, total: int):
     return out
 
 
-def product_space(factors, mode: str = "coordinate") -> MultiSpace:
-    """Direct sum with coordinate or running-max seminorms.
+def product_space(factors) -> MultiSpace:
+    """Direct sum of single-seminorm factors with coordinate seminorms.
 
-    In coordinate mode each factor carries a single seminorm and supplies
-    exactly the level matching its position; graded-max mode takes the
-    running max over block seminorms.
+    Each factor supplies exactly the level matching its position; the
+    running-max version is ``graded_closure`` of this one.
     """
     factors = list(factors)
     if not factors:
         raise ArityMismatch("empty product")
     if len(factors) == 1:
         return factors[0]
-    if mode == "coordinate":
-        if any(f.length != 1 for f in factors):
-            raise ArityMismatch("coordinate mode requires single-seminorm factors")
-        total = sum(f.dim for f in factors)
-        sems = []
-        off = 0
-        for f in factors:
-            padded = _pad_functionals(f.seminorms[0].functionals, off, total)
-            sems.append(PolyhedralSeminorm.from_functionals(total, padded, reduce=False))
-            off += f.dim
-        return MultiSpace(tuple(sems), graded=False)
-    if mode == "graded-max":
-        if any(f.length != 1 for f in factors):
-            raise ArityMismatch("graded-max mode requires single-seminorm factors")
-        total = sum(f.dim for f in factors)
-        sems = []
-        acc = []
-        off = 0
-        for f in factors:
-            acc.extend(_pad_functionals(f.seminorms[0].functionals, off, total))
-            sems.append(PolyhedralSeminorm.from_functionals(total, acc))
-            off += f.dim
-        return MultiSpace(tuple(sems), graded=True)
-    raise ArityMismatch(f"unknown product mode {mode!r}")
+    if any(f.length != 1 for f in factors):
+        raise ArityMismatch("product_space requires single-seminorm factors")
+    total = sum(f.dim for f in factors)
+    sems = []
+    off = 0
+    for f in factors:
+        padded = _pad_functionals(f.seminorms[0].functionals, off, total)
+        sems.append(PolyhedralSeminorm.from_functionals(total, padded, reduce=False))
+        off += f.dim
+    return MultiSpace(tuple(sems), graded=False)
 
 
 def pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:

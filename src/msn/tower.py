@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from msn.amalgam import multi_amalgam, pushout, sparse_pushout
-from msn.errors import BadArgument, CatalogNotSeparated, PairNotInCertificates
+from msn.errors import BadArgument, CatalogNotSeparated, EmptyEmbeddingSet, PairNotInCertificates
 from msn.linalg import Matrix
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance
+from msn.ramsey import build_net
 from msn.seeding import rng as seeded_rng
-from msn.spaces import MultiSpace, extend_with_norm, is_separated, pullback_space, trivial_space
+from msn.spaces import MultiSpace, extend_with_norm, is_separated, pullback_space, trivial_space, truncate
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,6 @@ def _sampled_eta(base: LinearMap, cur: MultiSpace, delta, r) -> LinearMap:
     member = base.domain
     total_funcs = sum(len(s.functionals) for s in cur.seminorms)
     if member.dim == 1 and total_funcs <= 40:
-        from msn.errors import EmptyEmbeddingSet
-        from msn.ramsey import build_net
-
         try:
             net = build_net(member, cur, Fraction(2))
         except EmptyEmbeddingSet:
@@ -259,10 +257,7 @@ def _seed_object(tower: Tower, stage_index: int, length: int) -> MultiSpace:
     """1-dimensional subspace spanned by the first generator of a stage."""
     stage = tower.stages[stage_index]
     col = Matrix.from_rows([[Fraction(1 if i == 0 else 0)] for i in range(stage.dim)])
-    sub = pullback_space(stage, col)
-    from msn.spaces import truncate
-
-    return truncate(sub, length)
+    return truncate(pullback_space(stage, col), length)
 
 
 def back_and_forth(tower_a: Tower, tower_b: Tower, steps: int, start_level: int = 3) -> BackForthRecord:
@@ -275,6 +270,8 @@ def back_and_forth(tower_a: Tower, tower_b: Tower, steps: int, start_level: int 
     """
     if steps < 1:
         raise BadArgument("at least one step")
+    if start_level < 0:
+        raise BadArgument("start level must be nonnegative")
     n = start_level
     if tower_a.stages == tower_b.stages:
         X0 = _seed_object(tower_a, min(n, len(tower_a.stages) - 1), 1)

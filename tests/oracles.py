@@ -8,14 +8,33 @@ variable) that the condensed kernel in ``msn._kernel.pure`` replaced, and
 the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
 ``msn.maps`` replaced, the Fraction seminorm value
 (``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
-replaced, and the Fraction front end of ``from_functionals``
+replaced, the Fraction front end of ``from_functionals``
 (``fraction_front_end``) that the integer ``seminorms._dominant``
-replaced.
+replaced, and, at the end, the subspace calculus of ``msn.linalg`` as it
+was before it kept integers from one ``echelon_int`` call to the API
+edge (``canon_vector``, ``row_space_basis``, ``nullspace``, ``in_span``,
+``intersect_spans``, ``solve``, ``inverse``, ``coordinate_complement``).
+Those are copied verbatim, so unlike the rest they share the integer
+echelon kernel and the ``Matrix`` type with the library: they pin the
+Fraction front ends around the kernel, not the kernel.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from msn import _kernel
+from msn.errors import DimensionMismatch
+from msn.linalg import (
+    Matrix,
+    Vec,
+    _primitive_direction,
+    _scale_to_int,
+    int_rows,
+    vec_add,
+    vec_scale,
+    zero_vec,
+)
 
 
 def _rref(rows, cols):
@@ -276,3 +295,123 @@ def fraction_front_end(functionals):
         key = tuple(x / lead for x in f)
         best[key] = max(best.get(key, lead), lead)
     return sorted(tuple(x * size for x in key) for key, size in best.items())
+
+
+# --- msn.linalg subspace calculus before the integer rewrite (verbatim) ---
+
+
+def canon_vector(v: Vec) -> Vec:
+    """Scale to a primitive integer vector whose first nonzero entry is positive."""
+    _, d = _primitive_direction(_scale_to_int(v)[0])
+    return tuple(Fraction(x) for x in d)
+
+
+def row_space_basis(rows: list[Vec]) -> list[Vec]:
+    """Canonical basis (reduced, primitive, positive pivots) of a row span."""
+    rows = [r for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        return []
+    _, _, out = _kernel.echelon_int(int_rows(rows))
+    # echelon_int rows are primitive with a positive pivot first: canonical already.
+    return [tuple(map(Fraction, r)) for r in out]
+
+
+def nullspace(mat: Matrix) -> list[Vec]:
+    """Canonical kernel basis of the matrix as a linear map."""
+    n = mat.cols
+    live = [r for r in mat.entries if any(x != 0 for x in r)]
+    if not live:
+        return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
+    rank, pivcols, red = _kernel.echelon_int(int_rows(live))
+    pivset = set(pivcols)
+    basis = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivcols):
+            v[p] = Fraction(-red[i][f], red[i][p])
+        basis.append(canon_vector(tuple(v)))
+    return basis
+
+
+def in_span(rows: list[Vec], v: Vec) -> bool:
+    base = row_space_basis(rows)
+    if not any(x != 0 for x in v):
+        return True
+    return len(row_space_basis(base + [v])) == len(base)
+
+
+def intersect_spans(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
+    """Canonical basis of span(U) ∩ span(V)."""
+    U = row_space_basis(urows)
+    V = row_space_basis(vrows)
+    if not U or not V:
+        return []
+    n = len(U[0])
+    # Solve alpha·U - beta·V = 0; intersection vectors are alpha·U.
+    cols = []
+    for j in range(n):
+        cols.append([u[j] for u in U] + [-v[j] for v in V])
+    system = Matrix.from_rows([[cols[j][i] for i in range(len(U) + len(V))] for j in range(n)])
+    sols = nullspace(system)
+    vecs = []
+    for s in sols:
+        alpha = s[: len(U)]
+        w = zero_vec(n)
+        for a, u in zip(alpha, U):
+            w = vec_add(w, vec_scale(a, u))
+        if any(x != 0 for x in w):
+            vecs.append(w)
+    return row_space_basis(vecs)
+
+
+def solve(mat: Matrix, b: Vec) -> Vec | None:
+    """One exact solution of ``mat x = b``, or None if inconsistent."""
+    if len(b) != mat.rows:
+        raise DimensionMismatch("rhs length")
+    n = mat.cols
+    aug_rows = [tuple(mat.entries[i]) + (b[i],) for i in range(mat.rows)]
+    live = [r for r in aug_rows if any(x != 0 for x in r)]
+    if not live:
+        return zero_vec(n)
+    rank, pivcols, red = _kernel.echelon_int(int_rows(live))
+    if n in pivcols:
+        return None
+    x = [Fraction(0)] * n
+    for i, p in enumerate(pivcols):
+        x[p] = Fraction(red[i][n], red[i][p])
+    return tuple(x)
+
+
+def inverse(mat: Matrix) -> Matrix | None:
+    n = mat.rows
+    if mat.cols != n:
+        raise DimensionMismatch("inverse of non-square matrix")
+    cols = []
+    for j in range(n):
+        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
+        x = solve(mat, e)
+        if x is None:
+            return None
+        cols.append(x)
+    return Matrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), n)
+
+
+def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:
+    """Lexicographically first coordinate indices complementing a span."""
+    base = row_space_basis(span_rows)
+    chosen: list[int] = []
+    current = list(base)
+    r = len(base)
+    for i in range(dim):
+        e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
+        cand = row_space_basis(current + [e])
+        if len(cand) > r:
+            chosen.append(i)
+            current = cand
+            r += 1
+        if r == dim:
+            break
+    return chosen

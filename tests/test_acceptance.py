@@ -202,7 +202,7 @@ def test_criterion_7_product_ramsey_identity():
         sems = [S(2, [(a, 0), (0, a)]) for a in scales]
         X = MultiSpace(tuple(sems))
         blocks = [MultiSpace.make((S(2, [(1, 0), (0, 1)]),)) for _ in range(lam)]
-        Z = product_space(blocks, "coordinate") if lam > 1 else blocks[0]
+        Z = product_space(blocks) if lam > 1 else blocks[0]
         rho = []
         for j in range(lam):
             m = Matrix.identity(2).scale(scales[j])

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from msn import io
-from msn.cli import main
+from msn.cli import main, make_parser
 from msn.errors import NotAnEmbedding
 from msn.linalg import Matrix
 from msn.maps import LinearMap, identity_map
@@ -135,9 +136,10 @@ def test_tower_build_verify_backforth(tmp_path, files):
 
 def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
     q, one = files / "q.json", files / "id.json"
-    tower = tmp_path / "tower"
-    assert run(["--out", tower, "tower", "build", "--catalog", q,
-                "--stages", "2", "--deltas", "0", "--dim-cap", "4"]) == 0
+    tower, other = tmp_path / "tower", tmp_path / "other"
+    for seed, out in (("0", tower), ("5", other)):
+        assert run(["--seed", seed, "--out", out, "tower", "build", "--catalog", q,
+                    "--stages", "2", "--deltas", "0", "--dim-cap", "4"]) == 0
     line = io.space_to_doc(line_space(1))
     io.write_json(tmp_path / "net.json", {"format": io.FORMAT, "domain": line, "codomain": line,
                                           "points": [[["1"]], [["-1"]]], "resolution": "2"})
@@ -151,9 +153,14 @@ def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
         ["amalgam", "push", *spaces],
         ["amalgam", "product", *spaces],
         ["ramsey", "oscillate", "--net", tmp_path / "net.json", "--colouring", tmp_path / "c.json"],
+        ["ramsey", "net", "--x", q, "--y", q, "--eps", "0"],
+        ["ramsey", "net", "--x", q, "--y", q, "--eps=-1/2"],
         [*build, "--stages", "0"],
         [*build, "--stages", "2", "--deltas", "1/4"],
         ["tower", "backforth", tower, tower, "--steps", "0"],
+        ["tower", "backforth", tower, other, "--start=-1"],
+        ["tower", "backforth", tower, tower, "--start=-1"],
+        ["tower", "backforth", tower, other, "--start=-5"],
     ]
     capsys.readouterr()
     for argv in commands:
@@ -182,6 +189,17 @@ def test_ramsey_net_and_search(tmp_path, files):
     assert rc == 0
     wit = json.loads((tmp_path / "witness.json").read_text())
     assert wit["colour"] == 0
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["msn"]]
+    assert len(commands) == 7
+    parser = make_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_console_entry_point(files):

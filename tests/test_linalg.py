@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
@@ -120,3 +121,55 @@ def test_from_rows_needs_a_width():
         Matrix.from_rows([[1, 2]], 3)
     with pytest.raises(DimensionMismatch):
         Matrix.from_rows([[1, 2], [1]])
+
+
+entries = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def _rows(draw, rows, cols):
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        # A multiple of a row: a zero row when c == 0, a singular matrix when i != j.
+        i, j, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1)), draw(entries)
+        m[i] = [c * x for x in m[j]]
+    return Matrix.from_rows(m, cols)
+
+
+@st.composite
+def subspace_questions(draw):
+    """Two matrices of one width (0 to 4 rows and columns), a square one, a rhs and a vector."""
+    cols = draw(st.integers(0, 4))
+    a = _rows(draw, draw(st.integers(0, 4)), cols)
+    b = _rows(draw, draw(st.integers(0, 4)), cols)
+    n = draw(st.integers(0, 4))
+    sq = _rows(draw, n, n)
+    rhs = tuple(draw(st.lists(entries, min_size=a.rows, max_size=a.rows)))
+    v = tuple(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return a, b, sq, rhs, v
+
+
+Z = Matrix.zero
+R = Matrix.from_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_questions())
+@example((Z(0, 3), Z(2, 3), Z(0, 0), (), (F(0),) * 3))
+@example((Z(3, 0), Z(0, 0), Z(2, 2), (F(1), F(0), F(0)), ()))
+@example((R([[F(1, 2), 1], [0, 0]]), R([[1, 0], [0, F(1, 3)]]), R([[F(1, 2), 1], [0, F(1, 3)]]),
+          (F(1), F(2)), (F(1), F(2))))
+@example((R([[1, 2], [2, 4]]), R([[2, 4]]), R([[1, 2], [2, 4]]), (F(1), F(3)), (F(-1), F(-2))))
+def test_subspace_calculus_matches_the_fraction_front_ends(case):
+    """Zero rows, 0 x n and n x 0 matrices and singular ones included."""
+    a, b, sq, rhs, v = case
+    ua, ub = list(a.entries), list(b.entries)
+    got = [nullspace(a), row_space_basis(ua), intersect_spans(ua, ub), solve(a, rhs)]
+    assert got == [oracles.nullspace(a), oracles.row_space_basis(ua), oracles.intersect_spans(ua, ub),
+                   oracles.solve(a, rhs)]
+    assert all(type(x) is F for vs in got[:3] for w in vs for x in w)
+    assert got[3] is None or all(type(x) is F for x in got[3])
+    assert coordinate_complement(ua, a.cols) == oracles.coordinate_complement(ua, a.cols)
+    assert in_span(ua, v) == oracles.in_span(ua, v)
+    inv = inverse(sq)
+    assert inv == oracles.inverse(sq)
+    assert inv is None or all(type(x) is F for r in inv.entries for x in r)

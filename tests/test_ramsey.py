@@ -120,7 +120,7 @@ def test_product_colouring_identity_exact():
     q = line()
     X = MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 1), (1, -1)])))
     blocks = [linf2(), linf2()]
-    Z = product_space(blocks, "coordinate")
+    Z = product_space(blocks)
     ref = Matrix.from_rows([[0], [0], [0], [0]])
 
     def table_free(fm):

@@ -94,9 +94,9 @@ def test_graded_flag_validation():
 def test_product_space_modes():
     a = line_space(1)
     b = line_space(1)
-    p = product_space([a, b], "coordinate")
-    assert p.eval(0, (3, 5)) == 3 and p.eval(1, (3, 5)) == 5
-    g = product_space([a, b], "graded-max")
+    p = product_space([a, b])
+    assert p.eval(0, (3, 5)) == 3 and p.eval(1, (3, 5)) == 5 and not p.graded
+    g = graded_closure(p)
     assert g.eval(0, (3, 5)) == 3 and g.eval(1, (3, 5)) == 5 and g.graded
     assert product_space([a]) is a
 
