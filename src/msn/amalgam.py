@@ -16,7 +16,9 @@ The two-leg constructions share one private skeleton: ``_inputs`` checks
 eps, delta and the map shapes, ``_swapped`` reads the result for (Z, Y)
 as the one for (Y, Z) when Y is the longer space, ``_band`` builds the
 levels at or above the length of X, and ``_direct_sum`` builds the two
-block inclusions and the near-commuting certificate.
+block inclusions and the certificate: the operator seminorms of [f; -g]
+(``_stacked``, built once per pushout, also giving the X rows of the
+coupled dual ball).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from msn.errors import (
 )
 from msn.linalg import Matrix, Vec, frac, zero_vec
 from msn.lp import solve_lp
-from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance
+from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance, operator_seminorm
 from msn.polytope import polytope_vertices
 from msn.seminorms import PolyhedralSeminorm, dual_ball_facets, quotient_norm
 from msn.spaces import (
@@ -103,33 +105,39 @@ def _band(Y: MultiSpace, Z: MultiSpace, n: int, prev: PolyhedralSeminorm | None)
     return PolyhedralSeminorm.from_functionals(total, funcs)
 
 
-def _direct_sum(Y: MultiSpace, Z: MultiSpace, W: MultiSpace, f: LinearMap, g: LinearMap,
+def _stacked(f: LinearMap, g: LinearMap) -> Matrix:
+    """[f; -g], the matrix of ``leg_y . f - leg_z . g`` for block inclusions."""
+    return Matrix(f.matrix.entries + g.matrix.scale(-1).entries, f.domain.dim)
+
+
+def _direct_sum(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, W: MultiSpace, fg: Matrix,
                 levels: int, delta: Fraction, eps: Fraction) -> AmalgamResult:
-    """W = Y (+) Z with its two block inclusions, certified on the first ``levels`` levels."""
+    """W = Y (+) Z with its block inclusions; ``fg``: X -> W certifies the first ``levels`` levels."""
     dy, dz = Y.dim, Z.dim
     leg_y = LinearMap(Y, W, Matrix(Matrix.identity(dy).entries + Matrix.zero(dz, dy).entries, dy))
     leg_z = LinearMap(Z, W, Matrix(Matrix.zero(dy, dz).entries + Matrix.identity(dz).entries, dz))
-    cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), n) for n in range(levels))
+    cert = tuple(operator_seminorm(LinearMap(X, W, fg), n) for n in range(levels))
     return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 
 
 def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
-                   f: LinearMap, g: LinearMap, n: int, c: Fraction) -> PolyhedralSeminorm:
+                   fg: Matrix, n: int, c: Fraction) -> PolyhedralSeminorm:
     """Materialise the overlap-penalised seminorm at level n via its dual.
 
     The dual ball is the set of functional pairs lying in the two dual
     balls whose pullback difference through f and g lies in c times the
-    shared dual ball; its vertex list is the functional family.
+    shared dual ball (facet ``a`` gives the row ``fg a`` = (f a, -g a));
+    its vertex list is the functional family.
     """
     dy, dz = Y.dim, Z.dim
     total = dy + dz
     rows = []
     for a, b in dual_ball_facets(Y.seminorms[n]):
-        rows.append((tuple(a) + (Fraction(0),) * dz, b))
+        rows.append((a + (0,) * dz, b))
     for a, b in dual_ball_facets(Z.seminorms[n]):
-        rows.append(((Fraction(0),) * dy + tuple(a), b))
+        rows.append(((0,) * dy + a, b))
     for a, b in dual_ball_facets(X.seminorms[n]):
-        rows.append((f.matrix.apply(a) + tuple(-x for x in g.matrix.apply(a)), c * b))
+        rows.append((fg.apply(a), c * b))
     verts = polytope_vertices(rows, total)
     return PolyhedralSeminorm.from_functionals(total, [v for v in verts if any(v)], reduce=False)
 
@@ -186,14 +194,15 @@ def pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: Linear
     # coupling constant from the expansive rescaling route
     c = (2 * delta + delta * delta + eps) / (1 + delta)
     use_graded = graded and X.graded and Y.graded and Z.graded
+    fg = _stacked(f, g)
     sems: list[PolyhedralSeminorm] = []
     for n in range(Z.length):
-        sems.append(_coupled_level(Y, Z, X, f, g, n, c) if n < X.length
+        sems.append(_coupled_level(Y, Z, X, fg, n, c) if n < X.length
                     else _band(Y, Z, n, sems[-1] if use_graded else None))
     W = MultiSpace.make(tuple(sems), graded=use_graded)
     if separated and not is_separated(W):
         W = extend_with_norm(W)
-    return _direct_sum(Y, Z, W, f, g, X.length, delta, eps)
+    return _direct_sum(X, Y, Z, W, fg, X.length, delta, eps)
 
 
 def _partner_in_ball(target: Vec, adj_rows: list[Vec], ball_funcs, slack_funcs, width: int):
@@ -276,7 +285,7 @@ def sparse_pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g:
     c = (2 * delta + delta * delta + eps) / (1 + delta)
     sems = [_sparse_level(Y, Z, X, f, g, n, c) if n < X.length else _band(Y, Z, n, None)
             for n in range(Z.length)]
-    res = _direct_sum(Y, Z, MultiSpace(tuple(sems)), f, g, X.length, delta, eps)
+    res = _direct_sum(X, Y, Z, MultiSpace(tuple(sems)), _stacked(f, g), X.length, delta, eps)
     ok_y, wit_y = is_embedding(res.leg_y, 0)
     ok_z, wit_z = is_embedding(res.leg_z, 0)
     if not (ok_y and ok_z):
@@ -333,10 +342,11 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
 
     dy, dz = Y.dim, Z.dim
     total = dy + dz
+    fg = _stacked(f, g)
     sems = []
     for m in range(Z.length):
         if m < n:
-            sems.append(_coupled_level(Y, Z, X, f, g, m, eps))
+            sems.append(_coupled_level(Y, Z, X, fg, m, eps))
         else:
             fy, fz = Y.seminorms[m].functionals, Z.seminorms[m].functionals
             if fy and fz:  # the sum seminorm: every a + b and a - b
@@ -346,7 +356,7 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
             sems.append(PolyhedralSeminorm.from_functionals(total, funcs))
     graded = X.graded and Y.graded and Z.graded
     W = MultiSpace(tuple(sems), graded and is_graded_sequence(tuple(sems)))
-    return _direct_sum(Y, Z, W, f, g, n, Fraction(0), eps)
+    return _direct_sum(X, Y, Z, W, fg, n, Fraction(0), eps)
 
 
 def _quotient_block(space: MultiSpace, i: int):

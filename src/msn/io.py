@@ -396,6 +396,8 @@ def colouring_from_doc(doc):
     colours = _field(doc, "colours", int, what) if doc.get("colours") is not None else None
     if kind == "discrete" and colours is None:
         raise FormatError(f"{what}: a discrete colouring needs 'colours'")
+    if colours is not None and colours < 1:
+        raise FormatError(f"{what}: 'colours' must be positive, got {colours}")
     level = _field(doc, "level", int, what) if doc.get("level") is not None else None
     table = None
     if "table" in doc:
@@ -404,6 +406,8 @@ def colouring_from_doc(doc):
             key = matrix_from_doc(_field(entry, "matrix", list, "colouring entry"), None).entries
             v = (_field(entry, "value", int, "colouring entry") if kind == "discrete"
                  else rat_from_str(_field(entry, "value", str, "colouring entry")))
+            if kind == "discrete" and not 0 <= v < colours:
+                raise FormatError(f"colouring entry: value {v} outside 0..{colours - 1}")
             rows.append((key, v))
         table = tuple(rows)
     builtin = None

@@ -22,12 +22,12 @@ test ``ia·X == ib·den`` on the scaled rows.
 
 Gauges, ``sup psi·x`` over the ball ``{x : |f·x| <= 1}``, come in two
 forms that share the phase-2 code (``_optimise``: cost row, ``bland_min``,
-and ``_numerators``: the point read-out).  ``gauge_scale`` is one
-``solve_lp`` per objective on Fraction input.  ``gauge_max`` serves many
-objectives over one ball and takes both already as integer rows
-``(ints, m)``, so a caller that reuses a list scales it once.  It builds
-the integer slack tableau once, with no phase 1 since every RHS is
-positive, and optimises each objective from a copy of that tableau.
+and ``_numerators``: the point read-out), and both take objectives and
+ball as the integer rows ``(ints, m)`` of ``linalg._scale_to_int``, so a
+caller that reuses a list scales it once.  ``gauge_scale`` is one
+``solve_lp`` per objective.  ``gauge_max`` serves many objectives over
+one ball: it builds the integer slack tableau once, with no phase 1
+since every RHS is positive, and optimises each from a copy of it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from operator import mul
 
 from msn import _kernel
 from msn.errors import DimensionMismatch, Infeasible, Unbounded
-from msn.linalg import Vec, _scale_to_int, vec
+from msn.linalg import Vec, _scale_to_int
 
 
 @dataclass(frozen=True)
@@ -198,24 +198,25 @@ def _ball_rows(ball):
     return rows
 
 
-def gauge_scale(psi, functionals) -> Fraction | None:
+def gauge_scale(psi, ball) -> Fraction | None:
     """sup of psi over the unit ball {x : |f . x| <= 1 for all f}.
 
     Equals the least c with psi in c times the symmetric convex hull of
     the functionals; None when psi is outside their span (infinite sup).
-    One ``solve_lp`` per call; ``gauge_max`` serves many objectives.
+    Rows as in ``gauge_max``.  One ``solve_lp`` per call on the integer
+    objective ``-pi``, whose tableau is the Fraction one; the value is
+    read over ``pm``.  ``gauge_max`` serves many objectives.
     """
-    psi = vec(psi)
-    funcs = list(functionals)
-    if not any(x != 0 for x in psi):
+    pi, pm = psi
+    if not any(pi):
         return Fraction(0)
-    if not funcs:
+    if not ball:
         return None
     try:
-        res = solve_lp(tuple(-x for x in psi), _ball_rows([_scale_to_int(f) for f in funcs]))
+        res = solve_lp([-x for x in pi], _ball_rows(ball))
     except Unbounded:
         return None
-    return -res.value
+    return -res.value / pm
 
 
 def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
@@ -225,11 +226,10 @@ def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
     each ``psi`` or ``f`` times ``m``, the ``linalg._scale_to_int`` form.
     ``_ball_rows`` turns each ball row into the pair ``ints . x <= m`` and
     ``-ints . x <= m``, the rows ``gauge_scale`` solves, so every tableau
-    row is the one the Fraction input gave.  Callers that reuse a list
-    scale it once.
+    row is the one the Fraction input gave.
 
     Returns ``(value, point)``: the maximum over the objectives of
-    ``gauge_scale(psi, functionals)`` and a ball point where the first
+    ``gauge_scale(psi, ball)`` and a ball point where the first
     objective reaching it attains it.  No objectives give ``0`` at the
     origin; the first objective with an infinite sup (outside the span
     of the functionals) gives ``(None, None)``.

@@ -7,10 +7,10 @@ apply, compose and subtract like any other.
 Operator seminorms are computed exactly as gauges, in integers.  At level
 m the codomain functionals are pulled back along the map
 (``_pullbacks``: one scaled matrix, one integer dot per functional and
-column, one pullback per +/- direction, the largest, by
-``seminorms._dominant`` in integers), and each
-pullback is returned as an integer row with its scale, the form
-``lp.gauge_max`` takes.  The operator seminorm is the largest gauge of a
+column), and ``seminorms._dominant`` keeps one pullback per +/-
+direction, the largest, as an integer row with its scale, the
+``_scale_to_int`` form that ``lp.gauge_max`` takes; the domain
+functionals take the same form through ``seminorms._ball``.  The operator seminorm is the largest gauge of a
 pullback over the domain's unit ball, and the lower constant is the
 reciprocal of the largest gauge of a domain functional over the
 pullbacks' ball; each is one ``gauge_max`` call, which also yields the
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from operator import mul
 
 from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
@@ -47,7 +46,7 @@ from msn.linalg import (
     zero_vec,
 )
 from msn.lp import gauge_max, solve_lp
-from msn.seminorms import _dominant, seminorm_kernel
+from msn.seminorms import _ball, _dominant, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
 
@@ -92,12 +91,9 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
     One representative per +/- direction, the largest multiple of it:
     defines the same pulled-back seminorm with a usually much shorter
     list.  The matrix and the functional list are each scaled to
-    integers once, so a pullback is one integer dot per column, and all
-    pullbacks share one denominator; the +/- and largest-multiple rule is
-    ``seminorms._dominant``, in integers.  Each kept pullback ``psi`` is
-    returned as ``(ints, s)``, ``psi`` times ``s`` in lowest terms: the
-    ``_scale_to_int`` form of ``psi``, whose Fractions are never built.
-    The rows are sorted as those Fractions would sort.
+    integers once, so a pullback is one integer dot per column over one
+    common denominator, and ``seminorms._dominant`` keeps its rows in the
+    ``_scale_to_int`` form, sorted as their Fractions would sort.
     """
     cols = list(zip(*f.matrix.entries))
     ints, den = _scale_to_int([x for col in cols for x in col])
@@ -107,21 +103,10 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
     thetas = f.codomain.seminorms[m].functionals
     flat, t = _scale_to_int([x for theta in thetas for x in theta])
     k = f.codomain.dim
-    # theta . f is the integer vector over q = t * den; zero pullbacks are dropped.
+    # theta . f is the integer vector over t * den; _dominant drops zero pullbacks.
     pulled = ([sum(map(mul, flat[i * k:(i + 1) * k], col)) for col in columns]
               for i in range(len(thetas)))
-    q = t * den
-    rows = []
-    for d, g in _dominant(pulled):
-        # d is primitive, so d * g / q has lowest common denominator q / gcd(g, q).
-        h = gcd(g, q)
-        rows.append(([x * (g // h) for x in d], q // h))
-    return rows
-
-
-def _ball(s) -> list[tuple[list[int], int]]:
-    """The seminorm's functionals as ``_scale_to_int`` rows, the ball form ``gauge_max`` takes."""
-    return [_scale_to_int(phi) for phi in s.functionals]
+    return _dominant(pulled, t * den)
 
 
 def _is_identity_on_level(f: LinearMap, m: int) -> bool:

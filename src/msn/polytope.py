@@ -13,6 +13,9 @@ integers throughout: the start cone comes from two fraction-free
 eliminations, each ray's tight set is an int bitmask extended by one bit
 per inserted row, and ray pairs are tested for adjacency
 combinatorially, by tight-set containment, with no rank computation.
+``polytope_facets`` returns the primitive integer rows it builds, and
+``polytope_vertices`` takes int and Fraction rows alike, so a facet
+list goes back in with no conversion.
 """
 
 from __future__ import annotations
@@ -23,16 +26,10 @@ from math import lcm
 from msn import _kernel
 from msn._kernel import _row_primitive
 from msn.errors import UnboundedPolyhedron
-from msn.linalg import Vec, _int_nullspace, _scale_to_int, coordinate_complement, frac, int_rows, vec
+from msn.linalg import Vec, _int_nullspace, _scale_to_int, coordinate_complement, int_rows
 from msn.lp import lp_feasible
 
-Ineq = tuple[Vec, Fraction]  # a . x <= b
-
-
-def canon_ineq(a, b) -> Ineq:
-    """Scale a . x <= b by a positive rational to primitive integers."""
-    *c, d = _row_primitive(_scale_to_int((*vec(a), frac(b)))[0])
-    return tuple(map(Fraction, c)), Fraction(d)
+Ineq = tuple[Vec, Fraction]  # a . x <= b; int entries too
 
 
 def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
@@ -119,11 +116,11 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
 
 
 def polytope_facets(points: list[Vec], dim: int) -> list[Ineq]:
-    """Canonical irredundant H-representation of conv(points).
+    """Canonical irredundant H-representation of conv(points), in integers.
 
     Lower-dimensional hulls yield implicit equalities, emitted as pairs of
-    opposite inequalities.  Each inequality c . x <= c0 is built as the
-    primitive integer row (c, c0), and becomes Fractions only at the end.
+    opposite inequalities.  Each inequality c . x <= c0 is returned as it
+    is built, the primitive integer row ``(c, c0)``; the rows are sorted.
     """
     if not points:
         raise ValueError("cannot convert an empty vertex set")
@@ -145,12 +142,4 @@ def polytope_facets(points: list[Vec], dim: int) -> list[Ineq]:
             y[j] = zi
         if any(y[1:]):
             out.add((*(-x for x in y[1:]), y[0]))
-    return [(tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in sorted(out)]
-
-
-def canon_rep(v: Vec) -> Vec:
-    """Representative of {v, -v} with first nonzero coordinate positive."""
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
+    return [(r[:-1], r[-1]) for r in sorted(out)]

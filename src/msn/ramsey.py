@@ -385,8 +385,10 @@ def search_monochromatic(c: Colouring, net_xz: EmbeddingNet, net_xy: EmbeddingNe
 
     Exhaustive over the supplied finite data; returns (gamma, colour) or
     None.  Soundness: the coverage condition is re-checkable from the
-    returned witness alone.
+    returned witness alone.  The colouring must be discrete.
     """
+    if c.kind != "discrete":
+        raise BadArgument("monochromatic search needs a discrete colouring")
     eps = Fraction(eps)
     for gamma in candidates:
         ok, _ = is_embedding(gamma, 0)

@@ -5,16 +5,17 @@ absolute values it maximises.  The list keeps one functional per +/-
 direction, the largest multiple, sorted (``_dominant``, in integers over
 one common denominator), with redundant members (those inside the convex
 hull of the others and their negatives) removed by exact LP membership
-tests.
-The empty family encodes the zero seminorm, and ``from_functionals``
-builds it from an empty list like any other, so callers need no special
-case.  Evaluation is in integers: each call scales ``x`` and the whole
-list to integers once, takes one integer dot per functional and builds
-one ``Fraction`` at the end.  The integer form is not stored on the
+tests on the ``_scale_to_int`` rows that ``_dominant`` returns and both
+gauges take; Fractions are built once, for the kept list.  The empty
+family encodes the zero seminorm, and ``from_functionals`` builds it
+from an empty list like any other, so callers need no special case.
+Evaluation is in integers: each call scales ``x`` and the whole list to
+integers once, takes one integer dot per functional and builds one
+``Fraction`` at the end.  The integer form is not stored on the
 seminorm; kept on every instance it cost more memory than it saved time.
 The dual ball, the symmetric hull of the functionals, is used through
-its facets (``dual_ball_facets``), the one memoised function in the
-package.
+its facets (``dual_ball_facets``, primitive integer rows), the one
+memoised function in the package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from msn.errors import DimensionMismatch
@@ -40,14 +42,14 @@ from msn.lp import gauge_scale
 from msn.polytope import polytope_facets
 
 
-def _dominant(vectors) -> list[tuple[tuple[int, ...], int]]:
-    """One ``(d, g)`` per +/- direction of the integer ``vectors``, the largest.
+def _dominant(vectors, m: int) -> list[tuple[list[int], int]]:
+    """One ``_scale_to_int`` row per +/- direction of the vectors ``v / m``, the largest.
 
-    ``d`` is the ``_primitive_direction`` key and ``g`` the largest size
-    along it; zero vectors have no direction and are dropped.  Sorted by
-    the integer vector ``g * d``, which is the order of the vectors
-    themselves, signed to a positive first entry, when they share one
-    denominator.
+    Per ``_primitive_direction`` key ``d`` of the integer ``vectors`` the
+    largest size ``g`` is kept (zero vectors have no direction), and
+    returned as ``(ints, s)``: ``d`` is primitive, so ``d * g / m`` has
+    lowest common denominator ``s = m / gcd(g, m)``.  Sorted by ``g * d``,
+    the order of the vectors themselves, signed to a positive first entry.
     """
     best: dict[tuple[int, ...], int] = {}
     for v in vectors:
@@ -55,14 +57,21 @@ def _dominant(vectors) -> list[tuple[tuple[int, ...], int]]:
         g = abs(g)
         if g > best.get(d, 0):
             best[d] = g
-    return sorted(best.items(), key=lambda dg: [dg[1] * x for x in dg[0]])
+    rows = []
+    for d, g in sorted(best.items(), key=lambda dg: [dg[1] * x for x in dg[0]]):
+        h = gcd(g, m)
+        rows.append(([x * (g // h) for x in d], m // h))
+    return rows
 
 
-def _in_symmetric_hull(phi: Vec, others: list[Vec]) -> bool:
-    """Exact test: phi in conv(others and their negatives)?"""
-    if not others:
-        return all(x == 0 for x in phi)
-    scale = gauge_scale(phi, others)
+def _ball(s) -> list[tuple[list[int], int]]:
+    """The seminorm's functionals as ``_scale_to_int`` rows, the ball form the gauges take."""
+    return [_scale_to_int(phi) for phi in s.functionals]
+
+
+def _in_symmetric_hull(row, others) -> bool:
+    """Exact test: is the ``_scale_to_int`` row in conv(others and their negatives)?"""
+    scale = gauge_scale(row, others)
     return scale is not None and scale <= 1
 
 
@@ -86,16 +95,15 @@ class PolyhedralSeminorm:
         # The whole list over one common denominator m, so _dominant's
         # integer sizes and order are those of the Fractions.
         flat, m = _scale_to_int([x for f in funcs for x in f])
-        funcs = [tuple(Fraction(g * x, m) for x in d)
-                 for d, g in _dominant(flat[i * dim:(i + 1) * dim] for i in range(len(funcs)))]
-        if reduce and len(funcs) > 1:
+        rows = _dominant((flat[i * dim:(i + 1) * dim] for i in range(len(funcs))), m)
+        if reduce and len(rows) > 1:
             i = 0
-            while i < len(funcs):
-                if _in_symmetric_hull(funcs[i], funcs[:i] + funcs[i + 1:]):
-                    funcs.pop(i)
+            while i < len(rows):
+                if _in_symmetric_hull(rows[i], rows[:i] + rows[i + 1:]):
+                    rows.pop(i)
                 else:
                     i += 1
-        return PolyhedralSeminorm(dim, tuple(funcs))
+        return PolyhedralSeminorm(dim, tuple(tuple(Fraction(x, s) for x in ia) for ia, s in rows))
 
     @staticmethod
     def zero(dim: int) -> "PolyhedralSeminorm":
@@ -134,7 +142,7 @@ def seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:
 def dual_ball_facets(s: PolyhedralSeminorm) -> tuple:
     """Canonical H-representation of the dual ball conv(+/- functionals).
 
-    The zero seminorm's dual ball is the origin.  Memoised because equal
+    Primitive integer rows; the zero seminorm's dual ball is the origin.  Memoised because equal
     seminorms recur across pushouts; bounded so memory stays flat.
     """
     pts = sorted({v for f in s.functionals for v in (f, tuple(-x for x in f))})

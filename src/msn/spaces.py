@@ -14,13 +14,13 @@ from itertools import chain, combinations
 
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
 from msn.linalg import Matrix, Vec, nullspace, row_space_basis
-from msn.seminorms import PolyhedralSeminorm, _in_symmetric_hull
+from msn.seminorms import PolyhedralSeminorm, _ball, _in_symmetric_hull
 
 
 def _level_dominates(lo: PolyhedralSeminorm, hi: PolyhedralSeminorm) -> bool:
     """Exact check that hi >= lo pointwise (dual-ball containment)."""
-    others = list(hi.functionals)
-    return all(_in_symmetric_hull(f, others) for f in lo.functionals)
+    others = _ball(hi)
+    return all(_in_symmetric_hull(row, others) for row in _ball(lo))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
 (``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
 replaced, the Fraction front end of ``from_functionals``
 (``fraction_front_end``) that the integer ``seminorms._dominant``
-replaced, and, at the end, the subspace calculus of ``msn.linalg`` as it
+replaced, the canonical forms that ``msn.polytope`` no longer exports
+(``canon_rep`` of a +/- pair, ``primitive_ineq`` of an inequality), and,
+at the end, the subspace calculus of ``msn.linalg`` as it
 was before it kept integers from one ``echelon_int`` call to the API
 edge (``canon_vector``, ``row_space_basis``, ``nullspace``, ``in_span``,
 ``intersect_spans``, ``solve``, ``inverse``, ``coordinate_complement``).
@@ -295,6 +297,21 @@ def fraction_front_end(functionals):
         key = tuple(x / lead for x in f)
         best[key] = max(best.get(key, lead), lead)
     return sorted(tuple(x * size for x in key) for key, size in best.items())
+
+
+def canon_rep(v):
+    """Representative of {v, -v} with first nonzero coordinate positive."""
+    lead = next((x for x in v if x != 0), 0)
+    return tuple(-x for x in v) if lead < 0 else tuple(v)
+
+
+def primitive_ineq(a, b):
+    """``a . x <= b`` as the primitive integer row ``(c, c0)``: scaled by a positive rational."""
+    row = [Fraction(x) for x in (*a, b)]
+    m = lcm(*(x.denominator for x in row))
+    ints = [int(x * m) for x in row]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints[:-1]), ints[-1] // g
 
 
 # --- msn.linalg subspace calculus before the integer rewrite (verbatim) ---

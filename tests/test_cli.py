@@ -146,6 +146,13 @@ def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
     io.write_json(tmp_path / "c.json", {"format": io.FORMAT, "kind": "discrete", "colours": 1,
                                         "table": [{"matrix": [["1"]], "value": 0},
                                                   {"matrix": [["-1"]], "value": 0}]})
+    io.write_json(tmp_path / "clamp.json", {"format": io.FORMAT, "kind": "continuous", "level": 1,
+                                            "builtin": ["coordinate-clamp", "0"]})
+    plane = MultiSpace((PolyhedralSeminorm.linf(2),))
+    io.write_json(tmp_path / "plane.json", io.space_to_doc(plane))
+    io.write_json(tmp_path / "into.json", io.map_to_doc(LinearMap(line_space(1), plane, Matrix.from_rows([[1], [0]]))))
+    assert run(["--out", tmp_path / "plane-net", "ramsey", "net", "--x", q, "--y", tmp_path / "plane.json",
+                "--eps", "1"]) == 0
     spaces = ["--x", q, "--y", q, "--z", q, "--f", one, "--g", one, "--eps", "1/2", "--delta=-1/4"]
     build = ["--out", tmp_path / "unbuilt", "tower", "build", "--catalog", q]
     commands = [
@@ -153,6 +160,8 @@ def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
         ["amalgam", "push", *spaces],
         ["amalgam", "product", *spaces],
         ["ramsey", "oscillate", "--net", tmp_path / "net.json", "--colouring", tmp_path / "c.json"],
+        ["ramsey", "search", "--net-xz", tmp_path / "plane-net" / "net.json", "--net-xy", tmp_path / "net.json",
+         "--colouring", tmp_path / "clamp.json", "--candidates", tmp_path / "into.json", "--eps", "1/2"],
         ["ramsey", "net", "--x", q, "--y", q, "--eps", "0"],
         ["ramsey", "net", "--x", q, "--y", q, "--eps=-1/2"],
         [*build, "--stages", "0"],

@@ -100,6 +100,11 @@ def test_lp_matches_vertex_enumeration_oracle():
             assert dot(a, res.point) <= b
 
 
+def _rows(vectors):
+    """The integer ``(ints, m)`` rows ``gauge_scale`` and ``gauge_max`` take."""
+    return [_scale_to_int(v) for v in vectors]
+
+
 def test_gauge_scale_matches_vertex_oracle():
     rng = random.Random(7103)
     spans = full = 0
@@ -110,22 +115,17 @@ def test_gauge_scale_matches_vertex_oracle():
         psi = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim))
         rank = gauss_rank(funcs)
         if any(psi) and gauss_rank(funcs + [psi]) > rank:
-            assert gauge_scale(psi, funcs) is None
+            assert gauge_scale(_scale_to_int(psi), _rows(funcs)) is None
             spans += 1
         elif rank == dim:
             ball = [(f, F(1)) for f in funcs] + [(tuple(-x for x in f), F(1)) for f in funcs]
             verts = brute_vertices(ball, dim)
-            assert gauge_scale(psi, funcs) == max(dot(psi, v) for v in verts)
+            assert gauge_scale(_scale_to_int(psi), _rows(funcs)) == max(dot(psi, v) for v in verts)
             full += 1
-        assert gauge_scale((F(0),) * dim, funcs) == 0
+        assert gauge_scale(_scale_to_int((F(0),) * dim), _rows(funcs)) == 0
     assert spans >= 10 and full >= 40, (spans, full)
-    assert gauge_scale((F(0), F(0)), []) == 0
-    assert gauge_scale((F(1), F(0)), []) is None
-
-
-def _rows(vectors):
-    """The integer ``(ints, m)`` rows ``gauge_max`` takes."""
-    return [_scale_to_int(v) for v in vectors]
+    assert gauge_scale(_scale_to_int((F(0), F(0))), []) == 0
+    assert gauge_scale(_scale_to_int((F(1), F(0))), []) is None
 
 
 def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
@@ -141,7 +141,7 @@ def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
         if objs and rng.random() < 0.2:
             objs.insert(rng.randrange(len(objs)), (F(0),) * dim)
         # max over objectives of the one-objective gauges; None if any is infinite
-        singles = [gauge_scale(psi, funcs) for psi in objs]
+        singles = [gauge_scale(psi, _rows(funcs)) for psi in _rows(objs)]
         want = None if None in singles else max(singles, default=F(0))
         value, point = gauge_max(_rows(objs), _rows(funcs))
         assert value == want
@@ -170,7 +170,9 @@ def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
 def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
     # Integer input must not change a single tableau entry: the slack rows
     # are each functional f times the lcm of its denominators, then -f,
-    # in input order, and the cost row is -psi times its own lcm.
+    # in input order, and the cost row is -psi times its own lcm.  The
+    # one-objective gauge_scale, through solve_lp, hands bland_min the
+    # same tableau.
     seen = []
     real = _kernel.bland_min
     monkeypatch.setattr(_kernel, "bland_min", lambda tab, *a: seen.append([r[:] for r in tab]) or real(tab, *a))
@@ -192,13 +194,17 @@ def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
             ia, m = scaled(f)
             neg = [-x for x in ia]
             slack += [ia + neg + [m], neg + ia + [m]]
+        expect = [slack + [[-x for x in pi] + pi + [0]] for pi, _ in map(scaled, objs)]
         seen.clear()
         gauge_max(_rows(objs), _rows(funcs))
-        for tab, psi in zip(seen, objs):
-            pi, _ = scaled(psi)
-            assert tab == slack + [[-x for x in pi] + pi + [0]]
+        assert seen == expect[:len(seen)]
         checked += len(seen)
-    assert checked >= 60, checked
+        for psi, want in zip(_rows(objs), expect):
+            seen.clear()
+            gauge_scale(psi, _rows(funcs))
+            assert seen == ([want] if any(psi[0]) else [])
+            checked += len(seen)
+    assert checked >= 120, checked
 
 
 # --- golden records ---------------------------------------------------

@@ -232,6 +232,10 @@ def test_malformed_colouring_files_fail_with_format_error():
         ["coordinate-clamp", "--5"], ["coordinate-clamp", "-1"], ["coordinate-clamp", "1.0"],
         ["coordinate-clamp", "²"], ["coordinate-clamp", "0", "1"])]
     bad.append({"format": io.FORMAT, "kind": "discrete", "table": table})
+    # a colour count below one, and table values outside 0..colours-1
+    bad += [{"format": io.FORMAT, "kind": "discrete", "colours": k, "table": table} for k in (-2, 0)]
+    bad += [{"format": io.FORMAT, "kind": "discrete", "colours": 2,
+             "table": [table[0], {"matrix": [["-1"]], "value": v}]} for v in (2, -1)]
     for doc in bad:
         rc, err = _oscillate(doc)
         assert (rc, json.loads(err)["error"]) == (1, "FormatError"), doc

@@ -261,6 +261,11 @@ def _level_maps():
     return out
 
 
+def _rows(vectors):
+    """The integer ``(ints, m)`` rows ``gauge_scale`` takes."""
+    return [_scale_to_int(v) for v in vectors]
+
+
 def test_pullbacks_match_fraction_oracle_and_gauges():
     escapes = 0
     for f, m in _level_maps():
@@ -270,10 +275,10 @@ def test_pullbacks_match_fraction_oracle_and_gauges():
         # the rows are the lowest-terms scaling of the Fraction pullbacks
         assert rows == [_scale_to_int(psi) for psi in pulled]
         dom = f.domain.seminorms[m].functionals
-        ups = [gauge_scale(psi, dom) for psi in pulled]
+        ups = [gauge_scale(psi, _rows(dom)) for psi in _rows(pulled)]
         assert operator_seminorm(f, m) == (None if None in ups else max(ups, default=F(0)))
         if dom:
-            downs = [gauge_scale(phi, pulled) for phi in dom]
+            downs = [gauge_scale(phi, _rows(pulled)) for phi in _rows(dom)]
             assert lower_constant(f, m) == (F(0) if None in downs else 1 / max(downs))
         escapes += None in ups
     assert escapes >= 10, escapes

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -127,8 +128,14 @@ def test_dual_ball_facets_vertices_are_the_signed_functionals():
     degenerate = S(3, [(1, 1, 0), (1, -1, 0), (F(1, 2), 0, 0)])
     assert seminorm_kernel(degenerate) == [(F(0), F(0), F(1))]
     full = S(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    for s in (degenerate, full, S(2, [(1, 1), (1, F(1, 2)), (F(1, 2), 1)])):
-        assert polytope_vertices(list(dual_ball_facets(s)), s.dim) == _signed(s.functionals)
+    for s in (zero, degenerate, full, S(2, [(1, 1), (1, F(1, 2)), (F(1, 2), 1)])):
+        facets = dual_ball_facets(s)
+        # each facet c . phi <= c0 is the primitive integer row (c, c0)
+        for c, c0 in facets:
+            assert type(c) is tuple and len(c) == s.dim
+            assert all(type(x) is int for x in (*c, c0)) and gcd(*c, c0) == 1
+        if s is not zero:
+            assert polytope_vertices(list(facets), s.dim) == _signed(s.functionals)
 
 
 def test_unit_ball_vertices_hexagon():
