@@ -426,6 +426,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         _diag({"error": "FileNotFound", "detail": str(e)})
         return IO_FAILURE
+    except OSError as e:  # e.g. an --out path that is, or lies under, a regular file
+        _diag({"error": "OSError", "detail": str(e)})
+        return IO_FAILURE
     except MsnError as e:
         _diag(e.payload())
         return MATH_FAILURE

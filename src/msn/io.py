@@ -236,37 +236,37 @@ def discharge_from_doc(doc, space) -> DischargeRecord:
 def save_tower(tower: Tower, outdir) -> None:
     """Write ``tower`` to the directory ``outdir``.
 
-    Each distinct space object is rendered to its document once, however
-    many stages, links, members and discharges hold it; the memo is keyed
-    by object identity and lives for this call only (the tower keeps every
-    space alive meanwhile).  The files are the same as with one rendering
-    per occurrence.
+    Each distinct catalog member and stage object is written once, as
+    ``catalogI.json`` or ``stageI.json`` after its first position; a stage
+    that is an earlier object is listed in the manifest by that object's
+    file.  Every link, member embedding and discharge map names its domain
+    and codomain by these files; any other space is written inline.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    rendered: dict[int, dict] = {}
+    names: dict[int, str] = {}  # id of a catalog or stage object -> its file; the tower keeps each alive
 
-    def space(X: MultiSpace) -> dict:
-        doc = rendered.get(id(X))
-        if doc is None:
-            doc = rendered[id(X)] = space_to_doc(X)
-        return doc
+    def file_of(X: MultiSpace, name: str) -> str:
+        if id(X) not in names:
+            names[id(X)] = name
+            write_json(out / name, space_to_doc(X))
+        return names[id(X)]
 
     manifest = {
         "format": FORMAT,
         "seed": tower.seed,
         "omega": tower.omega,
         "deltas": [rat_to_str(d) for d in tower.deltas],
-        "catalog": [f"catalog{i}.json" for i in range(len(tower.catalog))],
-        "stages": [f"stage{i}.json" for i in range(len(tower.stages))],
+        "catalog": [file_of(m, f"catalog{i}.json") for i, m in enumerate(tower.catalog)],
+        "stages": [file_of(s, f"stage{i}.json") for i, s in enumerate(tower.stages)],
         "links": [f"link{i}.json" for i in range(len(tower.links))],
         "members": "members.json",
         "discharges": "discharges.json",
     }
-    for i, m in enumerate(tower.catalog):
-        write_json(out / f"catalog{i}.json", space(m))
-    for i, s in enumerate(tower.stages):
-        write_json(out / f"stage{i}.json", space(s))
+
+    def space(X: MultiSpace) -> str | dict:
+        return names.get(id(X)) or space_to_doc(X)
+
     for i, l in enumerate(tower.links):
         write_json(out / f"link{i}.json", map_to_doc(l, space))
     write_json(out / "members.json",
@@ -293,41 +293,20 @@ def _tower_file(root: Path, name: str) -> Path:
     return root / name
 
 
-def _tower_spaces(root: Path):
-    """A resolver for the space references of the tower directory ``root``.
-
-    A reference is an inline space document or the plain name of a space
-    file in ``root``.  Each distinct document is parsed once, keyed by its
-    content, so equal references resolve to one shared ``MultiSpace``.
-    The memo lives as long as the resolver.
-    """
-    parsed: dict[str, MultiSpace] = {}
-
-    def space(ref) -> MultiSpace:
-        doc = read_json(_tower_file(root, ref)) if isinstance(ref, str) else ref
-        key = json.dumps(doc, sort_keys=True)
-        X = parsed.get(key)
-        if X is None:
-            X = parsed[key] = space_from_doc(doc)
-        return X
-
-    return space
-
-
 def load_tower(indir) -> Tower:
     """Read a tower directory written by ``save_tower``.
 
     Every file, key and type is checked, and so are the counts that
     ``verify_tower`` relies on; a malformed artifact raises ``FormatError``.
-    A file or space reference must be a plain file name in ``indir``.
+    A file named in the manifest must be a plain file name in ``indir``.
 
-    Each distinct space document, inline or by file, is parsed once, and
-    every stage, link, member embedding and discharge map that names it
-    gets the same ``MultiSpace`` object.  The memo lives for this call
-    only: two calls share no objects.
+    Each distinct catalog and stage file is parsed once, and every map
+    that names it gets that ``MultiSpace`` object; a map space given by
+    any other name is a ``FormatError``.  An inline space document, as
+    in directories written before spaces were named by file, is parsed
+    where it stands.
     """
     root = Path(indir)
-    space = _tower_spaces(root)
 
     def read(name: str):
         return read_json(_tower_file(root, name))
@@ -335,8 +314,19 @@ def load_tower(indir) -> Tower:
     what = "tower manifest"
     manifest = read_json(root / "manifest.json")
     _check_format(manifest, what)
-    catalog = tuple(space(p) for p in _names(manifest, "catalog", what))
-    stages = tuple(space(p) for p in _names(manifest, "stages", what))
+    catalog_names = _names(manifest, "catalog", what)
+    stage_names = _names(manifest, "stages", what)
+    named = {name: space_from_doc(read(name)) for name in dict.fromkeys(catalog_names + stage_names)}
+
+    def space(ref) -> MultiSpace:
+        if not isinstance(ref, str):
+            return space_from_doc(ref)
+        if ref not in named:
+            raise FormatError(f"space reference {ref!r} names no catalog or stage file")
+        return named[ref]
+
+    catalog = tuple(named[name] for name in catalog_names)
+    stages = tuple(named[name] for name in stage_names)
     links = tuple(_map_from_doc(read(p), space) for p in _names(manifest, "links", what))
     if len(links) != max(len(stages) - 1, 0):
         raise FormatError(f"{what}: {len(links)} links for {len(stages)} stages")

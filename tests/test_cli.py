@@ -114,6 +114,15 @@ def test_io_failure_exit_code(files, capsys):
     bad = files / "bad.json"
     bad.write_text("{}")
     assert run(["space", "invariant", bad]) == 1
+    # an --out path that is a regular file, or lies under one
+    capsys.readouterr()
+    for out in (bad, bad / "sub"):
+        for cmd in (["space", "inspect", files / "q.json"],
+                    ["tower", "build", "--catalog", files / "q.json", "--stages", "1", "--deltas", "0"]):
+            assert run(["--out", out, *cmd]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == "OSError"
 
 
 def test_tower_build_verify_backforth(tmp_path, files):

@@ -2,7 +2,8 @@
 
 Valid files are mutated the ways hand-edited inputs go wrong: a dropped
 key, a value of the wrong JSON type, a rational written as a number, a
-zero denominator, a negative dimension, or truncated JSON.  Every
+zero denominator, a negative dimension, truncated JSON, or a space
+reference naming no catalog or stage file of the tower.  Every
 mutant is run through ``cli.main``, which must return 1 and write a
 ``FormatError`` diagnostic, never raise.  Tower directories get one
 mutated file each and are run through ``msn tower verify``.
@@ -42,6 +43,8 @@ VALID = [
 ]
 # One value of each JSON type; a retyped node gets one of a different type.
 OTHER_TYPES = [0, -1, 1.5, True, None, "x", [], ["1"], {}, {"format": io.FORMAT}]
+# Dangling space references: other tower files, and a stage file that does not exist.
+DANGLING = ["link0.json", "members.json", "stage9.json"]
 
 
 def _nodes(doc, path=()):
@@ -71,8 +74,9 @@ def _mutate(draw, doc):
     nodes = list(_nodes(doc))
     rationals = [(p, v) for p, v in nodes if isinstance(v, str) and _rational(p)]
     dims = [p for p, _ in nodes if p and p[-1] == "dim"]
+    refs = [p for p, v in nodes if p and p[-1] in ("domain", "codomain") and isinstance(v, str)]
     hows = (["drop", "retype"] + (["number", "div0"] if rationals else [])
-            + (["negdim"] if dims else []) + ["truncate"])
+            + (["negdim"] if dims else []) + (["dangle"] if refs else []) + ["truncate"])
     how = draw(st.sampled_from(hows))
     if how == "drop":
         keys = [(p, k) for p, v in nodes if isinstance(v, dict) for k in v if k != "graded"]
@@ -93,6 +97,8 @@ def _mutate(draw, doc):
     elif how == "negdim":
         path = draw(st.sampled_from(dims))
         doc = _set(doc, path, -draw(st.integers(1, 4)))
+    elif how == "dangle":
+        doc = _set(doc, draw(st.sampled_from(refs)), draw(st.sampled_from(DANGLING)))
     text = io.dumps(doc)
     if how == "truncate":
         text = text[:draw(st.integers(0, len(text.rstrip()) - 1))]

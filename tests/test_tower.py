@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io as stdio
 import json
 import shutil
@@ -165,20 +166,20 @@ def test_loaded_tower_shares_each_distinct_space(saved_tower, monkeypatch):
     monkeypatch.setattr(PolyhedralSeminorm, "from_functionals", staticmethod(counted))
     loaded = io.load_tower(d)
     assert loaded == t
-    for f in _maps(loaded):
-        for X in (f.domain, f.codomain):
-            assert all(X is S for S in loaded.stages if X == S)
 
-    # one parse per distinct space document, against one per occurrence before
+    # every map space is the loaded catalog or stage object its file name names
     docs = _tower_docs(d)
-    spaces = [docs[n] for n in docs["manifest.json"]["catalog"] + docs["manifest.json"]["stages"]]
-    spaces += [m[side] for m in _map_docs(docs) for side in ("domain", "codomain")]
-    distinct = {json.dumps(doc, sort_keys=True): doc for doc in spaces}
-    assert len(distinct) < len(spaces)
+    names = docs["manifest.json"]["catalog"] + docs["manifest.json"]["stages"]
+    by_name = dict(zip(names, loaded.catalog + loaded.stages))
+    for f, m in zip(_maps(loaded), _map_docs(docs), strict=True):
+        assert f.domain is by_name[m["domain"]]
+        assert f.codomain is by_name[m["codomain"]]
+
+    # one parse per distinct catalog or stage file
     per_load = len(calls)
     calls.clear()
-    for doc in distinct.values():
-        io.space_from_doc(doc)
+    for name in set(names):
+        io.load_space(d / name)
     assert per_load == len(calls)
 
 
@@ -197,25 +198,31 @@ def _verify(d):
 
 
 def test_space_references_resolve_in_the_tower_directory(saved_tower, tmp_path, monkeypatch):
-    # Every map space equal to a stage names the stage file instead.
+    # Every map names its spaces by catalog or stage file.
     t, d = saved_tower
     docs = _tower_docs(d)
-    stage_files = {json.dumps(docs[n], sort_keys=True): n for n in docs["manifest.json"]["stages"]}
-    for m in _map_docs(docs):
-        for side in ("domain", "codomain"):
-            m[side] = stage_files.get(json.dumps(m[side], sort_keys=True), m[side])
     members = docs["members.json"]
     assert docs["link0.json"]["domain"] == members["embeddings"][0][0]["codomain"] == "stage0.json"
-    assert any(isinstance(rec["j"]["domain"], str) for rec in docs["discharges.json"]["records"])
+    assert all(isinstance(m[side], str) for m in _map_docs(docs) for side in ("domain", "codomain"))
     ref = tmp_path / "byref"
-    ref.mkdir()
-    for name, doc in docs.items():
-        io.write_json(ref / name, doc)
+    shutil.copytree(d, ref)
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
     assert io.load_tower(ref) == t
     assert _verify(ref) == (0, "")
+
+    # the inline layout, each reference replaced by the document it names, loads too
+    inline = tmp_path / "inline"
+    inline.mkdir()
+    inline_docs = copy.deepcopy(docs)
+    for m in _map_docs(inline_docs):
+        for side in ("domain", "codomain"):
+            m[side] = docs[m[side]]
+    for name, doc in inline_docs.items():
+        io.write_json(inline / name, doc)
+    assert io.load_tower(inline) == t
+    assert _verify(inline) == (0, "")
 
     # a reference that leaves the directory is refused, even where the file exists
     shutil.copy(d / "stage0.json", tmp_path / "stage0.json")

@@ -3,9 +3,11 @@
 ``tower_golden.json`` holds, for each seed below, the sha256 of every
 artifact file that ``tower build`` writes (catalog: the lines of scale 1
 and 2; ``--stages 5 --deltas 0,1/4 --dim-cap 8``) and the exact stdout of
-``tower verify`` on that directory.  Both commands run in process
-through ``cli.main``.  Regenerate only when a change is meant to alter
-the outputs:
+``tower verify`` on that directory.  Each distinct catalog member and
+stage is one file, so a stage repeated once ``--dim-cap`` stops growth
+has no file of its own, and the maps name their spaces by these files.
+Both commands run in process through ``cli.main``.  Regenerate only
+when a change is meant to alter the outputs:
 
     PYTHONPATH=src:tests python -c "import test_tower_golden as t; t.write_golden()"
 """
