@@ -1,14 +1,19 @@
 """Bit-exact JSON interchange.
 
 Rationals travel as strings ("p/q" or integer form, lowest terms), never
-floats.  Serialisation is canonical: sorted keys, fixed separators, one
-trailing newline, so identical values produce identical bytes and
-load/save round-trips are stable.
+floats.  A rational literal is ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+`` with a
+nonzero denominator, the forms ``rat_to_str`` writes; anything else
+(exponents, decimals, whitespace, ``_``, a leading ``+``, non-ASCII
+digits) is a ``FormatError``, so a short literal cannot expand into a
+huge integer.  Serialisation is canonical: sorted keys, fixed
+separators, one trailing newline, so identical values produce identical
+bytes and load/save round-trips are stable.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,13 +37,21 @@ def rat_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s: str) -> Fraction:
     if not isinstance(s, str):
         raise FormatError(f"rational {s!r} is not a string")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(f"bad rational literal {s!r}") from e
+    lit = _RATIONAL.fullmatch(s)
+    if lit is not None:
+        try:
+            num, den = int(lit[1]), int(lit[2] or 1)
+        except ValueError:  # more digits than Python converts
+            den = 0
+        if den:
+            return Fraction(num, den)
+    raise FormatError(f"bad rational literal {s!r}")
 
 
 def witness_to_doc(obj):

@@ -16,9 +16,16 @@ reciprocal of the largest gauge of a domain functional over the
 pullbacks' ball; each is one ``gauge_max`` call, which also yields the
 upper witness.  The lower witness is the infimum over the unit sphere,
 taken facet by facet with one epigraph LP each, on the same integer rows.
-``is_embedding`` and ``distortion`` read each level in one pass
-(``_level_pass``) that pulls back once and shares the rows between both
-constants and their witnesses.  Nothing is memoised: a memo keyed on the
+``distortion`` reads each level in one pass (``_level_pass``) that pulls
+back once and shares the rows between both constants.  ``is_embedding``
+needs only to know whether both gauges stay within ``1 + delta``, and
+reads each level through ``_level_check``, which pulls back once too.
+There a row parallel to a row of the other list certifies itself in
+integers: a pullback ``t`` times a domain functional has gauge at most
+``|t|`` over the domain ball, a domain functional ``s`` times a pullback
+at most ``|s|`` over the pullbacks' ball.  Only the other rows go to
+``gauge_max``; a map ``T (1 + delta)`` into the T-image of its domain
+solves no LP at ``delta``.  Nothing is memoised: a memo keyed on the
 whole map hashes both spaces and the matrix on every lookup and rarely
 hits.  On top of these sit distortion reports, embedding certificates,
 distances between maps, and the kernel-splitting construction of
@@ -36,6 +43,7 @@ from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
 from msn.linalg import (
     Matrix,
     Vec,
+    _primitive_direction,
     _scale_to_int,
     dot,
     in_span,
@@ -163,29 +171,75 @@ def _lower_vector(d: int, ball, pulled) -> Vec:
     return witness
 
 
-def _level_pass(f: LinearMap, m: int, hi=None, lo_req=None):
-    """Level m of ``f`` in one pass: ``(up, lo, failure)``.
+def _level_pass(f: LinearMap, m: int):
+    """Level m of ``f`` in one pass: ``(operator_seminorm(f, m), lower_constant(f, m))``.
 
-    ``up`` is ``operator_seminorm(f, m)`` and ``lo`` is ``lower_constant(f, m)``.
     The codomain functionals are pulled back once and the domain ones
-    scaled once; both gauges and either witness read those rows.  With
-    bounds, as in ``is_embedding``, the pass stops at the first side that
-    fails: an ``up`` that is None or above ``hi`` gives the upper failure
-    record (and ``lo`` None, not computed), an ``lo`` below ``lo_req`` the
-    lower one.  Otherwise ``failure`` is None.
+    scaled once; both gauges read those rows.
     """
     dom = f.domain.seminorms[m]
     if _is_identity_on_level(f, m):
-        return (Fraction(1), Fraction(1), None) if dom.functionals else (Fraction(0), None, None)
+        return (Fraction(1), Fraction(1)) if dom.functionals else (Fraction(0), None)
     ball = _ball(dom)
     pulled = _pullbacks(f, m)
-    up, point = gauge_max(pulled, ball)
-    if hi is not None and (up is None or up > hi):
-        return up, None, {"kind": "upper", "level": m, "vector": _upper_vector(f, m, point)}
-    lo = _lower(ball, pulled)
-    if lo_req is not None and lo is not None and lo < lo_req:
-        return up, lo, {"kind": "lower", "level": m, "vector": _lower_vector(f.domain.dim, ball, pulled)}
-    return up, lo, None
+    return gauge_max(pulled, ball)[0], _lower(ball, pulled)
+
+
+def _uncertified(rows, ball, hi: Fraction):
+    """The rows, in order, whose gauge over ``ball`` no parallel ball row bounds by ``hi``.
+
+    A row that is ``t`` times a ball functional has gauge at most ``|t|``
+    over the ball, since ``|phi . x| <= 1`` there; with ``|t| <= hi`` it
+    needs no LP.  Rows and ball are ``_scale_to_int`` rows, keyed by
+    ``_primitive_direction``, so ``t`` is compared in integers against
+    the largest ball row of its direction.
+    """
+    largest: dict[tuple[int, ...], tuple[int, int]] = {}
+    for ia, s in ball:
+        g, d = _primitive_direction(ia)
+        g = abs(g)
+        b = largest.get(d)
+        if b is None or g * b[1] > b[0] * s:
+            largest[d] = (g, s)
+    rest = []
+    for ia, s in rows:
+        g, d = _primitive_direction(ia)
+        b = largest.get(d)
+        # |t| = (|g| / s) / (gb / sb) <= hi, in integers
+        if b is None or abs(g) * b[1] * hi.denominator > hi.numerator * s * b[0]:
+            rest.append((ia, s))
+    return rest
+
+
+def _level_check(f: LinearMap, m: int, hi: Fraction):
+    """The failure record of level m in ``is_embedding`` at ``1 + delta == hi``, or None.
+
+    The upper side fails when some pullback has gauge above ``hi`` over
+    the domain ball (or an infinite one), the lower side when some domain
+    functional has gauge above ``hi`` over the pullbacks' ball.  Rows
+    parallel to a row of the other list certify themselves
+    (``_uncertified``); ``gauge_max`` solves only the rest, in their
+    order, and is not called when none is left.  It solves each objective
+    from its own copy of the slack tableau and no certified row exceeds
+    ``hi``, so a failing upper side yields the point the full list would.
+    The lower witness reads the full lists.
+    """
+    if _is_identity_on_level(f, m):
+        return None
+    ball = _ball(f.domain.seminorms[m])
+    pulled = _pullbacks(f, m)
+    rest = _uncertified(pulled, ball, hi)
+    if rest:
+        up, point = gauge_max(rest, ball)
+        if up is None or up > hi:
+            return {"kind": "upper", "level": m, "vector": _upper_vector(f, m, point)}
+    rest = _uncertified(ball, pulled, hi)
+    if rest:
+        worst = gauge_max(rest, pulled)[0]
+        # worst is None: a domain functional escapes the span of the pullbacks
+        if worst is None or worst > hi:
+            return {"kind": "lower", "level": m, "vector": _lower_vector(f.domain.dim, ball, pulled)}
+    return None
 
 
 def operator_seminorm(f: LinearMap, m: int):
@@ -255,7 +309,7 @@ def distortion(f: LinearMap) -> DistortionReport:
     delta = Fraction(0)
     infinite = False
     for m in range(f.domain.length):
-        up, lo, _ = _level_pass(f, m)
+        up, lo = _level_pass(f, m)
         levels.append((up, lo))
         if up is None or (lo is not None and lo == 0):
             infinite = True
@@ -276,10 +330,8 @@ def is_embedding(f: LinearMap, delta) -> tuple[bool, dict]:
         raise LengthMismatch("domain carries more seminorms than the codomain")
     if not f.is_injective():
         return False, {"kind": "injectivity"}
-    hi = 1 + delta
-    lo_req = 1 / (1 + delta)
     for m in range(f.domain.length):
-        failure = _level_pass(f, m, hi, lo_req)[2]
+        failure = _level_check(f, m, 1 + delta)
         if failure:
             return False, failure
     return True, {}

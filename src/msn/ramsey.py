@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 
 from msn.errors import (
     BadArgument,
@@ -24,7 +25,7 @@ from msn.errors import (
     UnboundedPolyhedron,
     UndefinedPoint,
 )
-from msn.linalg import Matrix, Vec, vec_sub, zero_vec
+from msn.linalg import Matrix, Vec, _scale_to_int, vec_sub
 from msn.maps import LinearMap, compose, is_embedding, map_distance, sup_distance
 from msn.polytope import polytope_vertices
 from msn.seminorms import PolyhedralSeminorm, quotient_norm
@@ -90,7 +91,9 @@ def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
     """Points of the convex hull within ``mesh_den`` of every hull point.
 
     Simplex grid on the convex-combination weights with exact rounding
-    bound (#verts - 1) * diameter / N.
+    bound (#verts - 1) * diameter / N.  The vertices are scaled to
+    integers over one common denominator ``D``, so each point is an
+    integer combination over ``N * D`` and one ``Fraction`` per coordinate.
     """
     if not verts:
         return []
@@ -103,13 +106,12 @@ def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
     need = (k - 1) * diam / mesh_den
     n = -(-need.numerator // need.denominator)  # ceil
     n = max(int(n), 1)
-    out = []
-    for weights in _compositions(n, k):
-        p = zero_vec(len(verts[0]))
-        for w, v in zip(weights, verts):
-            p = tuple(a + Fraction(w, n) * b for a, b in zip(p, v))
-        out.append(p)
-    return out
+    d = len(verts[0])
+    flat, den = _scale_to_int([x for v in verts for x in v])
+    cols = [flat[j::d] for j in range(d)]
+    nd = n * den
+    return [tuple(Fraction(sum(map(mul, weights, col)), nd) for col in cols)
+            for weights in _compositions(n, k)]
 
 
 def _compositions(total: int, parts: int):

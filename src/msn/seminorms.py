@@ -6,9 +6,11 @@ direction, the largest multiple, sorted (``_dominant``, in integers over
 one common denominator), with redundant members (those inside the convex
 hull of the others and their negatives) removed by exact LP membership
 tests on the ``_scale_to_int`` rows that ``_dominant`` returns and both
-gauges take; Fractions are built once, for the kept list.  The empty
-family encodes the zero seminorm, and ``from_functionals`` builds it
-from an empty list like any other, so callers need no special case.
+gauges take.  A list of at most ``dim`` independent rows, where no member
+can be redundant, is settled by one ``echelon_int`` rank test instead.
+Fractions are built once, for the kept list.  The empty family encodes
+the zero seminorm, and ``from_functionals`` builds it from an empty list
+like any other, so callers need no special case.
 Evaluation is in integers: each call scales ``x`` and the whole list to
 integers once, takes one integer dot per functional and builds one
 ``Fraction`` at the end.  The integer form is not stored on the
@@ -26,6 +28,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
+from msn import _kernel
 from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
@@ -69,6 +72,11 @@ def _ball(s) -> list[tuple[list[int], int]]:
     return [_scale_to_int(phi) for phi in s.functionals]
 
 
+def _independent(rows, dim: int) -> bool:
+    """Whether the integer rows are linearly independent: one ``echelon_int`` rank test."""
+    return len(rows) <= dim and _kernel.echelon_int([ia for ia, _ in rows])[0] == len(rows)
+
+
 def _in_symmetric_hull(row, others) -> bool:
     """Exact test: is the ``_scale_to_int`` row in conv(others and their negatives)?"""
     scale = gauge_scale(row, others)
@@ -96,7 +104,9 @@ class PolyhedralSeminorm:
         # integer sizes and order are those of the Fractions.
         flat, m = _scale_to_int([x for f in funcs for x in f])
         rows = _dominant((flat[i * dim:(i + 1) * dim] for i in range(len(funcs))), m)
-        if reduce and len(rows) > 1:
+        # Independent rows (at most dim, of full rank) are all kept: none
+        # lies in the span of the others, let alone in their hull.
+        if reduce and len(rows) > 1 and not _independent(rows, dim):
             i = 0
             while i < len(rows):
                 if _in_symmetric_hull(rows[i], rows[:i] + rows[i + 1:]):

@@ -61,6 +61,15 @@ def test_map_check_exit_codes(files, capsys):
     assert run(["map", "check", files / "two.json", "--delta", "1"]) == 0
 
 
+def test_command_line_rationals_use_the_file_grammar(files, capsys):
+    for delta in ("1e9", "0.5", "+1", " 1", "1/0"):
+        assert run(["map", "check", files / "two.json", "--delta", delta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "FormatError"
+    assert run(["map", "check", files / "two.json", "--delta", "2/2"]) == 0
+
+
 def test_map_check_witness_travels_as_exact_strings(tmp_path, capsys):
     X = MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 1), (1, -1)])))
     f = LinearMap(X, X, Matrix.from_rows([[F(3, 2), 0], [0, F(3, 2)]]))

@@ -14,6 +14,7 @@ import copy
 import io as stdio
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,6 +135,29 @@ def test_mutated_files_fail_with_format_error(case):
     rc, err = _run(*case)
     assert rc == 1
     assert json.loads(err)["error"] == "FormatError"
+
+
+BAD_LITERALS = ["1e100000000", "1e2", "0.5", "1.", " 1", "1 ", "1\n", "1_000", "+1", "+1/2",
+                "١", "1/٢", "1/0", "-1/-2", "1/+2", "--1", "1//2", "/2", "1/", "-", ""]
+
+
+def test_rationals_are_integers_or_fractions_of_ascii_digits():
+    for s, want in (("0", 0), ("-0", 0), ("7", 7), ("-3/4", F(-3, 4)), ("6/8", F(3, 4)), ("0/5", 0)):
+        assert io.rat_from_str(s) == want
+    for s in BAD_LITERALS:
+        with pytest.raises(io.FormatError):
+            io.rat_from_str(s)
+
+
+def test_space_file_with_a_bad_literal_fails_fast_with_format_error():
+    doc = io.space_to_doc(_X3)
+    for s in BAD_LITERALS:
+        doc["seminorms"][0]["functionals"][0][0] = s
+        start = time.perf_counter()
+        rc, err = _run("space", io.dumps(doc))
+        # an exponent must not expand into a many-megabit integer
+        assert time.perf_counter() - start < 1
+        assert (rc, json.loads(err)["error"]) == (1, "FormatError"), s
 
 
 def test_empty_matrix_loads_only_into_the_zero_space():

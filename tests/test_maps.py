@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from msn import maps
+from msn import _kernel, io, maps
 from msn.amalgam import pushout
 from msn.errors import BadLevel
 from msn.linalg import Matrix, _scale_to_int, in_span, inverse
@@ -299,8 +299,44 @@ def test_upper_witness_attains_operator_seminorm():
     assert finite >= 60, finite
 
 
+def _space_doc(dim, levels):
+    """A space file's document with the functional lists as written, not reduced."""
+    return io.space_to_doc(MultiSpace(tuple(PolyhedralSeminorm(dim, tuple(lev)) for lev in levels)))
+
+
+def _certify_maps():
+    """Certify-shaped maps ``T (1 + delta)`` from a space into its T-image.
+
+    Also with extra functionals on either side, so that a level mixes
+    rows parallel to the other side's with rows that are not, and from a
+    domain of more than ``io.REDUCE_LOAD_LIMIT`` functionals loaded
+    unreduced, into its reduced and its unreduced image.
+    """
+    rng = random.Random(1515)
+    out = []
+    for trial in range(12):
+        dim, lam = rng.randint(2, 3), rng.randint(1, 3)
+        levels = [_raw_functionals(rng, dim, rng.randint(2, 7)) for _ in range(lam)]
+        more = [lev + _raw_functionals(rng, dim, rng.randint(1, 2)) for lev in levels]
+        T = random_invertible(rng, dim)
+        M = T.scale(1 + F(trial % 4, 8))
+        X, Xm = (MultiSpace(tuple(S(dim, lev) for lev in ls)) for ls in (levels, more))
+        out += [LinearMap(X, image_space(X, T), M), LinearMap(X, image_space(Xm, T), M),
+                LinearMap(Xm, image_space(X, T), M)]
+    dim = 3
+    raw = _raw_functionals(rng, dim, io.REDUCE_LOAD_LIMIT + 6)
+    big = io.space_from_doc(_space_doc(dim, [raw]))
+    assert len(big.seminorms[0].functionals) > 2 * len(S(dim, raw).functionals)
+    T = random_invertible(rng, dim)
+    image = [[tuple(inverse(T).transpose().apply(f)) for f in raw]]
+    for Y in (image_space(big, T), io.space_from_doc(_space_doc(dim, image))):
+        out += [LinearMap(big, Y, T.scale(1 + F(k, 8))) for k in (0, 2)]
+    return out
+
+
 def _pass_maps():
-    """Whole maps: the level maps, identity maps, and maps with identity and zero levels."""
+    """Whole maps: the level maps, identity maps, maps with identity and zero
+    levels, and certify-shaped maps."""
     out = list({id(f): f for f, _ in _level_maps()}.values())
     out += [identity_map(f.domain) for f in out[:8]]
     a, b = S(2, [(1, 0), (F(1, 2), 1)]), S(2, [(1, 1), (F(1, 3), -1)])
@@ -308,7 +344,7 @@ def _pass_maps():
     eye, shear = Matrix.identity(2), Matrix.from_rows([[1, F(1, 2)], [0, 1]])
     spaces = [MultiSpace((a, b)), MultiSpace((a, a)), MultiSpace((zero, b)), MultiSpace((zero, zero))]
     out += [LinearMap(X, Y, M) for X in spaces for Y in spaces for M in (eye, shear)]
-    return out
+    return out + _certify_maps()
 
 
 def _one_by_one(f, delta):
@@ -352,6 +388,54 @@ def test_level_pass_pulls_back_once_per_level_and_matches_one_level_functions(mo
         assert calls == [m for m in levels if not _is_identity_on_level(f, m)]
         assert rep.per_level == tuple((operator_seminorm(f, m), lower_constant(f, m)) for m in levels)
     assert min(seen.values()) >= 10 and len(seen) == 7, seen
+
+
+def test_level_check_certifies_parallel_rows_and_agrees_with_one_level_functions(monkeypatch):
+    """Each check settles its rows by certificates alone, by certificates and
+    LPs, or by LPs alone; every way gives the one-level functions' verdict and witness."""
+    sides = []
+    real = maps._uncertified
+
+    def uncertified(rows, ball, hi):
+        rest = real(rows, ball, hi)
+        sides.append((len(rows) - len(rest), len(rest)))
+        return rest
+
+    monkeypatch.setattr(maps, "_uncertified", uncertified)
+    seen = Counter()
+    for f in _pass_maps():
+        for delta in (F(0), F(1, 8), F(1, 4), F(1, 2)):
+            sides.clear()
+            got = is_embedding(f, delta)
+            assert got == _one_by_one(f, delta)[0]
+            certified, solved = map(sum, zip(*sides)) if sides else (0, 0)
+            path = "LPs" if not certified else "both" if solved else "certificates"
+            seen[path, got[1].get("kind", "embedding")] += certified + solved > 0
+    for path in ("certificates", "both", "LPs"):
+        assert sum(v for (p, _), v in seen.items() if p == path) >= 10, seen
+    assert seen["both", "upper"] and seen["both", "lower"] and seen["LPs", "embedding"], seen
+
+
+def test_certify_accept_check_solves_no_lp(monkeypatch):
+    """The accept check of a certify-shaped map file certifies every row in integers."""
+    rng = random.Random(15)
+    calls = []
+    real = _kernel.bland_min
+    monkeypatch.setattr(_kernel, "bland_min", lambda *a: calls.append(1) or real(*a))
+    for trial in range(12):
+        dim, delta = rng.randint(3, 5), F(trial % 2, 4)
+        levels = [_raw_functionals(rng, dim, rng.randint(6, 16)) for _ in range(rng.randint(1, 3))]
+        T = random_invertible(rng, dim)
+        back = inverse(T).transpose()
+        f = io.map_from_doc({"format": io.FORMAT, "domain": _space_doc(dim, levels),
+                             "codomain": _space_doc(dim, [[back.apply(v) for v in lev] for lev in levels]),
+                             "matrix": io.matrix_to_doc(T.scale(1 + delta))})
+        calls.clear()
+        assert is_embedding(f, delta) == (True, {})
+        assert not calls
+        if delta:
+            ok, wit = is_embedding(f, delta / 2)
+            assert not ok and wit["kind"] == "upper" and calls
 
 
 def test_maps_out_of_the_zero_space():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msn import lp
 from msn.errors import DimensionMismatch
-from msn.linalg import dot, in_span, vec
+from msn.linalg import Matrix, _scale_to_int, dot, in_span, vec
+from msn.lp import gauge_scale
 from msn.polytope import polytope_vertices
 from msn.seminorms import (
     PolyhedralSeminorm,
@@ -92,6 +94,37 @@ def test_reduce_examples():
     assert S(2, [(1, 0), (F(1, 2), 0)]).functionals == ((F(1), F(0)),)
     assert S(2, [(1, 0), (0, 1), (F(1, 2), F(1, 2))]).functionals == ((F(0), F(1)), (F(1), F(0)))
     assert S(2, [(1, 0)]).functionals == ((F(1), F(0)),)
+
+
+def _leave_one_out(funcs):
+    """The irredundant members of a list: each tested by one gauge LP against the others."""
+    rows = [_scale_to_int(f) for f in funcs]
+    gauges = [gauge_scale(rows[i], rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+    return tuple(f for f, g in zip(funcs, gauges) if g is None or g > 1)
+
+
+def test_independent_lists_are_kept_whole_without_an_lp(monkeypatch):
+    rng = random.Random(31)
+    calls = []
+    real = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        funcs = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+                 for _ in range(rng.randint(2, dim + 1))]
+        if not all(any(f) for f in funcs):
+            continue
+        front = S(dim, funcs, reduce=False).functionals
+        independent = Matrix.from_rows(front).rank() == len(front)
+        calls.clear()
+        got = S(dim, funcs).functionals
+        assert (not calls) == independent
+        if independent:
+            assert got == front
+        assert got == _leave_one_out(front)
+        seen[independent] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_quotient_examples():
