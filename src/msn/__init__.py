@@ -5,7 +5,6 @@ tower stages with quantitative error certificates, and colouring
 experiments, all over exact rationals.
 """
 
-from msn._kernel import BACKEND as kernel_backend
-
+kernel_backend = "pure"  # the one kernel: ``msn._kernel``, in pure Python
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

@@ -1,4 +1,4 @@
-"""Pure-Python exact pivoting kernels.
+"""Exact pivoting kernels, in pure Python.
 
 Two primitives back every exact computation in the library:
 
@@ -11,6 +11,9 @@ Two primitives back every exact computation in the library:
   ``basis``, plus the RHS, over one positive common denominator.  Basic
   columns are unit vectors and are never stored.  All divisions are exact
   by the subdeterminant invariant of integer pivoting.
+
+The private ``_row_primitive`` (divide an integer row by its content) is
+shared with the double description in ``msn.polytope``.
 """
 
 from math import gcd

@@ -144,8 +144,11 @@ class Matrix:
         return Matrix(tuple(vec_scale(c, r) for r in self.entries), self.cols)
 
     def rank(self) -> int:
-        r, _, _ = _kernel.echelon_int(int_rows(self.entries))
-        return r
+        """rank(M) = rank(Mᵀ), so eliminate whichever of the two has fewer rows."""
+        rows = int_rows(self.entries)
+        if self.rows > self.cols:
+            rows = list(zip(*rows))
+        return _kernel.echelon_int(rows)[0]
 
 
 def row_space_basis(rows: list[Vec]) -> list[Vec]:
@@ -206,20 +209,6 @@ def intersect_spans(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
     system = Matrix.from_rows(U + [vec_scale(-1, v) for v in V]).transpose()
     pad = zero_vec(len(V))
     return row_space_basis([system.apply(s[: len(U)] + pad) for s in nullspace(system)])
-
-
-def solve(mat: Matrix, b: Vec) -> Vec | None:
-    """One exact solution of ``mat x = b``, or None if inconsistent."""
-    if len(b) != mat.rows:
-        raise DimensionMismatch("rhs length")
-    n = mat.cols
-    _, pivcols, red = _kernel.echelon_int(int_rows((*r, x) for r, x in zip(mat.entries, b)))
-    if n in pivcols:
-        return None
-    x = [Fraction(0)] * n
-    for r, p in zip(red, pivcols):
-        x[p] = Fraction(r[n], r[p])
-    return tuple(x)
 
 
 def inverse(mat: Matrix) -> Matrix | None:

@@ -22,10 +22,9 @@ from msn.errors import (
     EmptyEmbeddingSet,
     MultiLevelInput,
     ShapeMismatch,
-    UnboundedPolyhedron,
     UndefinedPoint,
 )
-from msn.linalg import Matrix, Vec, _scale_to_int, vec_sub
+from msn.linalg import Matrix, Vec, _scale_to_int, dot, vec_sub
 from msn.maps import LinearMap, compose, is_embedding, map_distance, sup_distance
 from msn.polytope import polytope_vertices
 from msn.seminorms import PolyhedralSeminorm, quotient_norm
@@ -59,32 +58,14 @@ def _line_image_constraints(X: MultiSpace, Y: MultiSpace):
 
 
 def _sphere_faces(Y: MultiSpace, targets):
-    """Face pieces of {y : ||y||_m = c_m for all m} as (eqs, ineqs) systems."""
-    levels = list(range(len(targets)))
-    choices = []
-    for m in levels:
-        funcs = Y.seminorms[m].functionals
-        if targets[m] == 0 or not funcs:
-            choices.append([None])
-            continue
-        opts = []
-        for phi in funcs:
-            opts.append((phi, Fraction(1)))
-            opts.append((tuple(-x for x in phi), Fraction(1)))
-        choices.append(opts)
-    for combo in iproduct(*choices):
-        eqs = []
-        ineqs = []
-        for m in levels:
-            funcs = Y.seminorms[m].functionals
-            c = targets[m]
-            for phi in funcs:
-                ineqs.append((phi, c))
-                ineqs.append((tuple(-x for x in phi), c))
-            if combo[m] is not None:
-                face, sgn = combo[m]
-                eqs.append((tuple(sgn * x for x in face), c))
-        yield eqs, ineqs
+    """Faces of {y : ||y||_m = c_m for all m}, each as its equalities (±φ, c_m).
+
+    A face picks one signed functional of every level with a nonzero
+    target and functionals; the other levels contribute no equality.
+    """
+    choices = [[(s, c) for phi in Y.seminorms[m].functionals for s in (phi, tuple(-x for x in phi))]
+               for m, c in enumerate(targets) if c and Y.seminorms[m].functionals]
+    return iproduct(*choices)
 
 
 def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
@@ -99,7 +80,7 @@ def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
         return []
     if len(verts) == 1:
         return list(verts)
-    diam = max(metric(a, b) for a in verts for b in verts)
+    diam = max(metric(a, b) for i, a in enumerate(verts) for b in verts[i + 1:])
     if diam == 0 or mesh_den is None:
         return list(verts)
     k = len(verts)
@@ -127,8 +108,10 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
     """Exhaustive net of Emb(X, Y) for one-dimensional X.
 
     The embedding set is the intersection of seminorm spheres, a finite
-    union of polytope faces; each face is covered by an exact simplex grid
-    with mesh at most eps.  Raises when the constraint set is empty.
+    union of faces of one polytope, whose vertices are enumerated once;
+    each face, the hull of the vertices on it, is covered by an exact
+    simplex grid with mesh at most eps.  Raises when the constraint set
+    is empty.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -147,8 +130,6 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
         maps = tuple(LinearMap(X, Y, Matrix.from_rows([[x] for x in p])) for p in pts)
         return EmbeddingNet(X, Y, maps, eps)
 
-    scale = max(t for t in targets if t != 0)
-
     def metric(a: Vec, b: Vec) -> Fraction:
         best = Fraction(0)
         for m in range(X.length):
@@ -157,26 +138,20 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
             best = max(best, Y.seminorms[m](vec_sub(a, b)) / targets[m])
         return best
 
-    # faces can be unbounded along degenerate directions; quotient out by
-    # pinning the kernel coordinates to zero for a canonical section
-    pins = []
+    # P: every level's |φ·y| <= c_m, plus pins setting the joint kernel of
+    # the nonzero levels to zero for a canonical section.  A recession
+    # direction of P lies in that kernel and is orthogonal to it, so P is
+    # bounded: each sphere face {φ·y = c} is a face of P, the hull of the
+    # vertices of P on it (Fukuda & Prodon 1996).
+    rows = [(s, c) for m, c in enumerate(targets) for phi in Y.seminorms[m].functionals
+            for s in (phi, tuple(-x for x in phi))]
     for k in joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0]):
-        pins.append((k, Fraction(0)))
-        pins.append((tuple(-x for x in k), Fraction(0)))
+        rows += [(k, 0), (tuple(-x for x in k), 0)]
+    verts = polytope_vertices(rows, Y.dim)
     points: set[Vec] = set()
-    for eqs, ineqs in _sphere_faces(Y, targets):
-        rows = list(ineqs)
-        for a, b in eqs:
-            rows.append((a, b))
-            rows.append((tuple(-x for x in a), -b))
-        rows += pins
-        try:
-            verts = polytope_vertices(rows, Y.dim)
-        except UnboundedPolyhedron:
-            continue
-        if not verts:
-            continue
-        for p in _grid_on_hull(verts, eps, metric):
+    for eqs in _sphere_faces(Y, targets):
+        face = [v for v in verts if all(dot(a, v) == c for a, c in eqs)]
+        for p in _grid_on_hull(face, eps, metric):
             # grid points of a face of the sphere stay on the sphere only
             # if the face is exact; re-check exactly and keep valid ones
             if all(Y.seminorms[m](p) == targets[m] for m in range(X.length)):

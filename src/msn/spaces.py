@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
-from msn.linalg import Matrix, Vec, nullspace, row_space_basis
+from msn.linalg import Matrix, Vec, nullspace
 from msn.seminorms import PolyhedralSeminorm, _ball, _in_symmetric_hull
 
 
@@ -102,7 +102,7 @@ def invariant_alpha(X: MultiSpace) -> KernelInvariant:
         rows = []
         for k in s:
             rows.extend(X.seminorms[k].functionals)
-        entries.append((tuple(s), len(nullspace(Matrix.from_rows(rows, X.dim)))))
+        entries.append((tuple(s), X.dim - Matrix.from_rows(rows, X.dim).rank()))
     return KernelInvariant(X.length, tuple(entries))
 
 
@@ -114,7 +114,8 @@ def joint_kernel(X: MultiSpace, levels=None) -> list[Vec]:
 
 
 def is_separated(X: MultiSpace) -> bool:
-    return not joint_kernel(X)
+    rows = [f for s in X.seminorms for f in s.functionals]
+    return Matrix.from_rows(rows, X.dim).rank() == X.dim
 
 
 def extend_with_norm(X: MultiSpace) -> MultiSpace:
@@ -165,10 +166,10 @@ def product_space(factors) -> MultiSpace:
     factors = list(factors)
     if not factors:
         raise ArityMismatch("empty product")
-    if len(factors) == 1:
-        return factors[0]
     if any(f.length != 1 for f in factors):
         raise ArityMismatch("product_space requires single-seminorm factors")
+    if len(factors) == 1:
+        return factors[0]
     total = sum(f.dim for f in factors)
     sems = []
     off = 0
@@ -188,7 +189,7 @@ def pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:
     m = lift.cols
     if lift.rows != X.dim:
         raise DimensionMismatch("lift target dimension != space dimension")
-    if len(row_space_basis(list(lift.transpose().entries))) != m:
+    if lift.rank() != m:
         raise DimensionMismatch("lift columns are dependent")
     sems = []
     for s in X.seminorms:

@@ -4,7 +4,7 @@ These deliberately share no code with the library paths they check:
 plain Gaussian elimination over Fraction, constraint-subset vertex and
 cone-ray enumeration, 1-D breakpoint minimisation, the full-tableau
 integer simplex (``full_pivot``/``full_bland_min``, one column per
-variable) that the condensed kernel in ``msn._kernel.pure`` replaced, and
+variable) that the condensed kernel in ``msn._kernel`` replaced, and
 the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
 ``msn.maps`` replaced, the Fraction seminorm value
 (``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
@@ -18,15 +18,25 @@ edge (``canon_vector``, ``row_space_basis``, ``nullspace``, ``in_span``,
 ``intersect_spans``, ``solve``, ``inverse``, ``coordinate_complement``).
 Those are copied verbatim, so unlike the rest they share the integer
 echelon kernel and the ``Matrix`` type with the library: they pin the
-Fraction front ends around the kernel, not the kernel.
+Fraction front ends around the kernel, not the kernel.  Last,
+``per_face_build_net`` is ``ramsey.build_net`` as it was when it ran one
+vertex enumeration per sphere face, also verbatim.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as iproduct
 from math import gcd, lcm
+from operator import mul
 
-from msn import _kernel
-from msn.errors import DimensionMismatch
+from msn import _kernel, ramsey
+from msn.errors import (
+    BadArgument,
+    DimensionMismatch,
+    EmptyEmbeddingSet,
+    ShapeMismatch,
+    UnboundedPolyhedron,
+)
 from msn.linalg import (
     Matrix,
     Vec,
@@ -35,8 +45,12 @@ from msn.linalg import (
     int_rows,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
+from msn.maps import LinearMap, is_embedding
+from msn.polytope import polytope_vertices
+from msn.spaces import joint_kernel
 
 
 def _rref(rows, cols):
@@ -432,3 +446,120 @@ def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:
         if r == dim:
             break
     return chosen
+
+
+# ``ramsey.build_net`` as it was when it ran one double description per
+# sphere face, before it read every face off one polytope's vertices.
+# ``_grid_on_hull`` is the copy from then too: its diameter runs over
+# every ordered vertex pair.
+
+
+def _sphere_faces(Y, targets):
+    """Face pieces of {y : ||y||_m = c_m for all m} as (eqs, ineqs) systems."""
+    levels = list(range(len(targets)))
+    choices = []
+    for m in levels:
+        funcs = Y.seminorms[m].functionals
+        if targets[m] == 0 or not funcs:
+            choices.append([None])
+            continue
+        opts = []
+        for phi in funcs:
+            opts.append((phi, Fraction(1)))
+            opts.append((tuple(-x for x in phi), Fraction(1)))
+        choices.append(opts)
+    for combo in iproduct(*choices):
+        eqs = []
+        ineqs = []
+        for m in levels:
+            funcs = Y.seminorms[m].functionals
+            c = targets[m]
+            for phi in funcs:
+                ineqs.append((phi, c))
+                ineqs.append((tuple(-x for x in phi), c))
+            if combo[m] is not None:
+                face, sgn = combo[m]
+                eqs.append((tuple(sgn * x for x in face), c))
+        yield eqs, ineqs
+
+
+def _grid_on_hull(verts, mesh_den, metric):
+    if not verts:
+        return []
+    if len(verts) == 1:
+        return list(verts)
+    diam = max(metric(a, b) for a in verts for b in verts)
+    if diam == 0 or mesh_den is None:
+        return list(verts)
+    k = len(verts)
+    need = (k - 1) * diam / mesh_den
+    n = -(-need.numerator // need.denominator)  # ceil
+    n = max(int(n), 1)
+    d = len(verts[0])
+    flat, den = _scale_to_int([x for v in verts for x in v])
+    cols = [flat[j::d] for j in range(d)]
+    nd = n * den
+    return [tuple(Fraction(sum(map(mul, weights, col)), nd) for col in cols)
+            for weights in ramsey._compositions(n, k)]
+
+
+def per_face_build_net(X, Y, eps):
+    EmbeddingNet = ramsey.EmbeddingNet
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise BadArgument("eps must be positive")
+    if X.dim != 1:
+        raise DimensionMismatch("exhaustive enumeration needs a one-dimensional domain")
+    if X.length > Y.length:
+        raise ShapeMismatch("domain carries more levels than the codomain")
+    targets = ramsey._line_image_constraints(X, Y)
+
+    if all(t == 0 for t in targets):
+        ker = joint_kernel(Y, range(X.length))
+        if not ker:
+            raise EmptyEmbeddingSet("no nonzero vector annihilated by every level")
+        pts = [ker[0], tuple(-x for x in ker[0])]
+        maps = tuple(LinearMap(X, Y, Matrix.from_rows([[x] for x in p])) for p in pts)
+        return EmbeddingNet(X, Y, maps, eps)
+
+    def metric(a: Vec, b: Vec) -> Fraction:
+        best = Fraction(0)
+        for m in range(X.length):
+            if targets[m] == 0:
+                continue
+            best = max(best, Y.seminorms[m](vec_sub(a, b)) / targets[m])
+        return best
+
+    # faces can be unbounded along degenerate directions; quotient out by
+    # pinning the kernel coordinates to zero for a canonical section
+    pins = []
+    for k in joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0]):
+        pins.append((k, Fraction(0)))
+        pins.append((tuple(-x for x in k), Fraction(0)))
+    points: set[Vec] = set()
+    for eqs, ineqs in _sphere_faces(Y, targets):
+        rows = list(ineqs)
+        for a, b in eqs:
+            rows.append((a, b))
+            rows.append((tuple(-x for x in a), -b))
+        rows += pins
+        try:
+            verts = polytope_vertices(rows, Y.dim)
+        except UnboundedPolyhedron:
+            continue
+        if not verts:
+            continue
+        for p in _grid_on_hull(verts, eps, metric):
+            # grid points of a face of the sphere stay on the sphere only
+            # if the face is exact; re-check exactly and keep valid ones
+            if all(Y.seminorms[m](p) == targets[m] for m in range(X.length)):
+                points.add(p)
+    if not points:
+        raise EmptyEmbeddingSet("sphere system has no solutions")
+    maps = tuple(LinearMap(X, Y, Matrix.from_rows([[x] for x in p]))
+                 for p in sorted(points))
+    for f in maps:
+        ok, _ = is_embedding(f, 0)
+        if not ok:
+            raise EmptyEmbeddingSet("enumerated point fails the embedding check")
+    return EmbeddingNet(X, Y, maps, eps)

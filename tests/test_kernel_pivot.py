@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import oracles
 from msn import _kernel
-from msn._kernel import pure
 from msn.errors import Infeasible, Unbounded
 from msn.lp import solve_lp
 
@@ -54,7 +53,7 @@ def _assert_agree(full, fden, fbasis, tab, den, basis, cols):
 def _logged(monkeypatch):
     """Record (row, entering, leaving, degenerate) for every pivot of both kernels."""
     logs = {"full": [], "condensed": []}
-    full_pivot, pivot = oracles.full_pivot, pure.pivot
+    full_pivot, pivot = oracles.full_pivot, _kernel.pivot
 
     def full(tab, den, basis, r, jc):
         logs["full"].append((r, jc, basis[r], tab[r][-1] == 0))
@@ -65,7 +64,7 @@ def _logged(monkeypatch):
         return pivot(tab, den, basis, cols, r, jc)
 
     monkeypatch.setattr(oracles, "full_pivot", full)
-    monkeypatch.setattr(pure, "pivot", condensed)
+    monkeypatch.setattr(_kernel, "pivot", condensed)
     return logs
 
 
@@ -77,7 +76,7 @@ def _run_both(full, fbasis, nbody, logs, den0=1):
     logs["full"].clear()
     logs["condensed"].clear()
     fstatus, fden = oracles.full_bland_min(full, den0, fbasis, nbody, nbody)
-    status, den = pure.bland_min(tab, den0, basis, cols, nbody, nbody)
+    status, den = _kernel.bland_min(tab, den0, basis, cols, nbody, nbody)
     assert status == fstatus and logs["condensed"] == logs["full"]
     _assert_agree(full, fden, fbasis, tab, den, basis, cols)
     for r, enter, _, _ in logs["full"]:
@@ -103,7 +102,7 @@ def test_pivot_sequences_match_fraction_reference():
             r, jc = rng.choice(cands)
             enter, leave = cols[jc], basis[r]
             fden = oracles.full_pivot(full, fden, fbasis, r, enter)
-            den = pure.pivot(tab, den, basis, cols, r, jc)
+            den = _kernel.pivot(tab, den, basis, cols, r, jc)
             ref = _gauss_jordan(ref, r, enter)
             steps += 1
             assert basis[r] == enter and cols[jc] == leave
@@ -146,7 +145,6 @@ def test_bland_fallback_breaks_a_cycle(monkeypatch):
 
 def test_solve_lp_pivots_like_the_full_tableau(monkeypatch):
     logs = _logged(monkeypatch)
-    monkeypatch.setattr(_kernel, "pivot", pure.pivot)  # the phase-1 drive-out
     rng = random.Random(1618)
     outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     pivots = 0

@@ -13,7 +13,6 @@ from msn.linalg import (
     intersect_spans,
     nullspace,
     row_space_basis,
-    solve,
     sum_span,
     inverse,
 )
@@ -41,10 +40,8 @@ def test_two_plane_kernel_intersection():
     assert inter == [(F(0), F(0), F(1))]
 
 
-def test_solve_and_inverse():
+def test_inverse():
     m = Matrix.from_rows([[1, 2], [3, 5]])
-    x = solve(m, (F(1), F(2)))
-    assert m.apply(x) == (F(1), F(2))
     inv = inverse(m)
     assert inv.mul(m).entries == Matrix.identity(2).entries
 
@@ -137,15 +134,14 @@ def _rows(draw, rows, cols):
 
 @st.composite
 def subspace_questions(draw):
-    """Two matrices of one width (0 to 4 rows and columns), a square one, a rhs and a vector."""
+    """Two matrices of one width (0 to 4 rows and columns), a square one and a vector."""
     cols = draw(st.integers(0, 4))
     a = _rows(draw, draw(st.integers(0, 4)), cols)
     b = _rows(draw, draw(st.integers(0, 4)), cols)
     n = draw(st.integers(0, 4))
     sq = _rows(draw, n, n)
-    rhs = tuple(draw(st.lists(entries, min_size=a.rows, max_size=a.rows)))
     v = tuple(draw(st.lists(entries, min_size=cols, max_size=cols)))
-    return a, b, sq, rhs, v
+    return a, b, sq, v
 
 
 Z = Matrix.zero
@@ -154,22 +150,38 @@ R = Matrix.from_rows
 
 @settings(max_examples=200, deadline=None)
 @given(subspace_questions())
-@example((Z(0, 3), Z(2, 3), Z(0, 0), (), (F(0),) * 3))
-@example((Z(3, 0), Z(0, 0), Z(2, 2), (F(1), F(0), F(0)), ()))
+@example((Z(0, 3), Z(2, 3), Z(0, 0), (F(0),) * 3))
+@example((Z(3, 0), Z(0, 0), Z(2, 2), ()))
 @example((R([[F(1, 2), 1], [0, 0]]), R([[1, 0], [0, F(1, 3)]]), R([[F(1, 2), 1], [0, F(1, 3)]]),
-          (F(1), F(2)), (F(1), F(2))))
-@example((R([[1, 2], [2, 4]]), R([[2, 4]]), R([[1, 2], [2, 4]]), (F(1), F(3)), (F(-1), F(-2))))
+          (F(1), F(2))))
+@example((R([[1, 2], [2, 4]]), R([[2, 4]]), R([[1, 2], [2, 4]]), (F(-1), F(-2))))
 def test_subspace_calculus_matches_the_fraction_front_ends(case):
     """Zero rows, 0 x n and n x 0 matrices and singular ones included."""
-    a, b, sq, rhs, v = case
+    a, b, sq, v = case
     ua, ub = list(a.entries), list(b.entries)
-    got = [nullspace(a), row_space_basis(ua), intersect_spans(ua, ub), solve(a, rhs)]
-    assert got == [oracles.nullspace(a), oracles.row_space_basis(ua), oracles.intersect_spans(ua, ub),
-                   oracles.solve(a, rhs)]
-    assert all(type(x) is F for vs in got[:3] for w in vs for x in w)
-    assert got[3] is None or all(type(x) is F for x in got[3])
+    got = [nullspace(a), row_space_basis(ua), intersect_spans(ua, ub)]
+    assert got == [oracles.nullspace(a), oracles.row_space_basis(ua), oracles.intersect_spans(ua, ub)]
+    assert all(type(x) is F for vs in got for w in vs for x in w)
     assert coordinate_complement(ua, a.cols) == oracles.coordinate_complement(ua, a.cols)
     assert in_span(ua, v) == oracles.in_span(ua, v)
     inv = inverse(sq)
     assert inv == oracles.inverse(sq)
     assert inv is None or all(type(x) is F for r in inv.entries for x in r)
+
+
+@st.composite
+def tall_or_wide(draw):
+    """A matrix with up to 8 rows and columns: tall, wide or square, with dependent rows."""
+    return _rows(draw, draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_or_wide())
+@example(Z(6, 0))
+@example(Z(0, 6))
+@example(R([[1, 2], [2, 4], [F(1, 2), 1], [0, 0]]))
+@example(R([[1, 2, 0, F(1, 3), 5], [2, 4, 0, F(2, 3), 10]]))
+def test_rank_takes_the_shorter_side(m):
+    r = m.rank()
+    assert r == len(row_space_basis(list(m.entries))) == m.cols - len(nullspace(m))
+    assert r == m.transpose().rank()

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from msn import ramsey
 from msn.amalgam import pushout
 from msn.errors import EmptyEmbeddingSet, MultiLevelInput
 from msn.linalg import Matrix
@@ -210,3 +214,41 @@ def test_sampled_net_filters_non_embeddings():
     bad = LinearMap(q, q, Matrix.from_rows([[2]]))
     net = sampled_net(q, q, [good, bad])
     assert len(net.points) == 1 and net.resolution is None
+
+
+entries = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+
+@st.composite
+def net_inputs(draw):
+    """A line with 1-2 levels (zero scales too) and a 1-3 dimensional space with as many or more."""
+    X = line_space(*draw(st.lists(st.sampled_from([F(0), F(1), F(2), F(1, 2)]), min_size=1, max_size=2)))
+    d = draw(st.integers(1, 3))
+    nonzero = st.lists(entries, min_size=d, max_size=d).filter(any)
+    levels = [S(d, draw(st.lists(nonzero, max_size=3))) for _ in range(draw(st.integers(X.length, 2)))]
+    return X, MultiSpace.make(levels), draw(st.sampled_from([F(1), F(2)]))
+
+
+def _net_or_empty(build, X, Y, eps):
+    try:
+        return build(X, Y, eps)
+    except EmptyEmbeddingSet as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net_inputs())
+@example((line_space(1, 0), MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 1)]))), F(1)))
+@example((line_space(1), MultiSpace.make((S(3, [(1, 0, 0), (1, 2, 0)]),)), F(1)))
+@example((line_space(1, 2), MultiSpace.make((S(3, [(1, 0, 0)]), S(3, [(2, 0, 0), (1, 1, 0)]))), F(2)))
+@example((line_space(2, 1), MultiSpace.make((S(2, [(1, 0)]), S(2, [(0, 1), (1, -1)]))), F(1)))
+def test_build_net_reads_every_face_off_one_polytope(case):
+    """Multi-level lines, zero-target levels and nontrivial joint kernels included."""
+    X, Y, eps = case
+    calls = []
+    real = ramsey.polytope_vertices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ramsey, "polytope_vertices", lambda *a: calls.append(1) or real(*a))
+        got = _net_or_empty(build_net, X, Y, eps)
+    assert got == _net_or_empty(oracles.per_face_build_net, X, Y, eps)
+    assert len(calls) <= 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from msn.errors import BadLength
+from msn.errors import ArityMismatch, BadLength
 from msn.linalg import Matrix
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import (
@@ -99,6 +99,9 @@ def test_product_space_modes():
     g = graded_closure(p)
     assert g.eval(0, (3, 5)) == 3 and g.eval(1, (3, 5)) == 5 and g.graded
     assert product_space([a]) is a
+    for factors in ([line_space(1, 2)], [a, line_space(1, 2)], []):
+        with pytest.raises(ArityMismatch):
+            product_space(factors)
 
 
 def test_invariant_unchanged_under_invertible_image():
