@@ -430,7 +430,7 @@ def main(argv=None) -> int:
         _diag({"error": "OSError", "detail": str(e)})
         return IO_FAILURE
     except MsnError as e:
-        _diag(e.payload())
+        _diag(io.witness_to_doc(e.payload()))
         return MATH_FAILURE
 
 

@@ -92,11 +92,8 @@ class NotAnEmbedding(MsnError):
         self.witness = witness or {}
 
     def payload(self) -> dict:
-        from msn.io import witness_to_doc  # msn.io imports this module
-
-        out = super().payload()
-        out["witness"] = witness_to_doc(self.witness)
-        return out
+        """The base payload plus the raw witness; ``io.witness_to_doc`` renders it."""
+        return {**super().payload(), "witness": self.witness}
 
 
 class NotAnNEmbedding(NotAnEmbedding):

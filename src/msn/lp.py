@@ -171,19 +171,6 @@ def solve_lp(objective, constraints) -> LpResult:
     return LpResult(value, tuple(Fraction(x, den) for x in X), active)
 
 
-def lp_feasible(constraints) -> bool:
-    """Exact feasibility of ``a . x <= b`` rows."""
-    rows = list(constraints)
-    if not rows:
-        return True
-    n = len(rows[0][0])
-    try:
-        solve_lp([Fraction(0)] * n, rows)
-        return True
-    except Infeasible:
-        return False
-
-
 def _ball_rows(ball):
     """``|f . x| <= 1`` as the integer rows ``ia`` and ``-ia``, each ``<= m``, in input order.
 

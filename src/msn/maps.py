@@ -13,9 +13,11 @@ direction, the largest, as an integer row with its scale, the
 functionals take the same form through ``seminorms._ball``.  The operator seminorm is the largest gauge of a
 pullback over the domain's unit ball, and the lower constant is the
 reciprocal of the largest gauge of a domain functional over the
-pullbacks' ball; each is one ``gauge_max`` call, which also yields the
-upper witness.  The lower witness is the infimum over the unit sphere,
-taken facet by facet with one epigraph LP each, on the same integer rows.
+pullbacks' ball; each is one ``gauge_max`` call, which also yields a
+witness: the upper one is the point it returns, the lower one that
+point over the largest gauge, on the unit sphere.  An infinite gauge
+gives instead a kernel vector of one list that the other does not kill
+(``_escape``), scaled to the sphere for the lower witness.
 ``distortion`` reads each level in one pass (``_level_pass``) that pulls
 back once and shares the rows between both constants.  ``is_embedding``
 needs only to know whether both gauges stay within ``1 + delta``, and
@@ -43,6 +45,7 @@ from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
 from msn.linalg import (
     Matrix,
     Vec,
+    _int_nullspace,
     _primitive_direction,
     _scale_to_int,
     dot,
@@ -53,7 +56,7 @@ from msn.linalg import (
     vec,
     zero_vec,
 )
-from msn.lp import gauge_max, solve_lp
+from msn.lp import gauge_max
 from msn.seminorms import _ball, _dominant, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
@@ -136,39 +139,39 @@ def _lower(ball, pulled):
     return Fraction(0) if worst is None else 1 / worst
 
 
-def _upper_vector(f: LinearMap, m: int, point: Vec | None) -> Vec:
-    """The upper witness from the point ``gauge_max`` returned for level m."""
+def _escape(rows, other, d: int) -> Vec:
+    """The first canonical kernel vector of ``rows`` that some ``other`` row does not kill."""
+    return next(tuple(map(Fraction, k)) for k in _int_nullspace([ia for ia, _ in rows], d)
+                if any(sum(map(mul, ia, k)) for ia, _ in other))
+
+
+def _upper_vector(d: int, ball, pulled, point: Vec | None) -> Vec:
+    """The upper witness from the point ``gauge_max(pulled, ball)`` returned."""
     if point is None:
-        return _kernel_escape_witness(f, m)
+        # a pullback escapes the span of the domain functionals
+        return _escape(ball, pulled, d)
     # With no pullbacks and no domain functionals the point has no coordinates.
-    return point or zero_vec(f.domain.dim)
+    return point or zero_vec(d)
 
 
-def _lower_vector(d: int, ball, pulled) -> Vec:
-    """The lower witness: one epigraph LP in ``(x, t)`` per facet, on integer rows.
+def _lower_vector(dom, ball, pulled, worst, point) -> Vec:
+    """The lower witness from ``(worst, point) = gauge_max(ball, pulled)``.
 
-    For each domain functional ``phi`` (the facet ``phi . x == 1``), minimise
-    ``t`` over the domain ball subject to ``|psi . x| <= t`` for every
-    pullback ``psi``.  The rows are the ``_scale_to_int`` rows of the
-    Fraction constraints, so ``solve_lp`` builds the same tableau.
+    ``point`` is in the pullbacks' unit ball, on its boundary, and no
+    domain functional exceeds ``worst`` there while one reaches it; so
+    ``point / worst`` lies on the unit sphere of ``dom`` and its image
+    has seminorm ``1 / worst``, the lower constant.  When ``worst`` is
+    None a domain functional escapes the span of the pullbacks, and the
+    witness is a kernel vector of the pullbacks scaled to the sphere.  A
+    level with no domain functionals gives the zero vector.
     """
-    shared = []
-    for ia, s in ball:
-        shared.append(([*ia, 0], s))
-        shared.append(([-x for x in ia] + [0], s))
-    for ia, s in pulled:
-        shared.append(([*ia, -s], 0))
-        shared.append(([-x for x in ia] + [-s], 0))
-    shared.append(([0] * d + [-1], 0))
-    objective = [0] * d + [1]
-    best = None
-    witness = zero_vec(d)
-    for ia, s in ball:
-        res = solve_lp(objective, [([*ia, 0], s), ([-x for x in ia] + [0], -s)] + shared)
-        if best is None or res.value < best:
-            best = res.value
-            witness = res.point[:d]
-    return witness
+    if not ball:
+        return zero_vec(dom.dim)
+    if worst is None:
+        k = _escape(pulled, ball, dom.dim)
+        size = dom(k)
+        return tuple(x / size for x in k)
+    return tuple(x / worst for x in point)
 
 
 def _level_pass(f: LinearMap, m: int):
@@ -221,24 +224,24 @@ def _level_check(f: LinearMap, m: int, hi: Fraction):
     (``_uncertified``); ``gauge_max`` solves only the rest, in their
     order, and is not called when none is left.  It solves each objective
     from its own copy of the slack tableau and no certified row exceeds
-    ``hi``, so a failing upper side yields the point the full list would.
-    The lower witness reads the full lists.
+    ``hi``, so a failing side yields the point the full list would, and
+    either witness is read off that point.
     """
     if _is_identity_on_level(f, m):
         return None
-    ball = _ball(f.domain.seminorms[m])
+    dom = f.domain.seminorms[m]
+    ball = _ball(dom)
     pulled = _pullbacks(f, m)
     rest = _uncertified(pulled, ball, hi)
     if rest:
         up, point = gauge_max(rest, ball)
         if up is None or up > hi:
-            return {"kind": "upper", "level": m, "vector": _upper_vector(f, m, point)}
+            return {"kind": "upper", "level": m, "vector": _upper_vector(dom.dim, ball, pulled, point)}
     rest = _uncertified(ball, pulled, hi)
     if rest:
-        worst = gauge_max(rest, pulled)[0]
-        # worst is None: a domain functional escapes the span of the pullbacks
+        worst, point = gauge_max(rest, pulled)
         if worst is None or worst > hi:
-            return {"kind": "lower", "level": m, "vector": _lower_vector(f.domain.dim, ball, pulled)}
+            return {"kind": "lower", "level": m, "vector": _lower_vector(dom, ball, pulled, worst, point)}
     return None
 
 
@@ -263,7 +266,8 @@ def upper_witness(f: LinearMap, m: int) -> Vec:
     nonzero level-m seminorm.
     """
     _check_level(f, m)
-    return _upper_vector(f, m, gauge_max(_pullbacks(f, m), _ball(f.domain.seminorms[m]))[1])
+    ball, pulled = _ball(f.domain.seminorms[m]), _pullbacks(f, m)
+    return _upper_vector(f.domain.dim, ball, pulled, gauge_max(pulled, ball)[1])
 
 
 def lower_constant(f: LinearMap, m: int):
@@ -286,11 +290,13 @@ def lower_constant(f: LinearMap, m: int):
 def lower_witness(f: LinearMap, m: int) -> Vec:
     """A unit-sphere vector attaining the lower constant at level m.
 
-    Facet LPs: the infimum of a convex function over the sphere is taken
-    facet by facet in epigraph form.
+    Read off the gauge LP of the lower constant (``_lower_vector``); the
+    zero vector when the sphere is empty.
     """
     _check_level(f, m)
-    return _lower_vector(f.domain.dim, _ball(f.domain.seminorms[m]), _pullbacks(f, m))
+    dom = f.domain.seminorms[m]
+    ball, pulled = _ball(dom), _pullbacks(f, m)
+    return _lower_vector(dom, ball, pulled, *gauge_max(ball, pulled))
 
 
 @dataclass(frozen=True)
@@ -335,15 +341,6 @@ def is_embedding(f: LinearMap, delta) -> tuple[bool, dict]:
         if failure:
             return False, failure
     return True, {}
-
-
-def _kernel_escape_witness(f: LinearMap, m: int) -> Vec:
-    """A level-m kernel vector whose image has nonzero level-m seminorm."""
-    cod = f.codomain.seminorms[m]
-    for k in seminorm_kernel(f.domain.seminorms[m]):
-        if cod(f(k)) != 0:
-            return k
-    return zero_vec(f.domain.dim)
 
 
 def map_distance(f: LinearMap, g: LinearMap, m: int):

@@ -7,15 +7,19 @@ point hull.  Both run the double description method
 (Fukuda & Prodon, "Double description method revisited", 1996) on a
 homogenising cone: vertex enumeration inserts constraints incrementally
 starting from a simplicial cone, and facet enumeration applies the same
-ray machinery to the polar cone (lineality there turns into implicit
-equalities, emitted as opposite inequality pairs).  The method works in
-integers throughout: the start cone comes from two fraction-free
-eliminations, each ray's tight set is an int bitmask extended by one bit
-per inserted row, and ray pairs are tested for adjacency
-combinatorially, by tight-set containment, with no rank computation.
-``polytope_facets`` returns the primitive integer rows it builds, and
-``polytope_vertices`` takes int and Fraction rows alike, so a facet
-list goes back in with no conversion.
+ray machinery to the polar cone.  A cone with lineality is split once
+(``_lineality_split``) into its lineality space and a pointed part, and
+every answer is read off those rays: for vertices, the system is empty
+iff no ray has t > 0 and unbounded iff it is not empty and has
+lineality or a ray with t == 0; for facets, lineality turns into
+implicit equalities, emitted as opposite inequality pairs.  The method
+works in integers throughout: the start cone comes from two
+fraction-free eliminations, each ray's tight set is an int bitmask
+extended by one bit per inserted row, and ray pairs are tested for
+adjacency combinatorially, by tight-set containment, with no rank
+computation.  ``polytope_facets`` returns the primitive integer rows it
+builds, and ``polytope_vertices`` takes int and Fraction rows alike, so a
+facet list goes back in with no conversion.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from msn import _kernel
 from msn._kernel import _row_primitive
 from msn.errors import UnboundedPolyhedron
 from msn.linalg import Vec, _int_nullspace, _scale_to_int, coordinate_complement, int_rows
-from msn.lp import lp_feasible
 
 Ineq = tuple[Vec, Fraction]  # a . x <= b; int entries too
 
@@ -35,13 +38,13 @@ Ineq = tuple[Vec, Fraction]  # a . x <= b; int entries too
 def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
     """Extreme rays of the cone {y : row . y >= 0 for all rows}, or None.
 
-    Returns None when the rows have rank below ``dim`` (the cone is not
-    pointed).  Double description (Fukuda & Prodon, "Double description
-    method revisited", 1996): start from the simplicial cone of the
-    lexicographically first ``dim`` independent rows, whose rays are the
-    primitive columns of the inverse, then insert the remaining rows one
-    at a time.  Each ray keeps its tight set, the processed rows it lies
-    on, as an int bitmask.  A (+, -) pair is adjacent, and yields the new
+    Returns None when the rows have rank below ``dim``: the cone is not
+    pointed, and ``_lineality_split`` splits it.  Double description
+    (Fukuda & Prodon, "Double description method revisited", 1996): start
+    from the simplicial cone of the lexicographically first ``dim``
+    independent rows, whose rays are the primitive columns of the
+    inverse, then insert the remaining rows one at a time.  Each ray keeps
+    its tight set, the processed rows it lies on, as an int bitmask.  A (+, -) pair is adjacent, and yields the new
     ray on the inserted hyperplane, iff its common tight set has at least
     ``dim - 2`` rows and lies in no third ray's tight set.
     """
@@ -88,8 +91,30 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
     return rays
 
 
+def _lineality_split(rows: list[list[int]], dim: int):
+    """``(lin, rays)`` with {y : row . y >= 0 for all rows} = span(lin) + cone(rays).
+
+    A pointed cone has no lineality and its own extreme rays.  Otherwise
+    ``lin`` is the canonical kernel basis of the rows and ``rays`` are
+    the extreme rays of the pointed part that lies in the lex-first
+    coordinate complement of ``lin``, written with zeros off it.
+    """
+    rays = _cone_rays(rows, dim)
+    if rays is not None:
+        return [], rays
+    lin = _int_nullspace(rows, dim)
+    comp = coordinate_complement(lin, dim)
+    out = []
+    for rz in _cone_rays([[row[j] for j in comp] for row in rows], len(comp)):
+        y = [0] * dim
+        for zi, j in zip(rz, comp):
+            y[j] = zi
+        out.append(tuple(y))
+    return lin, out
+
+
 def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
-    """All vertices of {x : a . x <= b}; raises if the set is unbounded."""
+    """All vertices of {x : a . x <= b}, [] when it is empty; raises if it is unbounded."""
     if dim == 0:
         return [()] if all(b >= 0 for _, b in ineqs) else []
     # Homogenised rows (b, -a) in integers: scale (b, a), then negate ints.
@@ -98,15 +123,14 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
         row, _ = _scale_to_int((b, *a))
         crows.append(row[:1] + [-x for x in row[1:]])
     crows.append([1] + [0] * dim)
-    rays = _cone_rays(crows, dim + 1)
-    if rays is None:
-        # The homogenising cone has lineality: the polytope is empty or
-        # contains a line.  Decide exactly via feasibility.
-        if lp_feasible(ineqs):
-            raise UnboundedPolyhedron("feasible set contains a line")
+    lin, rays = _lineality_split(crows, dim + 1)
+    # The last row keeps t = r[0] >= 0 on every ray, and t == 0 on the
+    # lineality; x is in the set iff (1, x) is in the cone.
+    if not any(r[0] for r in rays):
         return []
-    # The last row keeps t = r[0] >= 0 on every ray; t == 0 is a recession ray.
-    if any(r[0] == 0 for r in rays):
+    if lin:
+        raise UnboundedPolyhedron("feasible set contains a line")
+    if not all(r[0] for r in rays):
         raise UnboundedPolyhedron("recession ray found during conversion")
     # Distinct primitive rays are distinct vertices; sort them on integer
     # numerators over one common denominator.
@@ -126,20 +150,14 @@ def polytope_facets(points: list[Vec], dim: int) -> list[Ineq]:
         raise ValueError("cannot convert an empty vertex set")
     if dim == 0:
         return []
-    D = dim + 1
     grows = int_rows([(1, *p) for p in points])
-    lin = _int_nullspace(grows, D)  # y with gen . y = 0: implicit equalities
+    # Polar cone: lineality y (gen . y = 0) gives implicit equalities.
+    lin, rays = _lineality_split(grows, dim + 1)
     out = set()
     for y in lin:
         out.add((*y[1:], -y[0]))
         out.add((*(-x for x in y[1:]), y[0]))
-    comp = coordinate_complement(lin, D)
-    # Constraint matrix of the polar cone restricted to the complement.
-    sub = [[row[j] for j in comp] for row in grows]
-    for rz in _cone_rays(sub, len(comp)):
-        y = [0] * D
-        for zi, j in zip(rz, comp):
-            y[j] = zi
+    for y in rays:
         if any(y[1:]):
             out.add((*(-x for x in y[1:]), y[0]))
     return [(r[:-1], r[-1]) for r in sorted(out)]

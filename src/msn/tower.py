@@ -49,13 +49,6 @@ class Tower:
     member_embeddings: tuple[tuple[LinearMap, ...], ...]
     discharges: tuple[DischargeRecord, ...]
 
-    def composite(self, m: int, n: int) -> LinearMap:
-        """The chained link X_m -> X_n."""
-        out = identity_map(self.stages[m])
-        for k in range(m, n):
-            out = compose(self.links[k], out)
-        return out
-
 
 def _retarget(f: LinearMap, new_cod: MultiSpace) -> LinearMap:
     return LinearMap(f.domain, new_cod, f.matrix)
@@ -73,8 +66,8 @@ def _sampled_eta(base: LinearMap, cur: MultiSpace, delta, r) -> LinearMap:
         try:
             net = build_net(member, cur, Fraction(2))
         except EmptyEmbeddingSet:
-            net = None
-        if net is not None and net.points:
+            pass
+        else:
             pick = net.points[r.randrange(len(net.points))]
             return LinearMap(member, cur, pick.matrix.scale(1 + delta))
     sign = 1 if r.randrange(2) else -1
@@ -183,9 +176,12 @@ def verify_tower(tower: Tower) -> dict:
         if not ok:
             failures.append({"kind": "link", "stage": n, "witness": wit})
     for m in range(len(tower.stages)):
+        # the chained link X_m -> X_n, one link longer per step
+        chain = identity_map(tower.stages[m])
         for n in range(m + 1, len(tower.stages)):
+            chain = compose(tower.links[n - 1], chain)
             checks += 1
-            ok, wit = is_embedding(tower.composite(m, n), 0)
+            ok, wit = is_embedding(chain, 0)
             if not ok:
                 failures.append({"kind": "composite", "from": m, "to": n, "witness": wit})
     lam = [s.length for s in tower.stages]

@@ -87,7 +87,7 @@ def test_map_check_witness_travels_as_exact_strings(tmp_path, capsys):
 def test_witness_payloads_convert_recursively():
     wit = {"kind": "upper", "level": 1, "vector": (F(1, 2), F(-3))}
     want = {"kind": "upper", "level": 1, "vector": ["1/2", "-3"]}
-    assert NotAnEmbedding("no", wit).payload()["witness"] == want
+    assert io.witness_to_doc(NotAnEmbedding("no", wit).payload())["witness"] == want
     failures = [{"kind": "link", "stage": 0, "witness": wit},
                 {"kind": "lambda-monotone", "lambdas": [2, 1]}]
     assert io.witness_to_doc(failures) == [{"kind": "link", "stage": 0, "witness": want},

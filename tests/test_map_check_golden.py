@@ -4,11 +4,14 @@
 the delta it is checked at, the exit code and the exact stdout and
 stderr of ``msn map check``.  Most maps fail, so the records pin the
 failure witnesses: upper (a unit-ball point attaining the operator
-seminorm), kernel escape (an infinite upper sup), lower (a facet-LP
-sphere point) and injectivity.  The records were written with the
-Fraction-based seminorm evaluation and the two-pullback embedding check
-that preceded the integer ones.  Regenerate only when a change is meant
-to alter the witnesses:
+seminorm), kernel escape (an infinite upper sup), lower (a sphere point
+read off the lower constant's gauge LP, or a kernel vector of the
+pullbacks scaled to the sphere) and injectivity.  The records were
+written with the Fraction-based seminorm evaluation and the
+two-pullback embedding check that preceded the integer ones; the one
+lower witness that changed when witnesses came to be read off the gauge
+LP instead of per-facet LPs, ``random-5``'s, was re-recorded then.
+Regenerate only when a change is meant to alter the witnesses:
 
     PYTHONPATH=src:tests python -c "import test_map_check_golden as t; t.write_golden()"
 """

@@ -299,6 +299,22 @@ def test_upper_witness_attains_operator_seminorm():
     assert finite >= 60, finite
 
 
+def test_lower_witness_attains_lower_constant():
+    seen = Counter()
+    for f, m in _level_maps():
+        w = lower_witness(f, m)
+        lo = lower_constant(f, m)
+        if lo is None:
+            # a vacuous level: no unit sphere
+            assert w == (F(0),) * f.domain.dim
+            seen["vacuous"] += 1
+            continue
+        assert f.domain.eval(m, w) == 1
+        assert f.codomain.eval(m, f(w)) == lo
+        seen["escape" if lo == 0 else "finite"] += 1
+    assert seen["finite"] >= 60 and seen["escape"] >= 5 and seen["vacuous"] >= 1, seen
+
+
 def _space_doc(dim, levels):
     """A space file's document with the functional lists as written, not reduced."""
     return io.space_to_doc(MultiSpace(tuple(PolyhedralSeminorm(dim, tuple(lev)) for lev in levels)))

@@ -15,7 +15,7 @@ from msn.linalg import vec
 from msn.polytope import _cone_rays, polytope_facets, polytope_vertices
 
 from genhelpers import block_embedding_triple
-from oracles import brute_cone_rays, brute_vertices, canon_rep, gauss_rank, primitive_ineq
+from oracles import brute_cone_rays, brute_vertices, canon_rep, full_lp, gauss_rank, primitive_ineq
 
 F = Fraction
 
@@ -170,6 +170,38 @@ def test_polytope_vertices_match_brute_force(dim, r, data):
         b = sum(x * y for x, y in zip(a, corner)) if data.draw(st.booleans()) else F(data.draw(st.integers(0, 4)))
         ineqs.append((a, b))
     assert polytope_vertices(ineqs, dim) == brute_vertices(ineqs, dim)
+
+
+def test_empty_system_with_a_recession_direction_has_no_vertices():
+    # {x <= -1, x >= 1, y >= 0} is empty, but its homogenised cone is
+    # pointed and holds the ray t = x = 0, y > 0.
+    assert polytope_vertices([((1, 0), -1), ((-1, 0), -1), ((0, -1), 0)], 2) == []
+
+
+def test_vertices_agree_with_lp_outcomes_on_random_systems():
+    """[] iff the system is infeasible, UnboundedPolyhedron iff it is feasible
+    and some coordinate is unbounded on it, else the brute-force vertices."""
+    rng = random.Random(0x5E7)
+    seen = Counter()
+    for _ in range(3000):
+        dim = rng.randint(1, 3)
+        rows = [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 5))]
+        units = [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+        if full_lp([0] * dim, rows) == "infeasible":
+            want, kind = [], "empty"
+        elif any(full_lp(e, rows) == "unbounded" for e in units):
+            want = kind = "UnboundedPolyhedron"
+        else:
+            want, kind = brute_vertices(rows, dim), "bounded"
+        try:
+            got = polytope_vertices(rows, dim)
+        except UnboundedPolyhedron:
+            got = "UnboundedPolyhedron"
+        assert got == want, (dim, rows)
+        seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
+
 
 # --- golden records ---------------------------------------------------
 #
