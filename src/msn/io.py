@@ -17,9 +17,9 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from msn.errors import DimensionMismatch, MsnError, ShapeMismatch
+from msn.errors import DimensionMismatch, LengthMismatch, MsnError, ShapeMismatch
 from msn.linalg import Matrix
-from msn.maps import LinearMap
+from msn.maps import LinearMap, is_embedding
 from msn.ramsey import Colouring, EmbeddingNet
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import MultiSpace
@@ -381,10 +381,17 @@ def net_from_doc(doc):
     cod = space_from_doc(_field(doc, "codomain", dict, what))
     try:
         points = tuple(LinearMap(dom, cod, matrix_from_doc(m, dom.dim)) for m in _field(doc, "points", list, what))
-    except ShapeMismatch as e:
+        bad = next((i for i, p in enumerate(points) if not is_embedding(p, 0)[0]), None)
+    except (ShapeMismatch, LengthMismatch) as e:
         raise FormatError(f"{what}: {e}") from e
+    if bad is not None:
+        raise FormatError(f"{what}: point {bad} is not an exact embedding")
     res = doc.get("resolution")
-    return EmbeddingNet(dom, cod, points, None if res is None else rat_from_str(res))
+    if res is not None:
+        res = rat_from_str(res)
+        if res <= 0:
+            raise FormatError(f"{what}: resolution must be positive, got {rat_to_str(res)}")
+    return EmbeddingNet(dom, cod, points, res)
 
 
 def colouring_from_doc(doc):

@@ -103,10 +103,6 @@ def solve_lp(objective, constraints) -> LpResult:
     for ia, _ in rows:
         if len(ia) != n:
             raise DimensionMismatch("constraint arity != objective arity")
-    if n == 0:
-        if any(ib < 0 for _, ib in rows):
-            raise Infeasible("no variables, negative bound")
-        return LpResult(Fraction(0), (), tuple(i for i, (_, ib) in enumerate(rows) if ib == 0))
 
     m = len(rows)
     # Variables: u (n), v (n), slacks (m), then one artificial per row with
@@ -195,10 +191,6 @@ def gauge_scale(psi, ball) -> Fraction | None:
     read over ``pm``.  ``gauge_max`` serves many objectives.
     """
     pi, pm = psi
-    if not any(pi):
-        return Fraction(0)
-    if not ball:
-        return None
     try:
         res = solve_lp([-x for x in pi], _ball_rows(ball))
     except Unbounded:

@@ -18,10 +18,11 @@ witness: the upper one is the point it returns, the lower one that
 point over the largest gauge, on the unit sphere.  An infinite gauge
 gives instead a kernel vector of one list that the other does not kill
 (``_escape``), scaled to the sphere for the lower witness.
-``distortion`` reads each level in one pass (``_level_pass``) that pulls
-back once and shares the rows between both constants.  ``is_embedding``
+Every level question reads its rows from ``_level_rows``, which checks
+the level, scales the domain functionals and pulls back once;
+``distortion`` asks for the two constants of each level.  ``is_embedding``
 needs only to know whether both gauges stay within ``1 + delta``, and
-reads each level through ``_level_check``, which pulls back once too.
+reads each level through ``_level_check``, which skips identity levels.
 There a row parallel to a row of the other list certifies itself in
 integers: a pullback ``t`` times a domain functional has gauge at most
 ``|t|`` over the domain ball, a domain functional ``s`` times a pullback
@@ -125,18 +126,13 @@ def _is_identity_on_level(f: LinearMap, m: int) -> bool:
             and f.domain.seminorms[m] == f.codomain.seminorms[m])
 
 
-def _check_level(f: LinearMap, m: int) -> None:
+def _level_rows(f: LinearMap, m: int):
+    """``(dom, ball, pulled)`` of level m: its domain seminorm, that as
+    ``_ball`` rows, and the codomain functionals pulled back (``_pullbacks``)."""
     if not 0 <= m < f.domain.length:
         raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
-
-
-def _lower(ball, pulled):
-    """The lower constant from the scaled domain functionals and pullbacks."""
-    if not ball:
-        return None
-    worst = gauge_max(ball, pulled)[0]
-    # phi nonzero in the span of the pullbacks has positive sup
-    return Fraction(0) if worst is None else 1 / worst
+    dom = f.domain.seminorms[m]
+    return dom, _ball(dom), _pullbacks(f, m)
 
 
 def _escape(rows, other, d: int) -> Vec:
@@ -172,20 +168,6 @@ def _lower_vector(dom, ball, pulled, worst, point) -> Vec:
         size = dom(k)
         return tuple(x / size for x in k)
     return tuple(x / worst for x in point)
-
-
-def _level_pass(f: LinearMap, m: int):
-    """Level m of ``f`` in one pass: ``(operator_seminorm(f, m), lower_constant(f, m))``.
-
-    The codomain functionals are pulled back once and the domain ones
-    scaled once; both gauges read those rows.
-    """
-    dom = f.domain.seminorms[m]
-    if _is_identity_on_level(f, m):
-        return (Fraction(1), Fraction(1)) if dom.functionals else (Fraction(0), None)
-    ball = _ball(dom)
-    pulled = _pullbacks(f, m)
-    return gauge_max(pulled, ball)[0], _lower(ball, pulled)
 
 
 def _uncertified(rows, ball, hi: Fraction):
@@ -229,9 +211,7 @@ def _level_check(f: LinearMap, m: int, hi: Fraction):
     """
     if _is_identity_on_level(f, m):
         return None
-    dom = f.domain.seminorms[m]
-    ball = _ball(dom)
-    pulled = _pullbacks(f, m)
+    dom, ball, pulled = _level_rows(f, m)
     rest = _uncertified(pulled, ball, hi)
     if rest:
         up, point = gauge_max(rest, ball)
@@ -252,11 +232,8 @@ def operator_seminorm(f: LinearMap, m: int):
     functional.  Returns a Fraction, or None when the supremum is infinite
     (the map does not send the level kernel into the level kernel).
     """
-    _check_level(f, m)
-    dom_s = f.domain.seminorms[m]
-    if _is_identity_on_level(f, m):
-        return Fraction(1) if dom_s.functionals else Fraction(0)
-    return gauge_max(_pullbacks(f, m), _ball(dom_s))[0]
+    _, ball, pulled = _level_rows(f, m)
+    return gauge_max(pulled, ball)[0]
 
 
 def upper_witness(f: LinearMap, m: int) -> Vec:
@@ -265,9 +242,8 @@ def upper_witness(f: LinearMap, m: int) -> Vec:
     When the seminorm is infinite: a level-m kernel vector whose image has
     nonzero level-m seminorm.
     """
-    _check_level(f, m)
-    ball, pulled = _ball(f.domain.seminorms[m]), _pullbacks(f, m)
-    return _upper_vector(f.domain.dim, ball, pulled, gauge_max(pulled, ball)[1])
+    dom, ball, pulled = _level_rows(f, m)
+    return _upper_vector(dom.dim, ball, pulled, gauge_max(pulled, ball)[1])
 
 
 def lower_constant(f: LinearMap, m: int):
@@ -278,13 +254,12 @@ def lower_constant(f: LinearMap, m: int):
     sphere is empty (zero seminorm level: vacuous); 0 when some domain
     functional escapes the span of the pullbacks.
     """
-    _check_level(f, m)
-    dom_s = f.domain.seminorms[m]
-    if not dom_s.functionals:
+    _, ball, pulled = _level_rows(f, m)
+    if not ball:
         return None
-    if _is_identity_on_level(f, m):
-        return Fraction(1)
-    return _lower(_ball(dom_s), _pullbacks(f, m))
+    worst = gauge_max(ball, pulled)[0]
+    # phi nonzero in the span of the pullbacks has positive sup
+    return Fraction(0) if worst is None else 1 / worst
 
 
 def lower_witness(f: LinearMap, m: int) -> Vec:
@@ -293,9 +268,7 @@ def lower_witness(f: LinearMap, m: int) -> Vec:
     Read off the gauge LP of the lower constant (``_lower_vector``); the
     zero vector when the sphere is empty.
     """
-    _check_level(f, m)
-    dom = f.domain.seminorms[m]
-    ball, pulled = _ball(dom), _pullbacks(f, m)
+    dom, ball, pulled = _level_rows(f, m)
     return _lower_vector(dom, ball, pulled, *gauge_max(ball, pulled))
 
 
@@ -315,7 +288,7 @@ def distortion(f: LinearMap) -> DistortionReport:
     delta = Fraction(0)
     infinite = False
     for m in range(f.domain.length):
-        up, lo = _level_pass(f, m)
+        up, lo = operator_seminorm(f, m), lower_constant(f, m)
         levels.append((up, lo))
         if up is None or (lo is not None and lo == 0):
             infinite = True
@@ -378,7 +351,7 @@ def _adapted_complement(sub: MultiSpace, k0: int, active: tuple[int, ...]) -> li
     for s in subsets:
         target = inv.alpha(s) - inv.alpha(tuple(sorted(set(s) | {k0})))
         ks = joint_kernel(sub, s)
-        while len(intersect_spans(chosen, ks) if chosen else []) < target:
+        while len(intersect_spans(chosen, ks)) < target:
             blocked = sum_span(chosen, ker)
             cand = next((v for v in ks if not in_span(blocked, v)), None)
             if cand is None:

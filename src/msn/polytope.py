@@ -115,8 +115,6 @@ def _lineality_split(rows: list[list[int]], dim: int):
 
 def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
     """All vertices of {x : a . x <= b}, [] when it is empty; raises if it is unbounded."""
-    if dim == 0:
-        return [()] if all(b >= 0 for _, b in ineqs) else []
     # Homogenised rows (b, -a) in integers: scale (b, a), then negate ints.
     crows = []
     for a, b in ineqs:
@@ -148,8 +146,6 @@ def polytope_facets(points: list[Vec], dim: int) -> list[Ineq]:
     """
     if not points:
         raise ValueError("cannot convert an empty vertex set")
-    if dim == 0:
-        return []
     grows = int_rows([(1, *p) for p in points])
     # Polar cone: lineality y (gen . y = 0) gives implicit equalities.
     lin, rays = _lineality_split(grows, dim + 1)

@@ -81,7 +81,7 @@ def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
     if len(verts) == 1:
         return list(verts)
     diam = max(metric(a, b) for i, a in enumerate(verts) for b in verts[i + 1:])
-    if diam == 0 or mesh_den is None:
+    if diam == 0:
         return list(verts)
     k = len(verts)
     need = (k - 1) * diam / mesh_den

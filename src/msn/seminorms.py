@@ -77,12 +77,6 @@ def _independent(rows, dim: int) -> bool:
     return len(rows) <= dim and _kernel.echelon_int([ia for ia, _ in rows])[0] == len(rows)
 
 
-def _in_symmetric_hull(row, others) -> bool:
-    """Exact test: is the ``_scale_to_int`` row in conv(others and their negatives)?"""
-    scale = gauge_scale(row, others)
-    return scale is not None and scale <= 1
-
-
 @dataclass(frozen=True)
 class PolyhedralSeminorm:
     """max over stored functionals of the absolute pairing with x."""
@@ -109,7 +103,9 @@ class PolyhedralSeminorm:
         if reduce and len(rows) > 1 and not _independent(rows, dim):
             i = 0
             while i < len(rows):
-                if _in_symmetric_hull(rows[i], rows[:i] + rows[i + 1:]):
+                # Redundant iff in conv(the others and their negatives).
+                scale = gauge_scale(rows[i], rows[:i] + rows[i + 1:])
+                if scale is not None and scale <= 1:
                     rows.pop(i)
                 else:
                     i += 1

@@ -3,7 +3,8 @@
 A space is a finite-dimensional rational coordinate space carrying a
 nonempty finite sequence of polyhedral seminorms, optionally flagged as
 graded (pointwise non-decreasing in the level index).  The graded flag is
-validated on construction via exact dual-ball containment.
+validated on construction via exact dual-ball containment, one gauge LP
+per pair of consecutive levels (``_level_dominates``).
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from itertools import chain, combinations
 
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
 from msn.linalg import Matrix, Vec, nullspace
-from msn.seminorms import PolyhedralSeminorm, _ball, _in_symmetric_hull
+from msn.lp import gauge_max
+from msn.seminorms import PolyhedralSeminorm, _ball
 
 
 def _level_dominates(lo: PolyhedralSeminorm, hi: PolyhedralSeminorm) -> bool:
-    """Exact check that hi >= lo pointwise (dual-ball containment)."""
-    others = _ball(hi)
-    return all(_in_symmetric_hull(row, others) for row in _ball(lo))
+    """Exact check that hi >= lo pointwise: every lo functional has gauge at most 1 over hi's ball."""
+    worst = gauge_max(_ball(lo), _ball(hi))[0]
+    return worst is not None and worst <= 1
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,10 @@ def _subsets(n: int):
 
 
 def invariant_alpha(X: MultiSpace) -> KernelInvariant:
+    """The joint kernel dimension of each of the 2^length level subsets."""
+    if X.length > 16:
+        # 2^length subsets: refuse absurd inputs instead of hanging
+        raise BadLength(f"kernel invariant capped at 16 levels, got {X.length}")
     entries = []
     for s in _subsets(X.length):
         rows = []

@@ -91,6 +91,8 @@ def build_tower(catalog, deltas, stage_budget: int, seed: int, omega: bool = Fal
         raise BadArgument("catalog must be nonempty")
     if not deltas or deltas[0] != 0:
         raise BadArgument("delta list must start with 0")
+    if any(d < 0 for d in deltas):
+        raise BadArgument("delta must be nonnegative")
     for i, m in enumerate(catalog):
         if not is_separated(m):
             raise CatalogNotSeparated(f"catalog member {i} is not separated")

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,6 +197,30 @@ def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "BadArgument", argv
     assert not (tmp_path / "unbuilt").exists()
+
+
+def test_tower_build_rejects_a_negative_delta_before_building(tmp_path, capsys):
+    for i in (1, 2):
+        io.write_json(tmp_path / f"l{i}.json", io.space_to_doc(line_space(i)))
+    for seed in range(1, 6):
+        out = tmp_path / f"tower{seed}"
+        rc = run(["--seed", seed, "--out", out, "tower", "build", "--catalog", tmp_path / "l1.json",
+                  tmp_path / "l2.json", "--stages", "5", "--deltas", "0,-1/4", "--dim-cap", "8"])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err) == (2, {"error": "BadArgument", "detail": "delta must be nonnegative"}), seed
+        assert not out.exists()
+
+
+def test_kernel_invariants_of_many_levels_are_refused_at_once(tmp_path, capsys):
+    many = tmp_path / "many.json"
+    io.write_json(many, io.space_to_doc(line_space(*[1] * 20)))
+    for argv in (["iso", "bm", many, many], ["iso", "build", many, many], ["space", "invariant", many]):
+        start = time.perf_counter()
+        rc = run(argv)
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), argv
+        assert json.loads(captured.err)["error"] == "BadLength", argv
 
 
 def test_ramsey_net_and_search(tmp_path, files):

@@ -202,7 +202,7 @@ def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
         for psi, want in zip(_rows(objs), expect):
             seen.clear()
             gauge_scale(psi, _rows(funcs))
-            assert seen == ([want] if any(psi[0]) else [])
+            assert seen == [want]
             checked += len(seen)
     assert checked >= 120, checked
 

@@ -272,3 +272,31 @@ def test_malformed_colouring_files_fail_with_format_error():
     # a well-formed coordinate the net's points do not have
     rc, err = _oscillate({**clamp, "builtin": ["coordinate-clamp", "7"]})
     assert (rc, json.loads(err)["error"]) == (2, "UndefinedPoint")
+
+
+def test_net_points_that_are_not_exact_embeddings_fail_with_format_error(tmp_path):
+    """A net point must be an exact embedding and the resolution positive:
+    otherwise ``msn ramsey oscillate`` ends in a ``FormatError``, not a traceback."""
+    zero = {"format": io.FORMAT, "dim": 1, "graded": False, "seminorms": [{"functionals": []}]}
+    line = io.space_to_doc(line_space(1))
+    net = {"format": io.FORMAT, "domain": zero, "codomain": line, "points": [[["1"]], [["2"]]]}
+    colouring = {"format": io.FORMAT, "kind": "discrete", "colours": 2,
+                 "table": [{"matrix": [["1"]], "value": 0}, {"matrix": [["2"]], "value": 1}]}
+    good = {"format": io.FORMAT, "domain": line, "codomain": line, "points": [[["1"]], [["-1"]]]}
+    cases = [
+        (net, "point 0 is not an exact embedding"),
+        ({**good, "points": [[["1"]], [["2"]]]}, "point 1 is not an exact embedding"),
+        ({**good, "domain": io.space_to_doc(line_space(1, 2))}, "more seminorms"),
+        ({**good, "resolution": "0"}, "resolution must be positive"),
+        ({**good, "resolution": "-1/2"}, "resolution must be positive"),
+    ]
+    io.write_json(tmp_path / "c.json", colouring)
+    for doc, detail in cases:
+        io.write_json(tmp_path / "net.json", doc)
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            rc = main(["ramsey", "oscillate", "--net", str(tmp_path / "net.json"),
+                       "--colouring", str(tmp_path / "c.json"), "--eps", "1/2"])
+        diag = json.loads(err.getvalue())
+        assert (rc, diag["error"]) == (1, "FormatError"), doc
+        assert detail in diag["detail"], diag

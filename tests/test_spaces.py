@@ -5,9 +5,11 @@ import pytest
 
 from msn.errors import ArityMismatch, BadLength
 from msn.linalg import Matrix
-from msn.seminorms import PolyhedralSeminorm
+from msn.lp import gauge_scale
+from msn.seminorms import PolyhedralSeminorm, _ball
 from msn.spaces import (
     MultiSpace,
+    _level_dominates,
     extend_with_norm,
     graded_closure,
     invariant_alpha,
@@ -181,3 +183,25 @@ def test_pullback_is_isometric_on_subspace():
     assert sub.dim == 1
     for t in (F(1), F(-3), F(5, 2)):
         assert sub.eval(0, (t,)) == X.eval(0, (t, 2 * t))
+
+
+def test_level_dominates_is_the_per_row_gauge_rule():
+    """One gauge LP per pair of levels decides as one ``gauge_scale`` per row of ``lo`` did."""
+    rng = random.Random(0x6A7)
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+
+        def level(count):
+            funcs = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)) for _ in range(count)]
+            return S(dim, [f for f in funcs if any(f)])
+
+        lo, hi = level(rng.randint(0, 4)), level(rng.randint(0, 4))
+        if rng.random() < 0.3:
+            # hi at least lo: lo's functionals, some scaled up, among hi's
+            hi = S(dim, hi.functionals + tuple(tuple(x * rng.choice((1, 2)) for x in f) for f in lo.functionals))
+        gauges = [gauge_scale(row, _ball(hi)) for row in _ball(lo)]
+        want = all(g is not None and g <= 1 for g in gauges)
+        assert _level_dominates(lo, hi) == want, (lo, hi)
+        seen.add((want, not hi.functionals, not lo.functionals))
+    assert {(True, True, True), (False, True, False), (True, False, False), (False, False, False)} <= seen, seen
