@@ -35,7 +35,7 @@ from msn.errors import (
     NotSeparated,
     ShapeMismatch,
 )
-from msn.linalg import Matrix, Vec, frac, zero_vec
+from msn.linalg import Matrix, Vec, frac
 from msn.lp import solve_lp
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance, operator_seminorm
 from msn.polytope import polytope_vertices
@@ -249,15 +249,11 @@ def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     fy = Y.seminorms[n].functionals
     fz = Z.seminorms[n].functionals
     fx = list(X.seminorms[n].functionals)
-
-    dx = X.dim
     ft, gt = f.matrix.transpose(), g.matrix.transpose()
     fadj = [ft.apply(phi) for phi in fy]
     gadj = [gt.apply(psi) for psi in fz]
 
     def partner(target: Vec, adj_rows: list[Vec], ball_funcs, width: int) -> Vec:
-        if not dx:  # 0 aligns with the empty target; returning it saves one LP per functional
-            return zero_vec(width)
         hit = _partner_in_ball(target, adj_rows, ball_funcs, fx, width)
         if hit is None or hit[1] > c:
             raise ValueError("no aligned partner within the coupling budget")
@@ -266,7 +262,7 @@ def _sparse_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     funcs = ([tuple(phi) + partner(fadj[i], gadj, fz, dz) for i, phi in enumerate(fy)]
              + [partner(gadj[j], fadj, fy, dy) + tuple(psi) for j, psi in enumerate(fz)])
     funcs = [v for v in funcs if any(x != 0 for x in v)]
-    return PolyhedralSeminorm.from_functionals(dy + dz, funcs, reduce=True)
+    return PolyhedralSeminorm.from_functionals(dy + dz, funcs)
 
 
 def sparse_pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: LinearMap,

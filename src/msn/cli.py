@@ -15,7 +15,7 @@ from pathlib import Path
 
 from msn import io
 from msn.amalgam import multi_amalgam, product_amalgam, pushout
-from msn.errors import BadLevel, MsnError
+from msn.errors import BadArgument, BadLevel, MsnError
 from msn.linalg import Matrix
 from msn.maps import (
     LinearMap,
@@ -45,8 +45,7 @@ IO_FAILURE = 1
 
 def _emit(doc, out: str | None, name: str) -> None:
     if out:
-        if isinstance(doc, dict):
-            doc.setdefault("format", io.FORMAT)
+        doc.setdefault("format", io.FORMAT)
         Path(out).mkdir(parents=True, exist_ok=True)
         (Path(out) / name).write_text(io.dumps(doc))
     else:
@@ -293,6 +292,8 @@ def cmd_ramsey_search(args):
 
 
 def cmd_ramsey_product(args):
+    if args.samples < 0:
+        raise BadArgument("samples must be nonnegative")
     X = io.load_space(args.x)
     blocks = [io.load_space(p) for p in args.blocks]
     rho = [io.load_map(p) for p in args.rho]

@@ -422,6 +422,8 @@ def colouring_from_doc(doc):
         table = tuple(rows)
     builtin = None
     if "builtin" in doc:
+        if kind == "discrete":
+            raise FormatError(f"{what}: 'coordinate-clamp' takes values in [0, 1]; a builtin is continuous")
         b = _field(doc, "builtin", list, what)
         if not b or not all(isinstance(x, str) for x in b):
             raise FormatError(f"{what}: 'builtin' is not a nonempty list of strings")

@@ -2,10 +2,11 @@
 
 Vectors are tuples of ``Fraction``; matrices are immutable row-major grids
 that carry their shape, so matrices with no rows or no columns need no
-special case anywhere else.  Each subspace question but a span
-intersection clears denominators row by row (row scaling preserves spans
-and kernels), makes one call to the integer echelon kernel, and builds
-Fractions only from the primitive integers it returns.  Zero rows need no filter: the kernel never pivots
+special case anywhere else.  Each subspace question clears denominators
+row by row (row scaling preserves spans and kernels), makes one call to
+the integer echelon kernel, and builds Fractions only from the primitive
+integers it returns; a span intersection is read off one reduction of
+``[U | U; V | 0]``.  Zero rows need no filter: the kernel never pivots
 on them.
 """
 
@@ -199,16 +200,14 @@ def sum_span(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
 
 
 def intersect_spans(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
-    """Canonical basis of span(U) ∩ span(V)."""
-    U = row_space_basis(urows)
-    V = row_space_basis(vrows)
-    if not U or not V:
-        return []
-    # The system's columns are U's rows and -V's: a kernel vector (alpha, beta)
-    # has alpha·U = beta·V, and the system maps (alpha, 0) to alpha·U.
-    system = Matrix.from_rows(U + [vec_scale(-1, v) for v in V]).transpose()
-    pad = zero_vec(len(V))
-    return row_space_basis([system.apply(s[: len(U)] + pad) for s in nullspace(system)])
+    """Canonical basis of span(U) ∩ span(V), off one reduction (Zassenhaus).
+
+    The reduced rows of ``[u | u]`` and ``[v | 0]`` pivoting in the right half
+    are ``[0 | w]``, with the ``w`` the basis ``row_space_basis`` would give.
+    """
+    rows = [(*u, *u) for u in urows] + [(*v, *zero_vec(len(v))) for v in vrows]
+    _, pivcols, red = _kernel.echelon_int(int_rows(rows))
+    return [tuple(map(Fraction, r[len(r) // 2:])) for r, p in zip(red, pivcols) if 2 * p >= len(r)]
 
 
 def inverse(mat: Matrix) -> Matrix | None:

@@ -49,7 +49,6 @@ from msn.linalg import (
     _int_nullspace,
     _primitive_direction,
     _scale_to_int,
-    dot,
     in_span,
     intersect_spans,
     inverse,
@@ -358,10 +357,9 @@ def _adapted_complement(sub: MultiSpace, k0: int, active: tuple[int, ...]) -> li
                 break
             chosen.append(cand)
     # pad with coordinate vectors to a full complement
-    for i in range(m):
+    for e in Matrix.identity(m).entries:
         if len(chosen) == m - r:
             break
-        e = tuple(Fraction(1 if j == i else 0) for j in range(m))
         if not in_span(sum_span(chosen, ker), e):
             chosen.append(e)
     return chosen
@@ -394,8 +392,7 @@ def _build_iso_rec(X: MultiSpace, Y: MultiSpace, liftX: Matrix, liftY: Matrix,
 
     def cols_to_matrix(lift: Matrix, vectors: list[Vec]) -> Matrix:
         # ambient columns for the chosen local vectors
-        return Matrix.from_rows([[dot(lift.entries[i], v) for v in vectors]
-                                 for i in range(lift.rows)])
+        return lift.mul(Matrix.from_rows(vectors, m).transpose())
 
     LX0 = cols_to_matrix(liftX, kerX)
     LY0 = cols_to_matrix(liftY, kerY)
@@ -409,18 +406,11 @@ def _build_iso_rec(X: MultiSpace, Y: MultiSpace, liftX: Matrix, liftY: Matrix,
     if f1 is None:
         return None
     # assemble in local coordinates of (kerX | compX) -> (kerY | compY)
-    basisX = Matrix.from_rows([list(v) for v in kerX] + [list(v) for v in compX]).transpose()
-    basisY = Matrix.from_rows([list(v) for v in kerY] + [list(v) for v in compY]).transpose()
+    basisX = Matrix.from_rows(kerX + compX, m).transpose()
+    basisY = Matrix.from_rows(kerY + compY, m).transpose()
     r, c = len(kerX), len(compX)
-    block = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(r):
-        for j in range(r):
-            block[i][j] = f0.entries[i][j]
-    for i in range(c):
-        for j in range(c):
-            block[r + i][r + j] = f1.entries[i][j]
-    binv = inverse(basisX)
-    return basisY.mul(Matrix.from_rows(block)).mul(binv)
+    block = [row + zero_vec(c) for row in f0.entries] + [zero_vec(r) + row for row in f1.entries]
+    return basisY.mul(Matrix.from_rows(block, m)).mul(inverse(basisX))
 
 
 def build_iso_from_invariant(X: MultiSpace, Y: MultiSpace) -> LinearMap | None:

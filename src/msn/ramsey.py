@@ -57,17 +57,6 @@ def _line_image_constraints(X: MultiSpace, Y: MultiSpace):
     return [X.seminorms[m]((Fraction(1),)) for m in range(X.length)]
 
 
-def _sphere_faces(Y: MultiSpace, targets):
-    """Faces of {y : ||y||_m = c_m for all m}, each as its equalities (±φ, c_m).
-
-    A face picks one signed functional of every level with a nonzero
-    target and functionals; the other levels contribute no equality.
-    """
-    choices = [[(s, c) for phi in Y.seminorms[m].functionals for s in (phi, tuple(-x for x in phi))]
-               for m, c in enumerate(targets) if c and Y.seminorms[m].functionals]
-    return iproduct(*choices)
-
-
 def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
     """Points of the convex hull within ``mesh_den`` of every hull point.
 
@@ -78,11 +67,7 @@ def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
     """
     if not verts:
         return []
-    if len(verts) == 1:
-        return list(verts)
-    diam = max(metric(a, b) for i, a in enumerate(verts) for b in verts[i + 1:])
-    if diam == 0:
-        return list(verts)
+    diam = max((metric(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]), default=Fraction(0))
     k = len(verts)
     need = (k - 1) * diam / mesh_den
     n = -(-need.numerator // need.denominator)  # ceil
@@ -142,14 +127,16 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
     # the nonzero levels to zero for a canonical section.  A recession
     # direction of P lies in that kernel and is orthogonal to it, so P is
     # bounded: each sphere face {φ·y = c} is a face of P, the hull of the
-    # vertices of P on it (Fukuda & Prodon 1996).
-    rows = [(s, c) for m, c in enumerate(targets) for phi in Y.seminorms[m].functionals
-            for s in (phi, tuple(-x for x in phi))]
+    # vertices of P on it (Fukuda & Prodon 1996).  A face picks one signed
+    # row (±φ, c_m) of every level with a nonzero target and functionals.
+    signed = [[(s, c) for phi in Y.seminorms[m].functionals for s in (phi, tuple(-x for x in phi))]
+              for m, c in enumerate(targets)]
+    rows = [r for level in signed for r in level]
     for k in joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0]):
         rows += [(k, 0), (tuple(-x for x in k), 0)]
     verts = polytope_vertices(rows, Y.dim)
     points: set[Vec] = set()
-    for eqs in _sphere_faces(Y, targets):
+    for eqs in iproduct(*(level for level, c in zip(signed, targets) if c and level)):
         face = [v for v in verts if all(dot(a, v) == c for a, c in eqs)]
         for p in _grid_on_hull(face, eps, metric):
             # grid points of a face of the sphere stay on the sphere only
@@ -231,6 +218,15 @@ def lipschitz_audit(c: Colouring, points) -> bool:
     return True
 
 
+def _covering_colour(c: Colouring, points, targets: list[LinearMap], eps: Fraction) -> int | None:
+    """The first colour whose nonempty class among ``points`` eps-covers every target, or None."""
+    for colour in range(c.colours):
+        marked = [p for p in points if c(p) == colour]
+        if marked and all(any(_map_metric(h, q) <= eps for q in marked) for h in targets):
+            return colour
+    return None
+
+
 def oscillation(c: Colouring, points, eps=None):
     """Max pairwise colour gap; for discrete colourings, a coverage report.
 
@@ -245,14 +241,7 @@ def oscillation(c: Colouring, points, eps=None):
         return worst
     if eps is None:
         raise BadArgument("discrete oscillation needs the stated eps")
-    eps = Fraction(eps)
-    for colour in range(c.colours):
-        marked = [p for p in pts if c(p) == colour]
-        if not marked:
-            continue
-        if all(any(_map_metric(p, q) <= eps for q in marked) for p in pts):
-            return Fraction(0)
-    return Fraction(1)
+    return Fraction(1) if _covering_colour(c, pts, pts, Fraction(eps)) is None else Fraction(0)
 
 
 def grid_of(eps) -> tuple[Fraction, ...]:
@@ -345,9 +334,7 @@ def quotient_lift(c, X: MultiSpace, Z: MultiSpace):
     total = 2 * Z.dim
     padded_funcs = _pad_functionals(Z.seminorms[0].functionals, 0, total)
     padded = MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False),))
-    pad_matrix = Matrix.from_rows([[Fraction(1 if j == i else 0) for j in range(Z.dim)]
-                                   for i in range(Z.dim)]
-                                  + [[Fraction(0)] * Z.dim for _ in range(Z.dim)], Z.dim)
+    pad_matrix = Matrix(Matrix.identity(Z.dim).entries + Matrix.zero(Z.dim, Z.dim).entries, Z.dim)
     embed_pad = LinearMap(Z, padded, pad_matrix)
 
     def lifted(gamma: LinearMap):
@@ -372,11 +359,7 @@ def search_monochromatic(c: Colouring, net_xz: EmbeddingNet, net_xy: EmbeddingNe
         if not ok:
             raise BadArgument("candidates must be exact embeddings")
     for gamma in candidates:
-        composed = [compose(gamma, eta) for eta in net_xy.points]
-        for colour in range(c.colours):
-            marked = [p for p in net_xz.points if c(p) == colour]
-            if not marked:
-                continue
-            if all(any(_map_metric(h, q) <= eps for q in marked) for h in composed):
-                return gamma, colour
+        colour = _covering_colour(c, net_xz.points, [compose(gamma, eta) for eta in net_xy.points], eps)
+        if colour is not None:
+            return gamma, colour
     return None

@@ -8,7 +8,9 @@ hull of the others and their negatives) removed by exact LP membership
 tests on the ``_scale_to_int`` rows that ``_dominant`` returns and both
 gauges take.  A list of at most ``dim`` independent rows, where no member
 can be redundant, is settled by one ``echelon_int`` rank test instead.
-Fractions are built once, for the kept list.  The empty family encodes
+Fractions are built once, for the kept list.  Every seminorm, the sup
+norm included, leaves ``from_functionals`` in this canonical order, so a
+saved and reloaded seminorm is the same value.  The empty family encodes
 the zero seminorm, and ``from_functionals`` builds it from an empty list
 like any other, so callers need no special case.
 Evaluation is in integers: each call scales ``x`` and the whole list to
@@ -117,8 +119,7 @@ class PolyhedralSeminorm:
 
     @staticmethod
     def linf(dim: int) -> "PolyhedralSeminorm":
-        eye = Matrix.identity(dim)
-        return PolyhedralSeminorm(dim, tuple(eye.entries))
+        return PolyhedralSeminorm.from_functionals(dim, Matrix.identity(dim).entries)
 
     def __call__(self, x) -> Fraction:
         """``max |f . x|`` in integers: one scaling of ``x`` and of the list per call."""
@@ -175,14 +176,9 @@ def quotient_norm(s: PolyhedralSeminorm) -> QuotientNorm:
     ker = seminorm_kernel(s)
     d = s.dim
     comp = coordinate_complement(ker, d)
-    m = len(comp)
-    cols: list[Vec] = [k for k in ker] + [tuple(Fraction(1 if i == j else 0) for i in range(d)) for j in comp]
-    M = Matrix.from_rows(cols, d).transpose()
-    Minv = inverse(M)
-    proj = Matrix(tuple(Minv.entries[len(ker) + i] for i in range(m)), d)
-    lift = Matrix(tuple(tuple(Fraction(1 if i == comp[jj] else 0) for jj in range(m)) for i in range(d)), m)
-    restricted = []
-    for f in s.functionals:
-        restricted.append(tuple(f[j] for j in comp))
-    norm = PolyhedralSeminorm.from_functionals(m, restricted, reduce=True)
-    return QuotientNorm(projection=proj, lift=lift, norm=norm)
+    eye = Matrix.identity(d).entries
+    units = [eye[j] for j in comp]
+    Minv = inverse(Matrix.from_rows(ker + units, d).transpose())
+    lift = Matrix.from_rows(units, d).transpose()
+    norm = PolyhedralSeminorm.from_functionals(len(comp), [tuple(f[j] for j in comp) for f in s.functionals])
+    return QuotientNorm(projection=Matrix(Minv.entries[len(ker):], d), lift=lift, norm=norm)

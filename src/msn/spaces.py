@@ -199,8 +199,7 @@ def pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:
         raise DimensionMismatch("lift columns are dependent")
     sems = []
     for s in X.seminorms:
-        restricted = [tuple(sum(f[i] * lift.entries[i][j] for i in range(X.dim)) for j in range(m))
-                      for f in s.functionals]
+        restricted = Matrix.from_rows(s.functionals, X.dim).mul(lift).entries
         restricted = [f for f in restricted if any(x != 0 for x in f)]
         sems.append(PolyhedralSeminorm.from_functionals(m, restricted))
     return MultiSpace(tuple(sems), graded=X.graded and is_graded_sequence(tuple(sems)))

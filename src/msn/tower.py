@@ -93,6 +93,8 @@ def build_tower(catalog, deltas, stage_budget: int, seed: int, omega: bool = Fal
         raise BadArgument("delta list must start with 0")
     if any(d < 0 for d in deltas):
         raise BadArgument("delta must be nonnegative")
+    if pairs_per_stage < 0 or dim_cap < 0:
+        raise BadArgument("pairs per stage and dimension cap must be nonnegative")
     for i, m in enumerate(catalog):
         if not is_separated(m):
             raise CatalogNotSeparated(f"catalog member {i} is not separated")
@@ -254,7 +256,7 @@ class BackForthRecord:
 def _seed_object(tower: Tower, stage_index: int, length: int) -> MultiSpace:
     """1-dimensional subspace spanned by the first generator of a stage."""
     stage = tower.stages[stage_index]
-    col = Matrix.from_rows([[Fraction(1 if i == 0 else 0)] for i in range(stage.dim)])
+    col = Matrix.from_rows([[x] for x in Matrix.identity(stage.dim).col(0)])
     return truncate(pullback_space(stage, col), length)
 
 

@@ -20,23 +20,53 @@ nothing there is changed).  The hash covers the ``repr`` of:
   dimension cap 8: build, ``save_tower``, ``load_tower``, ``verify_tower``;
   the loaded stages, the link matrices and the report.
 
-The script is not collected by pytest; it takes a few seconds.
+It also covers paths the benchmark inputs barely reach (seeded inputs from
+``genhelpers.py``):
+
+* ``build_iso_from_invariant`` and ``bm_upper_bound`` on pairs of a random
+  space with its image under a random invertible matrix, and with a second
+  random space;
+* ``quotient_norm`` of every level and ``pullback_space`` along the first
+  columns of a random invertible matrix, on random spaces;
+* ``product_amalgam`` on separated block-embedding triples;
+* ``back_and_forth`` of two ``line_space(1)``, ``line_space(2)`` towers
+  (seeds 11 and 12, dimension cap 4);
+* ``build_net`` of ``line_space(1)`` into random two- and three-dimensional
+  spaces;
+* ``search_monochromatic`` over every two-colouring of acceptance
+  criterion 8's net.
+
+``extend_with_norm`` alone is left out: a change may reorder its sup-norm
+level on purpose, and that is checked by the tests.  The parent side of a
+comparison is run by copying this script into the parent checkout's
+``tests`` directory, so both sides hash the same inputs.
+
+The script is not collected by pytest; it takes about ten seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import msn.io  # noqa: E402
-from msn.spaces import line_space  # noqa: E402
-from msn.tower import build_tower, verify_tower  # noqa: E402
+from genhelpers import block_embedding_triple, image_space, random_invertible, random_space  # noqa: E402
+from msn.amalgam import product_amalgam  # noqa: E402
+from msn.errors import EmptyEmbeddingSet  # noqa: E402
+from msn.linalg import Matrix  # noqa: E402
+from msn.maps import LinearMap, bm_upper_bound, build_iso_from_invariant  # noqa: E402
+from msn.ramsey import build_net, discrete_table, search_monochromatic  # noqa: E402
+from msn.seminorms import quotient_norm  # noqa: E402
+from msn.spaces import is_separated, line_space, pullback_space  # noqa: E402
+from msn.tower import back_and_forth, build_tower, verify_tower  # noqa: E402
+from test_acceptance import _hexagon, _sphere_witness_candidates  # noqa: E402
 from workloads import Amalgam, Certify  # noqa: E402
 
 SEED = 31337
@@ -71,12 +101,82 @@ def _towers(h, tmp: Path) -> None:
         h.update(repr((tower.stages, [link.matrix for link in tower.links], rep)).encode())
 
 
+def _isos(h) -> None:
+    rng = random.Random(SEED)
+    for _ in range(12):
+        dim = rng.randint(1, 3)
+        X = random_space(rng, dim, rng.randint(1, 3))
+        for Y in (image_space(X, random_invertible(rng, dim)), random_space(rng, dim, X.length)):
+            iso = build_iso_from_invariant(X, Y)
+            h.update(repr((X, Y, iso and iso.matrix, bm_upper_bound(X, Y))).encode())
+
+
+def _quotients_and_pullbacks(h) -> None:
+    rng = random.Random(SEED + 1)
+    for _ in range(16):
+        dim = rng.randint(1, 4)
+        X = random_space(rng, dim, rng.randint(1, 3))
+        T = random_invertible(rng, dim)
+        k = rng.randint(1, dim)
+        lift = Matrix(tuple(r[:k] for r in T.entries), k)
+        h.update(repr(([quotient_norm(s) for s in X.seminorms], pullback_space(X, lift))).encode())
+
+
+def _product_amalgams(h) -> None:
+    rng = random.Random(SEED + 2)
+    done = 0
+    while done < 8:
+        lam_x = rng.randint(1, 2)
+        X, Y, Z, f, g = block_embedding_triple(
+            rng, rng.randint(1, 2), rng.randint(0, 2), rng.randint(0, 2), lam_x,
+            rng.randint(lam_x, 3), rng.randint(lam_x, 3), rng.choice((Fraction(0), Fraction(1, 4))))
+        if all(is_separated(T) for T in (X, Y, Z)):
+            res = product_amalgam(X, Y, Z, f, g, f.matrix.entries[0][0] - 1, Fraction(1, 2))
+            h.update(repr((res.space, res.leg_y.matrix, res.leg_z.matrix, res.bound_certificate)).encode())
+            done += 1
+
+
+def _back_and_forth(h) -> None:
+    a, b = (build_tower((line_space(1), line_space(2)), [Fraction(0)], 4, seed=s, dim_cap=4) for s in (11, 12))
+    h.update(repr(back_and_forth(a, b, steps=2, start_level=3)).encode())
+
+
+def _nets(h) -> None:
+    rng = random.Random(SEED + 3)
+    for k in range(8):
+        Y = random_space(rng, 2 + k % 2, 1)
+        try:
+            net = build_net(line_space(1), Y, Fraction(2))
+            h.update(repr((Y, [p.matrix for p in net.points])).encode())
+        except EmptyEmbeddingSet as e:
+            h.update(repr((Y, str(e))).encode())
+
+
+def _criterion_8_search(h) -> None:
+    q, res = _hexagon()
+    net_xz, net_xy = build_net(q, res.space, Fraction(3, 4)), build_net(q, q, 2)
+    cands = _sphere_witness_candidates(res.space, [p.matrix.col(0) for p in net_xz.points], Fraction(1, 2))
+    candidates = [res.leg_y, res.leg_z] + [LinearMap(q, res.space, Matrix.from_rows([[x] for x in v]))
+                                           for v in cands]
+    n = len(net_xz.points)
+    for mask in range(2 ** n):
+        c = discrete_table(net_xz, [(mask >> i) & 1 for i in range(n)], 2)
+        gamma, colour = search_monochromatic(c, net_xz, net_xy, candidates, Fraction(1, 2))
+        h.update(repr((gamma.matrix, colour)).encode())
+
+
 def main() -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         _amalgam(h)
         _certify(h, Path(tmp))
         _towers(h, Path(tmp))
+    _isos(h)
+    _quotients_and_pullbacks(h)
+    _product_amalgams(h)
+    _back_and_forth(h)
+    _nets(h)
+    _criterion_8_search(h)
     return h.hexdigest()
 
 

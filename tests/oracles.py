@@ -20,7 +20,10 @@ Those are copied verbatim, so unlike the rest they share the integer
 echelon kernel and the ``Matrix`` type with the library: they pin the
 Fraction front ends around the kernel, not the kernel.  Last,
 ``per_face_build_net`` is ``ramsey.build_net`` as it was when it ran one
-vertex enumeration per sphere face, also verbatim.
+vertex enumeration per sphere face, also verbatim, and
+``discrete_oscillation`` and ``search_monochromatic`` are the two
+colour-coverage loops of ``msn.ramsey`` as they were before they shared
+one helper, verbatim but for the argument checks.
 """
 
 from fractions import Fraction
@@ -48,7 +51,7 @@ from msn.linalg import (
     vec_sub,
     zero_vec,
 )
-from msn.maps import LinearMap, is_embedding
+from msn.maps import LinearMap, compose, is_embedding
 from msn.polytope import polytope_vertices
 from msn.spaces import joint_kernel
 
@@ -563,3 +566,33 @@ def per_face_build_net(X, Y, eps):
         if not ok:
             raise EmptyEmbeddingSet("enumerated point fails the embedding check")
     return EmbeddingNet(X, Y, maps, eps)
+
+
+# The discrete branch of ``ramsey.oscillation`` and the search loop of
+# ``ramsey.search_monochromatic`` as they were when each ran its own
+# colour-coverage loop.
+
+
+def discrete_oscillation(c, points, eps):
+    pts = list(points)
+    eps = Fraction(eps)
+    for colour in range(c.colours):
+        marked = [p for p in pts if c(p) == colour]
+        if not marked:
+            continue
+        if all(any(ramsey._map_metric(p, q) <= eps for q in marked) for p in pts):
+            return Fraction(0)
+    return Fraction(1)
+
+
+def search_monochromatic(c, net_xz, net_xy, candidates, eps):
+    eps = Fraction(eps)
+    for gamma in candidates:
+        composed = [compose(gamma, eta) for eta in net_xy.points]
+        for colour in range(c.colours):
+            marked = [p for p in net_xz.points if c(p) == colour]
+            if not marked:
+                continue
+            if all(any(ramsey._map_metric(h, q) <= eps for q in marked) for h in composed):
+                return gamma, colour
+    return None

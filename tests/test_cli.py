@@ -185,6 +185,10 @@ def test_rejected_arguments_exit_2_with_json(tmp_path, files, capsys):
         ["ramsey", "net", "--x", q, "--y", q, "--eps=-1/2"],
         [*build, "--stages", "0"],
         [*build, "--stages", "2", "--deltas", "1/4"],
+        [*build, "--stages", "3", "--pairs-per-stage", "-2"],
+        [*build, "--stages", "3", "--dim-cap", "-4"],
+        ["ramsey", "product", "--x", q, "--blocks", q, "--rho", one, "--colouring", tmp_path / "clamp.json",
+         "--samples", "-3"],
         ["tower", "backforth", tower, tower, "--steps", "0"],
         ["tower", "backforth", tower, other, "--start=-1"],
         ["tower", "backforth", tower, tower, "--start=-1"],

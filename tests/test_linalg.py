@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from msn import _kernel
 from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
@@ -155,6 +156,8 @@ R = Matrix.from_rows
 @example((R([[F(1, 2), 1], [0, 0]]), R([[1, 0], [0, F(1, 3)]]), R([[F(1, 2), 1], [0, F(1, 3)]]),
           (F(1), F(2))))
 @example((R([[1, 2], [2, 4]]), R([[2, 4]]), R([[1, 2], [2, 4]]), (F(-1), F(-2))))
+@example((R([[1, 2, 0], [0, F(1, 2), 1]]), R([[1, 2, 0], [0, F(1, 2), 1]]), Z(0, 0), (F(0),) * 3))
+@example((R([[2, 4, 0]]), R([[1, 2, 0], [0, 0, F(1, 3)], [1, 2, 1]]), Z(0, 0), (F(2), F(4), F(0))))
 def test_subspace_calculus_matches_the_fraction_front_ends(case):
     """Zero rows, 0 x n and n x 0 matrices and singular ones included."""
     a, b, sq, v = case
@@ -167,6 +170,22 @@ def test_subspace_calculus_matches_the_fraction_front_ends(case):
     inv = inverse(sq)
     assert inv == oracles.inverse(sq)
     assert inv is None or all(type(x) is F for r in inv.entries for x in r)
+
+
+def test_intersect_spans_is_one_reduction(monkeypatch):
+    """The intersection is read off one ``echelon_int`` call, with no second reduction."""
+    calls, real = [], _kernel.echelon_int
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(_kernel, "echelon_int", counted)
+    k1 = nullspace(Matrix.from_rows([[1, 0, 0]]))
+    k2 = nullspace(Matrix.from_rows([[1, 1, 0]]))
+    calls.clear()
+    assert intersect_spans(k1, k2) == [(F(0), F(0), F(1))]
+    assert len(calls) == 1
 
 
 @st.composite

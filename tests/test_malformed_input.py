@@ -262,6 +262,8 @@ def test_malformed_colouring_files_fail_with_format_error():
         ["coordinate-clamp", "--5"], ["coordinate-clamp", "-1"], ["coordinate-clamp", "1.0"],
         ["coordinate-clamp", "²"], ["coordinate-clamp", "0", "1"])]
     bad.append({"format": io.FORMAT, "kind": "discrete", "table": table})
+    # coordinate-clamp takes values in [0, 1]: a continuous colouring, never a discrete one
+    bad.append({"format": io.FORMAT, "kind": "discrete", "colours": 2, "builtin": ["coordinate-clamp", "0"]})
     # a colour count below one, and table values outside 0..colours-1
     bad += [{"format": io.FORMAT, "kind": "discrete", "colours": k, "table": table} for k in (-2, 0)]
     bad += [{"format": io.FORMAT, "kind": "discrete", "colours": 2,

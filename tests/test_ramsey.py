@@ -208,6 +208,29 @@ def test_search_monochromatic_sign_colouring_finds_witness():
         assert any(c(p) == colour and sup_distance(h, p) <= F(1, 2) for p in net_xz.points)
 
 
+def test_colour_coverage_matches_the_separate_loops():
+    """Discrete ``oscillation`` and ``search_monochromatic`` against their loops as
+    they were (``oracles``), on seeded nets and random 1-3 colour table colourings."""
+    rng = random.Random(0xC01)
+    q = line()
+    net_xy = build_net(q, q, 2)
+    osc, found = set(), set()
+    for _ in range(40):
+        Y = MultiSpace((S(2, [(F(rng.choice([-2, -1, 1, 2])), F(rng.randint(-2, 2))), (1, 0), (0, 1)]),))
+        net = build_net(q, Y, rng.choice([F(1, 2), F(1)]))
+        colours = rng.randint(1, 3)
+        c = discrete_table(net, [rng.randrange(colours) for _ in net.points], colours)
+        eps = rng.choice([F(1, 4), F(1, 2), F(1)])
+        got = oscillation(c, net.points, eps)
+        assert got == oracles.discrete_oscillation(c, net.points, eps)
+        osc.add(got)
+        candidates = rng.sample(net.points, min(3, len(net.points)))
+        got = search_monochromatic(c, net, net_xy, candidates, eps)
+        assert got == oracles.search_monochromatic(c, net, net_xy, candidates, eps)
+        found.add(got is None)
+    assert osc == {0, 1} and found == {False, True}
+
+
 def test_sampled_net_filters_non_embeddings():
     q = line()
     good = identity_map(q)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from msn import io
 from msn.errors import ArityMismatch, BadLength
 from msn.linalg import Matrix
 from msn.lp import gauge_scale
@@ -59,6 +60,18 @@ def test_extend_with_norm():
     gg = extend_with_norm(g)
     assert gg.graded
     assert gg.eval(1, (3, -4)) == 4  # max(|x1|, linf)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_appended_sup_norm_survives_save_and_load(dim, graded):
+    """The sup-norm level is canonical, so ``load(save(E))`` is E and saves to the same bytes."""
+    assert PolyhedralSeminorm.linf(dim) == S(dim, Matrix.identity(dim).entries)
+    E = extend_with_norm(MultiSpace.make((S(dim, [(1,) * dim]),), graded=graded))
+    doc = io.space_to_doc(E)
+    back = io.space_from_doc(doc)
+    assert back == E
+    assert io.dumps(io.space_to_doc(back)) == io.dumps(doc)
 
 
 def test_truncate():
