@@ -17,14 +17,18 @@ eps, delta and the map shapes, ``_swapped`` reads the result for (Z, Y)
 as the one for (Y, Z) when Y is the longer space, ``_band`` builds the
 levels at or above the length of X, and ``_direct_sum`` builds the two
 block inclusions and the certificate: the operator seminorms of [f; -g]
-(``_stacked``, built once per pushout, also giving the X rows of the
-coupled dual ball).
+(``_stacked``, built once per pushout).  ``_coupling`` scales [f; -g] and
+the coupling constant to integers once per pushout, so each coupled level
+stays in integers from the dual-ball facets through the vertex rows to the
+kept functionals, the only Fractions it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from msn.errors import (
     BadArgument,
@@ -35,11 +39,11 @@ from msn.errors import (
     NotSeparated,
     ShapeMismatch,
 )
-from msn.linalg import Matrix, Vec, frac
+from msn.linalg import Matrix, Vec, _scale_to_int, frac
 from msn.lp import solve_lp
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance, operator_seminorm
-from msn.polytope import polytope_vertices
-from msn.seminorms import PolyhedralSeminorm, dual_ball_facets, quotient_norm
+from msn.polytope import vertex_rows
+from msn.seminorms import PolyhedralSeminorm, _dominant, dual_ball_facets, quotient_norm
 from msn.spaces import (
     MultiSpace,
     _pad_functionals,
@@ -110,6 +114,17 @@ def _stacked(f: LinearMap, g: LinearMap) -> Matrix:
     return Matrix(f.matrix.entries + g.matrix.scale(-1).entries, f.domain.dim)
 
 
+def _coupling(fg: Matrix, c: Fraction) -> tuple[list[list[int]], int]:
+    """``(m * fg, m * c)`` in integers, ``fg`` as rows, over one common denominator ``m``.
+
+    The X rows of the coupled dual ball built from them are ``m`` times
+    ``(fg a, c b)``, the same inequalities, so they give the same vertices.
+    """
+    flat, m = _scale_to_int([c, *(x for row in fg.entries for x in row)])
+    dx = fg.cols  # slices, not a step of dx: X may have dimension 0
+    return [flat[1 + i * dx:1 + (i + 1) * dx] for i in range(len(fg.entries))], flat[0]
+
+
 def _direct_sum(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, W: MultiSpace, fg: Matrix,
                 levels: int, delta: Fraction, eps: Fraction) -> AmalgamResult:
     """W = Y (+) Z with its block inclusions; ``fg``: X -> W certifies the first ``levels`` levels."""
@@ -121,25 +136,27 @@ def _direct_sum(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, W: MultiSpace, fg: 
 
 
 def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
-                   fg: Matrix, n: int, c: Fraction) -> PolyhedralSeminorm:
+                   coupling: tuple[list[list[int]], int], n: int) -> PolyhedralSeminorm:
     """Materialise the overlap-penalised seminorm at level n via its dual.
 
     The dual ball is the set of functional pairs lying in the two dual
     balls whose pullback difference through f and g lies in c times the
     shared dual ball (facet ``a`` gives the row ``fg a`` = (f a, -g a));
-    its vertex list is the functional family.
+    its vertex list is the functional family.  All in integers: the
+    facets are primitive rows, ``coupling`` is ``_coupling(fg, c)``, and
+    the vertex rows go to ``_dominant`` over their common denominator, so
+    Fractions are built once, for the kept functionals.
     """
     dy, dz = Y.dim, Z.dim
     total = dy + dz
-    rows = []
-    for a, b in dual_ball_facets(Y.seminorms[n]):
-        rows.append((a + (0,) * dz, b))
-    for a, b in dual_ball_facets(Z.seminorms[n]):
-        rows.append(((0,) * dy + a, b))
-    for a, b in dual_ball_facets(X.seminorms[n]):
-        rows.append((fg.apply(a), c * b))
-    verts = polytope_vertices(rows, total)
-    return PolyhedralSeminorm.from_functionals(total, [v for v in verts if any(v)], reduce=False)
+    fgi, ci = coupling
+    rows = [(a + (0,) * dz, b) for a, b in dual_ball_facets(Y.seminorms[n])]
+    rows += [((0,) * dy + a, b) for a, b in dual_ball_facets(Z.seminorms[n])]
+    rows += [(tuple(sum(map(mul, r, a)) for r in fgi), ci * b) for a, b in dual_ball_facets(X.seminorms[n])]
+    verts = vertex_rows(rows, total)
+    m = lcm(*(t for _, t in verts))
+    funcs = _dominant(([x * (m // t) for x in xs] for xs, t in verts), m)
+    return PolyhedralSeminorm(total, tuple(tuple(Fraction(x, s) for x in ia) for ia, s in funcs))
 
 
 def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:
@@ -195,9 +212,10 @@ def pushout(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, f: LinearMap, g: Linear
     c = (2 * delta + delta * delta + eps) / (1 + delta)
     use_graded = graded and X.graded and Y.graded and Z.graded
     fg = _stacked(f, g)
+    coupling = _coupling(fg, c)
     sems: list[PolyhedralSeminorm] = []
     for n in range(Z.length):
-        sems.append(_coupled_level(Y, Z, X, fg, n, c) if n < X.length
+        sems.append(_coupled_level(Y, Z, X, coupling, n) if n < X.length
                     else _band(Y, Z, n, sems[-1] if use_graded else None))
     W = MultiSpace.make(tuple(sems), graded=use_graded)
     if separated and not is_separated(W):
@@ -319,16 +337,12 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
     Legs are exactly isometric at every level and the legs commute within
     eps below level n.
     """
-    eps = frac(eps)
-    if eps <= 0:
-        raise EpsNonPositive("eps must be strictly positive")
+    _, eps = _inputs(X, Y, Z, f, g, 0, eps)
     if not (X.length == Y.length == Z.length):
         raise ShapeMismatch("the n-preserving pushout needs equal lengths")
     if not 0 <= n <= X.length:
         raise ShapeMismatch("cutoff level outside the shared length")
     for name, h in (("f", f), ("g", g)):
-        if h.domain != X:
-            raise ShapeMismatch("maps must share the domain X")
         if n:
             ok, wit = is_embedding(LinearMap(truncate(X, n), truncate(h.codomain, n), h.matrix), 0)
         else:
@@ -339,10 +353,11 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
     dy, dz = Y.dim, Z.dim
     total = dy + dz
     fg = _stacked(f, g)
+    coupling = _coupling(fg, eps)
     sems = []
     for m in range(Z.length):
         if m < n:
-            sems.append(_coupled_level(Y, Z, X, fg, m, eps))
+            sems.append(_coupled_level(Y, Z, X, coupling, m))
         else:
             fy, fz = Y.seminorms[m].functionals, Z.seminorms[m].functionals
             if fy and fz:  # the sum seminorm: every a + b and a - b

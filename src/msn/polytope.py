@@ -18,8 +18,11 @@ fraction-free eliminations, each ray's tight set is an int bitmask
 extended by one bit per inserted row, and ray pairs are tested for
 adjacency combinatorially, by tight-set containment, with no rank
 computation.  ``polytope_facets`` returns the primitive integer rows it
-builds, and ``polytope_vertices`` takes int and Fraction rows alike, so a
-facet list goes back in with no conversion.
+builds, and the vertex functions take int and Fraction rows alike, so a
+facet list goes back in with no conversion.  ``vertex_rows`` returns each
+vertex as the primitive ray it was read off, the ``_scale_to_int`` row
+``(x, t)``, for callers that go on in integers; ``polytope_vertices`` is
+the same list in Fractions.
 """
 
 from __future__ import annotations
@@ -113,8 +116,13 @@ def _lineality_split(rows: list[list[int]], dim: int):
     return lin, out
 
 
-def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
-    """All vertices of {x : a . x <= b}, [] when it is empty; raises if it is unbounded."""
+def vertex_rows(ineqs: list[Ineq], dim: int) -> list[tuple[list[int], int]]:
+    """Each vertex of {x : a . x <= b} as its ``_scale_to_int`` row ``(x, t)``.
+
+    [] when the system is empty; raises if it is unbounded.  The rows
+    come straight off the primitive rays ``(t, *x)`` with ``t > 0``, so
+    ``x / t`` is the vertex in lowest terms; sorted by the vertices.
+    """
     # Homogenised rows (b, -a) in integers: scale (b, a), then negate ints.
     crows = []
     for a, b in ineqs:
@@ -134,7 +142,12 @@ def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
     # numerators over one common denominator.
     m = lcm(*(r[0] for r in rays))
     rays.sort(key=lambda r: [x * (m // r[0]) for x in r[1:]])
-    return [tuple(Fraction(x, r[0]) for x in r[1:]) for r in rays]
+    return [(list(r[1:]), r[0]) for r in rays]
+
+
+def polytope_vertices(ineqs: list[Ineq], dim: int) -> list[Vec]:
+    """All vertices of {x : a . x <= b}, [] when it is empty; raises if it is unbounded."""
+    return [tuple(Fraction(x, t) for x in xs) for xs, t in vertex_rows(ineqs, dim)]
 
 
 def polytope_facets(points: list[Vec], dim: int) -> list[Ineq]:

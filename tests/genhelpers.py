@@ -29,13 +29,15 @@ def block_embedding_triple(rng, dim_x, extra_y, extra_z, lam_x, lam_y, lam_z,
                            delta=F(0), graded=False, max_funcs=2):
     """X with block inclusions into Y and Z scaled by (1 + delta).
 
+    X may have dimension 0; then every level of X is zero.
+
     Y and Z extend X's seminorms by zero on the extra coordinates and add
     random functionals supported on the extra block only, so the block
     inclusion is exactly isometric and its (1+delta)-multiple is a
     delta-embedding.
     """
     xs = [random_seminorm(rng, dim_x, max_funcs) for _ in range(lam_x)]
-    if all(s.is_zero() for s in xs):
+    if dim_x and all(s.is_zero() for s in xs):
         xs[0] = S(dim_x, [tuple(F(1 if i == 0 else 0) for i in range(dim_x))])
     X = MultiSpace(tuple(xs))
 
@@ -59,9 +61,9 @@ def block_embedding_triple(rng, dim_x, extra_y, extra_z, lam_x, lam_y, lam_z,
         X, Y, Z = graded_closure(X), graded_closure(Y), graded_closure(Z)
     t = 1 + delta
     fm = Matrix.from_rows([[t if j == i else F(0) for j in range(dim_x)] for i in range(dim_x)]
-                          + [[F(0)] * dim_x for _ in range(extra_y)])
+                          + [[F(0)] * dim_x for _ in range(extra_y)], dim_x)
     gm = Matrix.from_rows([[t if j == i else F(0) for j in range(dim_x)] for i in range(dim_x)]
-                          + [[F(0)] * dim_x for _ in range(extra_z)])
+                          + [[F(0)] * dim_x for _ in range(extra_z)], dim_x)
     return X, Y, Z, LinearMap(X, Y, fm), LinearMap(X, Z, gm)
 
 

@@ -23,7 +23,10 @@ Fraction front ends around the kernel, not the kernel.  Last,
 vertex enumeration per sphere face, also verbatim, and
 ``discrete_oscillation`` and ``search_monochromatic`` are the two
 colour-coverage loops of ``msn.ramsey`` as they were before they shared
-one helper, verbatim but for the argument checks.
+one helper, verbatim but for the argument checks.  ``fraction_coupled_level``
+is ``amalgam._coupled_level`` as it was when it went through Fractions
+(``Matrix.apply``, ``polytope_vertices``, ``from_functionals``), verbatim
+but for its name.
 """
 
 from fractions import Fraction
@@ -53,6 +56,7 @@ from msn.linalg import (
 )
 from msn.maps import LinearMap, compose, is_embedding
 from msn.polytope import polytope_vertices
+from msn.seminorms import PolyhedralSeminorm, dual_ball_facets
 from msn.spaces import joint_kernel
 
 
@@ -596,3 +600,28 @@ def search_monochromatic(c, net_xz, net_xy, candidates, eps):
             if all(any(ramsey._map_metric(h, q) <= eps for q in marked) for h in composed):
                 return gamma, colour
     return None
+
+
+# ``amalgam._coupled_level`` as it was when the X rows, the vertices and
+# the functional list each went through Fractions.
+
+
+def fraction_coupled_level(Y, Z, X, fg, n, c):
+    """Materialise the overlap-penalised seminorm at level n via its dual.
+
+    The dual ball is the set of functional pairs lying in the two dual
+    balls whose pullback difference through f and g lies in c times the
+    shared dual ball (facet ``a`` gives the row ``fg a`` = (f a, -g a));
+    its vertex list is the functional family.
+    """
+    dy, dz = Y.dim, Z.dim
+    total = dy + dz
+    rows = []
+    for a, b in dual_ball_facets(Y.seminorms[n]):
+        rows.append((a + (0,) * dz, b))
+    for a, b in dual_ball_facets(Z.seminorms[n]):
+        rows.append(((0,) * dy + a, b))
+    for a, b in dual_ball_facets(X.seminorms[n]):
+        rows.append((fg.apply(a), c * b))
+    verts = polytope_vertices(rows, total)
+    return PolyhedralSeminorm.from_functionals(total, [v for v in verts if any(v)], reduce=False)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msn.amalgam import (
     multi_amalgam,
@@ -19,7 +21,7 @@ from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import MultiSpace, graded_closure, is_separated, line_space, trivial_space
 
 from genhelpers import block_embedding_triple
-from oracles import piecewise_min_1d
+from oracles import fraction_coupled_level, piecewise_min_1d
 
 F = Fraction
 S = PolyhedralSeminorm.from_functionals
@@ -177,6 +179,66 @@ def test_n_preserving_full_length_matches_nap_low_levels():
     res = pushout_n_preserving(X, X, X, i, i, 1, F(1, 2))
     nap = pushout(X, X, X, i, i, 0, F(1, 2))
     assert res.space.eval(0, (1, -1)) == nap.space.eval(0, (1, -1)) == F(1, 2)
+
+
+def test_n_preserving_pushout_rejects_maps_into_other_spaces():
+    """Z2 agrees with Z below the cutoff, so only the codomain check catches g: X -> Z2."""
+    X = line_space(1, 1)
+    Z2 = line_space(1, 2)
+    i = identity_map(X)
+    g2 = LinearMap(X, Z2, Matrix.identity(1))
+    with pytest.raises(ShapeMismatch):
+        pushout_n_preserving(X, X, X, i, g2, 1, F(1, 2))
+    with pytest.raises(ShapeMismatch):
+        pushout_n_preserving(X, X, X, g2, i, 1, F(1, 2))
+    res = pushout_n_preserving(X, X, Z2, i, g2, 1, F(1, 2))
+    assert compose(res.leg_z, g2).codomain == res.space
+
+
+@st.composite
+def _coupled_inputs(draw):
+    """A seeded block-embedding triple (X may be zero-dimensional) and a coupling constant."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lam_x = draw(st.integers(1, 2))
+    delta = draw(st.sampled_from([F(0), F(1, 4)]))
+    X, Y, Z, f, g = block_embedding_triple(
+        rng, draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+        lam_x, draw(st.integers(lam_x, 3)), draw(st.integers(lam_x, 3)), delta=delta)
+    eps = draw(st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8))
+    return X, Y, Z, f, g, (2 * delta + delta * delta + eps) / (1 + delta)
+
+
+def _over_trivial_space():
+    """X of dimension 0, as in a tower's first pushouts: [f; -g] has no columns."""
+    X, Y, Z = trivial_space(2), line_space(1, 2), line_space(3, 1)
+    return X, Y, Z, LinearMap(X, Y, Matrix.zero(1, 0)), LinearMap(X, Z, Matrix.zero(1, 0)), F(1, 2)
+
+
+_LEVELS = MultiSpace((PolyhedralSeminorm.zero(2), S(2, [(1, 0), (1, 1)])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coupled_inputs())
+@example(_over_trivial_space())
+@example((line_space(0, 1), line_space(0, 1), line_space(0, 2, 1), identity_map(line_space(0, 1)),
+          LinearMap(line_space(0, 1), line_space(0, 2, 1), Matrix.identity(1)), F(1)))
+@example((_LEVELS, _LEVELS, _LEVELS, identity_map(_LEVELS), identity_map(_LEVELS), F(1, 8)))
+@example((*block_embedding_triple(random.Random(5), 2, 1, 1, 2, 2, 3), F(1, 8)))
+@example((*block_embedding_triple(random.Random(5), 2, 1, 1, 2, 2, 3, delta=F(1, 4)),
+          (2 * F(1, 4) + F(1, 16) + F(1, 8)) / (1 + F(1, 4))))
+@example((*block_embedding_triple(random.Random(9), 1, 2, 1, 1, 2, 2, delta=F(1, 4)), F(2, 3)))
+def test_coupled_level_matches_fraction_oracle(case):
+    """The integer coupled level against its Fraction form (``Matrix.apply``,
+    ``polytope_vertices``, ``from_functionals``): zero-dimensional X, zero
+    levels, delta 0 and 1/4 (f and g scaled by 5/4), and c with
+    denominators 2, 3, 8 and 20 among the examples."""
+    X, Y, Z, f, g, c = case
+    fg = amalgam._stacked(f, g)
+    coupling = amalgam._coupling(fg, c)
+    for n in range(X.length):
+        got = amalgam._coupled_level(Y, Z, X, coupling, n)
+        assert got == fraction_coupled_level(Y, Z, X, fg, n, c), n
+        assert all(type(x) is Fraction for phi in got.functionals for x in phi)
 
 
 def test_product_amalgam_one_dim_matches_pushout():

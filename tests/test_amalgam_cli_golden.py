@@ -11,6 +11,11 @@ before its constructions shared one direct-sum skeleton.  Regenerate
 only when a change is meant to alter the outputs:
 
     PYTHONPATH=src:tests python -c "import test_amalgam_cli_golden as t; t.write_golden()"
+
+``write_golden`` re-runs each recorded case on its recorded files and
+command line, so inputs written by older code (the back-and-forth towers
+predate one file per distinct stage) stay as they are, and it adds the
+cases of ``golden_cases()`` whose names are not recorded yet.
 """
 
 import json
@@ -118,13 +123,22 @@ def _run(files, argv, tmp):
     return rc, out.getvalue(), err.getvalue()
 
 
-def write_golden():
+def write_golden(path=GOLDEN):
+    """Record every case of ``GOLDEN``, then each new one of ``golden_cases()``, into ``path``."""
+    cases = [(rec["name"], rec["files"], rec["argv"]) for rec in json.loads(GOLDEN.read_text())]
+    recorded = {name for name, _, _ in cases}
+    cases += [case for case in golden_cases() if case[0] not in recorded]
     recs = []
-    for name, files, argv in golden_cases():
+    for name, files, argv in cases:
         with TemporaryDirectory() as tmp:
             rc, out, err = _run(files, argv, tmp)
         recs.append({"name": name, "files": files, "argv": argv, "rc": rc, "out": out, "err": err})
-    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in recs) + "\n]\n")
+    path.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in recs) + "\n]\n")
+
+
+def test_write_golden_reproduces_the_committed_records(tmp_path):
+    write_golden(tmp_path / "golden.json")
+    assert (tmp_path / "golden.json").read_bytes() == GOLDEN.read_bytes()
 
 
 def test_amalgam_cli_output_matches_golden(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from msn.amalgam import pushout
 from msn.errors import UnboundedPolyhedron
-from msn.linalg import vec
-from msn.polytope import _cone_rays, polytope_facets, polytope_vertices
+from msn.linalg import _scale_to_int, vec
+from msn.polytope import _cone_rays, polytope_facets, polytope_vertices, vertex_rows
 
 from genhelpers import block_embedding_triple
 from oracles import brute_cone_rays, brute_vertices, canon_rep, full_lp, gauss_rank, primitive_ineq
@@ -178,15 +178,20 @@ def test_empty_system_with_a_recession_direction_has_no_vertices():
     assert polytope_vertices([((1, 0), -1), ((-1, 0), -1), ((0, -1), 0)], 2) == []
 
 
+def _random_systems():
+    """``(dim, rows)``: 3000 seeded integer systems, empty, unbounded and bounded alike."""
+    rng = random.Random(0x5E7)
+    for _ in range(3000):
+        dim = rng.randint(1, 3)
+        yield dim, [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-2, 2))
+                    for _ in range(rng.randint(0, 5))]
+
+
 def test_vertices_agree_with_lp_outcomes_on_random_systems():
     """[] iff the system is infeasible, UnboundedPolyhedron iff it is feasible
     and some coordinate is unbounded on it, else the brute-force vertices."""
-    rng = random.Random(0x5E7)
     seen = Counter()
-    for _ in range(3000):
-        dim = rng.randint(1, 3)
-        rows = [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-2, 2))
-                for _ in range(rng.randint(0, 5))]
+    for dim, rows in _random_systems():
         units = [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
         if full_lp([0] * dim, rows) == "infeasible":
             want, kind = [], "empty"
@@ -200,6 +205,25 @@ def test_vertices_agree_with_lp_outcomes_on_random_systems():
             got = "UnboundedPolyhedron"
         assert got == want, (dim, rows)
         seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_vertex_rows_are_the_scaled_vertices_on_random_systems():
+    """The ``_scale_to_int`` rows of ``polytope_vertices``, in its order, with
+    t > 0; the same [] for empty systems and the same raise for unbounded ones."""
+    seen = Counter()
+    for dim, rows in _random_systems():
+        try:
+            want = [_scale_to_int(v) for v in polytope_vertices(rows, dim)]
+        except UnboundedPolyhedron as e:
+            with pytest.raises(UnboundedPolyhedron, match=f"^{e}$"):
+                vertex_rows(rows, dim)
+            seen["unbounded"] += 1
+            continue
+        got = vertex_rows(rows, dim)
+        assert got == want, (dim, rows)
+        assert all(t > 0 for _, t in got)
+        seen["bounded" if got else "empty"] += 1
     assert min(seen.values()) >= 100, seen
 
 
