@@ -121,7 +121,8 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
 
 
 def _is_identity_on_level(f: LinearMap, m: int) -> bool:
-    return (f.matrix.entries == Matrix.identity(f.domain.dim).entries
+    e, n = f.matrix.entries, f.domain.dim  # the n x n identity, with no matrix built
+    return (len(e) == n and all(len(r) == n and r[i] == 1 and not any(r[:i] + r[i + 1:]) for i, r in enumerate(e))
             and f.domain.seminorms[m] == f.codomain.seminorms[m])
 
 

@@ -16,10 +16,13 @@ implicit equalities, emitted as opposite inequality pairs.  The method
 works in integers throughout: the start cone comes from two
 fraction-free eliminations, each ray's tight set is an int bitmask
 extended by one bit per inserted row, and ray pairs are tested for
-adjacency combinatorially, by tight-set containment, with no rank
-computation.  ``polytope_facets`` returns the primitive integer rows it
-builds, and the vertex functions take int and Fraction rows alike, so a
-facet list goes back in with no conversion.  ``vertex_rows`` returns each
+adjacency combinatorially, with no rank computation: by tight-set
+containment, or, at an insertion where the rays outnumber the processed
+rows, by per-row ray masks (Terzer & Stelling, "Large-scale computation
+of elementary flux modes with bit pattern trees", Bioinformatics 2008).
+``polytope_facets`` returns the primitive integer rows it builds, and
+the vertex functions take int and Fraction rows alike, so a facet list
+goes back in with no conversion.  ``vertex_rows`` returns each
 vertex as the primitive ray it was read off, the ``_scale_to_int`` row
 ``(x, t)``, for callers that go on in integers; ``polytope_vertices`` is
 the same list in Fractions.
@@ -47,9 +50,12 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
     from the simplicial cone of the lexicographically first ``dim``
     independent rows, whose rays are the primitive columns of the
     inverse, then insert the remaining rows one at a time.  Each ray keeps
-    its tight set, the processed rows it lies on, as an int bitmask.  A (+, -) pair is adjacent, and yields the new
-    ray on the inserted hyperplane, iff its common tight set has at least
-    ``dim - 2`` rows and lies in no third ray's tight set.
+    its tight set, the processed rows it lies on, as an int bitmask.  A
+    (+, -) pair is adjacent, and yields the new ray on the inserted
+    hyperplane, iff its common tight set has at least ``dim - 2`` rows and
+    no third ray lies on all of them: a scan of the other rays' tight
+    sets, or, once the rays outnumber the processed rows, an AND of
+    per-row ray masks over the common rows that stops at the pair alone.
     """
     # The pivot columns of the transpose are the lex-first independent rows.
     rank, chosen, _ = _kernel.echelon_int([list(c) for c in zip(*rows)])
@@ -75,6 +81,15 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
         plus = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
         minus = [k for k, v in enumerate(vals) if v < 0]
+        # More rays than processed rows: on[j] is the mask of the rays on row j.
+        on = None
+        if plus and minus and len(rays) > bit.bit_length() - 1:
+            on = [0] * (bit.bit_length() - 1)
+            for k, t in enumerate(tight):
+                while t:
+                    low = t & -t
+                    on[low.bit_length() - 1] |= 1 << k
+                    t ^= low
         new_rays: list[tuple[int, ...]] = []
         new_tight: list[int] = []
         for p in plus:
@@ -83,8 +98,18 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
                 common = tp & tight[q]
                 if common.bit_count() < dim - 2:
                     continue
-                if any(t & common == common for k, t in enumerate(tight) if k != p and k != q):
-                    continue
+                if on is None:
+                    if any(t & common == common for k, t in enumerate(tight) if k != p and k != q):
+                        continue
+                else:
+                    # The rays on every common row, narrowed until only the pair is left.
+                    pair, rest, c = (1 << p) | (1 << q), (1 << len(rays)) - 1, common
+                    while c and rest != pair:
+                        low = c & -c
+                        rest &= on[low.bit_length() - 1]
+                        c ^= low
+                    if rest != pair:
+                        continue
                 vq = vals[q]
                 new_rays.append(tuple(_row_primitive([vp * qx - vq * px for px, qx in zip(rp, rays[q])])))
                 new_tight.append(common | bit)

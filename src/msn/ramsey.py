@@ -89,14 +89,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
-    """Exhaustive net of Emb(X, Y) for one-dimensional X.
+def sphere_points(X: MultiSpace, Y: MultiSpace, eps) -> list[Vec]:
+    """Image vectors of ``build_net``'s points, in its order, with no map built.
 
-    The embedding set is the intersection of seminorm spheres, a finite
-    union of faces of one polytope, whose vertices are enumerated once;
-    each face, the hull of the vertices on it, is covered by an exact
-    simplex grid with mesh at most eps.  Raises when the constraint set
-    is empty.
+    The embedding set of a one-dimensional X is the intersection of
+    seminorm spheres, a finite union of faces of one polytope, whose
+    vertices are enumerated once; each face, the hull of the vertices on
+    it, is covered by an exact simplex grid with mesh at most eps, and
+    each grid point is re-checked exactly.  Sorted, but for the ± kernel
+    pair of all-zero targets.  Raises when the constraint set is empty.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -111,9 +112,7 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
         ker = joint_kernel(Y, range(X.length))
         if not ker:
             raise EmptyEmbeddingSet("no nonzero vector annihilated by every level")
-        pts = [ker[0], tuple(-x for x in ker[0])]
-        maps = tuple(LinearMap(X, Y, Matrix.from_rows([[x] for x in p])) for p in pts)
-        return EmbeddingNet(X, Y, maps, eps)
+        return [ker[0], tuple(-x for x in ker[0])]
 
     def metric(a: Vec, b: Vec) -> Fraction:
         best = Fraction(0)
@@ -145,13 +144,18 @@ def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
                 points.add(p)
     if not points:
         raise EmptyEmbeddingSet("sphere system has no solutions")
-    maps = tuple(LinearMap(X, Y, Matrix.from_rows([[x] for x in p]))
-                 for p in sorted(points))
+    return sorted(points)
+
+
+def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:
+    """Exhaustive net of Emb(X, Y) for one-dimensional X: every one of the
+    ``sphere_points`` as a map, each checked by ``is_embedding`` at 0."""
+    maps = tuple(LinearMap(X, Y, Matrix.from_rows([[x] for x in p])) for p in sphere_points(X, Y, eps))
     for f in maps:
         ok, _ = is_embedding(f, 0)
         if not ok:
             raise EmptyEmbeddingSet("enumerated point fails the embedding check")
-    return EmbeddingNet(X, Y, maps, eps)
+    return EmbeddingNet(X, Y, maps, Fraction(eps))
 
 
 def sampled_net(X: MultiSpace, Y: MultiSpace, candidates) -> EmbeddingNet:

@@ -19,7 +19,7 @@ from msn.amalgam import multi_amalgam, pushout, sparse_pushout
 from msn.errors import BadArgument, CatalogNotSeparated, EmptyEmbeddingSet, PairNotInCertificates
 from msn.linalg import Matrix
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance
-from msn.ramsey import build_net
+from msn.ramsey import sphere_points
 from msn.seeding import rng as seeded_rng
 from msn.spaces import MultiSpace, extend_with_norm, is_separated, pullback_space, trivial_space, truncate
 
@@ -58,18 +58,20 @@ def _sampled_eta(base: LinearMap, cur: MultiSpace, delta, r) -> LinearMap:
     """Seeded delta-embedding of the base's domain into the current stage.
 
     One-dimensional members draw from the exhaustive embedding net of the
-    stage (scaled by 1 + delta); otherwise the signed scaled base is used.
+    stage (scaled by 1 + delta); only the pick is built and checked by
+    ``is_embedding``.  Otherwise the signed scaled base is used.
     """
     member = base.domain
     total_funcs = sum(len(s.functionals) for s in cur.seminorms)
     if member.dim == 1 and total_funcs <= 40:
         try:
-            net = build_net(member, cur, Fraction(2))
+            points = sphere_points(member, cur, Fraction(2))
         except EmptyEmbeddingSet:
             pass
         else:
-            pick = net.points[r.randrange(len(net.points))]
-            return LinearMap(member, cur, pick.matrix.scale(1 + delta))
+            pick = LinearMap(member, cur, Matrix.from_rows([[x] for x in points[r.randrange(len(points))]]))
+            if is_embedding(pick, 0)[0]:
+                return LinearMap(member, cur, pick.matrix.scale(1 + delta))
     sign = 1 if r.randrange(2) else -1
     return LinearMap(member, cur, base.matrix.scale((1 + delta) * sign))
 

@@ -34,7 +34,10 @@ It also covers paths the benchmark inputs barely reach (seeded inputs from
 * ``build_net`` of ``line_space(1)`` into random two- and three-dimensional
   spaces;
 * ``search_monochromatic`` over every two-colouring of acceptance
-  criterion 8's net.
+  criterion 8's net;
+* ``polytope_facets`` of the 832-point symmetric hull of the seed-3
+  tower's dimension-8 stage (its 416 functionals and their negatives),
+  where a few rays meet hundreds of rows.
 
 ``extend_with_norm`` alone is left out: a change may reorder its sup-norm
 level on purpose, and that is checked by the tests.  The parent side of a
@@ -62,6 +65,7 @@ from msn.amalgam import product_amalgam  # noqa: E402
 from msn.errors import EmptyEmbeddingSet  # noqa: E402
 from msn.linalg import Matrix  # noqa: E402
 from msn.maps import LinearMap, bm_upper_bound, build_iso_from_invariant  # noqa: E402
+from msn.polytope import polytope_facets  # noqa: E402
 from msn.ramsey import build_net, discrete_table, search_monochromatic  # noqa: E402
 from msn.seminorms import quotient_norm  # noqa: E402
 from msn.spaces import is_separated, line_space, pullback_space  # noqa: E402
@@ -165,6 +169,12 @@ def _criterion_8_search(h) -> None:
         h.update(repr((gamma.matrix, colour)).encode())
 
 
+def _symmetric_hull(h) -> None:
+    stage = build_tower([line_space(1), line_space(2)], [Fraction(0), Fraction(1, 4)], 3, seed=3, dim_cap=8).stages[2]
+    funcs = stage.seminorms[0].functionals
+    h.update(repr(polytope_facets(list(funcs) + [tuple(-x for x in f) for f in funcs], stage.dim)).encode())
+
+
 def main() -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -177,6 +187,7 @@ def main() -> str:
     _back_and_forth(h)
     _nets(h)
     _criterion_8_search(h)
+    _symmetric_hull(h)
     return h.hexdigest()
 
 

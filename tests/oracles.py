@@ -26,7 +26,9 @@ colour-coverage loops of ``msn.ramsey`` as they were before they shared
 one helper, verbatim but for the argument checks.  ``fraction_coupled_level``
 is ``amalgam._coupled_level`` as it was when it went through Fractions
 (``Matrix.apply``, ``polytope_vertices``, ``from_functionals``), verbatim
-but for its name.
+but for its name.  ``scan_cone_rays`` is ``polytope._cone_rays`` as it
+was when every (+, -) ray pair was tested by scanning the other rays'
+tight sets, verbatim but for its name and docstring.
 """
 
 from fractions import Fraction
@@ -36,6 +38,7 @@ from math import gcd, lcm
 from operator import mul
 
 from msn import _kernel, ramsey
+from msn._kernel import _row_primitive
 from msn.errors import (
     BadArgument,
     DimensionMismatch,
@@ -625,3 +628,51 @@ def fraction_coupled_level(Y, Z, X, fg, n, c):
         rows.append((fg.apply(a), c * b))
     verts = polytope_vertices(rows, total)
     return PolyhedralSeminorm.from_functionals(total, [v for v in verts if any(v)], reduce=False)
+
+
+# ``polytope._cone_rays`` as it was when each (+, -) pair was tested for
+# adjacency by a scan of every other ray's tight set.
+
+
+def scan_cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
+    # The pivot columns of the transpose are the lex-first independent rows.
+    rank, chosen, _ = _kernel.echelon_int([list(c) for c in zip(*rows)])
+    if rank < dim:
+        return None
+    # [B | I] reduces to rows c_i * [e_i | row i of B^-1] with c_i > 0.
+    aug = [list(rows[i]) + [int(j == k) for j in range(dim)] for k, i in enumerate(chosen)]
+    _, _, red = _kernel.echelon_int(aug)
+    m = lcm(*(r[i] for i, r in enumerate(red)))
+    scale = [m // r[i] for i, r in enumerate(red)]
+    rays = [tuple(_row_primitive([s * r[dim + j] for s, r in zip(scale, red)])) for j in range(dim)]
+    # Ray j lies on every chosen row but row j.
+    full = (1 << dim) - 1
+    tight = [full ^ (1 << j) for j in range(dim)]
+
+    chosen_set = set(chosen)
+    bit = 1 << dim
+    for idx in range(len(rows)):
+        if idx in chosen_set:
+            continue
+        row = rows[idx]
+        vals = [sum(a * x for a, x in zip(row, r)) for r in rays]
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        new_rays: list[tuple[int, ...]] = []
+        new_tight: list[int] = []
+        for p in plus:
+            tp, rp, vp = tight[p], rays[p], vals[p]
+            for q in minus:
+                common = tp & tight[q]
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(t & common == common for k, t in enumerate(tight) if k != p and k != q):
+                    continue
+                vq = vals[q]
+                new_rays.append(tuple(_row_primitive([vp * qx - vq * px for px, qx in zip(rp, rays[q])])))
+                new_tight.append(common | bit)
+        rays = [rays[k] for k in plus] + [rays[k] for k in zero] + new_rays
+        tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero] + new_tight
+        bit <<= 1
+    return rays

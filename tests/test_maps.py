@@ -452,6 +452,33 @@ def test_certify_accept_check_solves_no_lp(monkeypatch):
             assert not ok and wit["kind"] == "upper" and calls
 
 
+def test_identity_level_test_matches_the_identity_matrix():
+    """``_is_identity_on_level`` against the comparison with
+    ``Matrix.identity`` it replaced, on square and non-square matrices."""
+    rng = random.Random(0x1D)
+    X = MultiSpace.make((S(2, [(1, 0), (0, 1)]), S(2, [(1, 1)])))
+    matrices = [Matrix.identity(2), Matrix.from_rows([[1, 0], [0, 1], [0, 0]]), Matrix.from_rows([[1, 0]]),
+                Matrix.from_rows([[0, 1], [1, 0]]), Matrix.from_rows([[1, 0], [0, 2]]), Matrix.zero(2, 2),
+                Matrix.from_rows([[1, F(1, 2)], [0, 1]])]
+    matrices += [Matrix.from_rows([[rng.choice((0, 0, 1, 1, -1)) for _ in range(2)] for _ in range(rows)], 2)
+                 for rows in (1, 2, 2, 2, 3) for _ in range(20)]
+    seen = Counter()
+    for M in matrices:
+        for Y in (X, MultiSpace.make((X.seminorms[0], X.seminorms[0])), MultiSpace.make((S(M.rows, []),) * 2)):
+            if Y.dim != M.rows:
+                continue
+            f = LinearMap(X, Y, M)
+            for m in range(2):
+                want = M.entries == Matrix.identity(2).entries and X.seminorms[m] == Y.seminorms[m]
+                assert _is_identity_on_level(f, m) == want
+                seen[want] += 1
+    Z = trivial_space(1)
+    for M in (Matrix.zero(0, 0), Matrix.zero(2, 0)):
+        Y = MultiSpace.make((S(M.rows, []),))
+        assert _is_identity_on_level(LinearMap(Z, Y, M), 0) == (M.rows == 0)
+    assert seen[True] >= 3 and seen[False] >= 100
+
+
 def test_maps_out_of_the_zero_space():
     triv = trivial_space(1)
     Y = linf2()

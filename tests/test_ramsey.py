@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,13 @@ from msn.ramsey import (
     quotient_lift,
     sampled_net,
     search_monochromatic,
+    sphere_points,
 )
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import MultiSpace, line_space, product_space
+from msn.tower import build_tower
+
+from genhelpers import random_space
 
 F = Fraction
 S = PolyhedralSeminorm.from_functionals
@@ -275,3 +280,45 @@ def test_build_net_reads_every_face_off_one_polytope(case):
         got = _net_or_empty(build_net, X, Y, eps)
     assert got == _net_or_empty(oracles.per_face_build_net, X, Y, eps)
     assert len(calls) <= 1
+
+
+def _columns_or_empty(X, Y, eps):
+    """The image columns of ``build_net``'s points, or the message it raises."""
+    try:
+        return [p.matrix.col(0) for p in build_net(X, Y, eps).points]
+    except EmptyEmbeddingSet as e:
+        return str(e)
+
+
+def test_sphere_points_are_the_net_columns_in_order():
+    """Tower stages a sampled eta draws from (at most 40 functionals),
+    random two- and three-dimensional spaces, the all-zero-target branch
+    and both empty-set raises."""
+    cases = []
+    for seed in (3, 12345):
+        tower = build_tower([line_space(1), line_space(2)], [0, F(1, 4)], 5, seed=seed, dim_cap=8)
+        stages = [Y for Y in tower.stages if sum(len(s.functionals) for s in Y.seminorms) <= 40]
+        assert len(stages) == 2
+        cases += [(line_space(c), Y, F(2)) for Y in stages for c in (1, 2)]
+    rng = random.Random(0x5EED)
+    cases += [(line_space(rng.choice((1, 2))), random_space(rng, rng.randint(2, 3), 1), rng.choice((F(1), F(2))))
+              for _ in range(24)]
+    zero_target = (line_space(0), MultiSpace.make((S(2, [(1, 1)]),)), F(1))
+    no_kernel = (line_space(0), linf2(), F(1))
+    empty_sphere = (MultiSpace.make((S(1, [(1,)]), PolyhedralSeminorm.zero(1))),
+                    MultiSpace.make((S(1, [(1,)]), S(1, [(1,)]))), F(1))
+    cases += [zero_target, no_kernel, empty_sphere]
+    outcomes = Counter()
+    for X, Y, eps in cases:
+        want = _columns_or_empty(X, Y, eps)
+        outcomes[isinstance(want, str)] += 1
+        try:
+            got = sphere_points(X, Y, eps)
+        except EmptyEmbeddingSet as e:
+            got = str(e)
+        assert got == want
+    assert sphere_points(*zero_target) == [(F(1), F(-1)), (F(-1), F(1))]
+    for case, msg in ((no_kernel, "no nonzero vector"), (empty_sphere, "sphere system has no solutions")):
+        with pytest.raises(EmptyEmbeddingSet, match=msg):
+            sphere_points(*case)
+    assert outcomes[False] >= 20 and outcomes[True] >= 2

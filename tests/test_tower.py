@@ -2,15 +2,17 @@ import contextlib
 import copy
 import io as stdio
 import json
+import random
 import shutil
 from fractions import Fraction
 
 import pytest
 
-from msn import io
+from msn import io, tower
 from msn.cli import main
 from msn.errors import PairNotInCertificates
 from msn.maps import identity_map, is_embedding
+from msn.ramsey import build_net
 from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import line_space
 from msn.tower import BackForthRecord, back_and_forth, build_tower, discharge, verify_tower
@@ -80,6 +82,26 @@ def test_verify_detects_fault_injection():
     rep2 = verify_tower(broken2)
     assert not rep2["ok"]
     assert any(f["kind"] == "certificate" for f in rep2["failures"])
+
+
+def test_sampled_eta_builds_and_checks_only_the_pick(monkeypatch):
+    """The draw is the net point ``build_net`` gives at the same index,
+    scaled by 1 + delta, the generator ends in the same state, and
+    ``is_embedding`` runs once, on the pick."""
+    t = build_tower(small_catalog(), [0, F(1, 4)], 2, seed=3, dim_cap=8)
+    calls = []
+    real = tower.is_embedding
+    monkeypatch.setattr(tower, "is_embedding", lambda f, d: calls.append(f) or real(f, d))
+    for n, cur in enumerate(t.stages):
+        for j, base in enumerate(t.member_embeddings[n]):
+            for k, delta in enumerate((F(0), F(1, 4))):
+                mine, theirs = random.Random(100 * n + 10 * j + k), random.Random(100 * n + 10 * j + k)
+                calls.clear()
+                eta = tower._sampled_eta(base, cur, delta, mine)
+                points = build_net(base.domain, cur, 2).points
+                assert eta.matrix == points[theirs.randrange(len(points))].matrix.scale(1 + delta)
+                assert mine.random() == theirs.random()
+                assert len(calls) == 1 and calls[0].matrix == eta.matrix.scale(1 / (1 + delta))
 
 
 def test_determinism_same_seed():
