@@ -16,10 +16,9 @@ implicit equalities, emitted as opposite inequality pairs.  The method
 works in integers throughout: the start cone comes from two
 fraction-free eliminations, each ray's tight set is an int bitmask
 extended by one bit per inserted row, and ray pairs are tested for
-adjacency combinatorially, with no rank computation: by tight-set
-containment, or, at an insertion where the rays outnumber the processed
-rows, by per-row ray masks (Terzer & Stelling, "Large-scale computation
-of elementary flux modes with bit pattern trees", Bioinformatics 2008).
+adjacency combinatorially, with no rank computation, by per-row ray
+masks (Terzer & Stelling, "Large-scale computation of elementary flux
+modes with bit pattern trees", Bioinformatics 2008).
 ``polytope_facets`` returns the primitive integer rows it builds, and
 the vertex functions take int and Fraction rows alike, so a facet list
 goes back in with no conversion.  ``vertex_rows`` returns each
@@ -53,9 +52,9 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
     its tight set, the processed rows it lies on, as an int bitmask.  A
     (+, -) pair is adjacent, and yields the new ray on the inserted
     hyperplane, iff its common tight set has at least ``dim - 2`` rows and
-    no third ray lies on all of them: a scan of the other rays' tight
-    sets, or, once the rays outnumber the processed rows, an AND of
-    per-row ray masks over the common rows that stops at the pair alone.
+    no third ray lies on all of them: the AND of the per-row ray masks
+    over the common rows, which stops once only the pair is left, is the
+    pair alone.
     """
     # The pivot columns of the transpose are the lex-first independent rows.
     rank, chosen, _ = _kernel.echelon_int([list(c) for c in zip(*rows)])
@@ -81,15 +80,13 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
         plus = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
         minus = [k for k, v in enumerate(vals) if v < 0]
-        # More rays than processed rows: on[j] is the mask of the rays on row j.
-        on = None
-        if plus and minus and len(rays) > bit.bit_length() - 1:
-            on = [0] * (bit.bit_length() - 1)
-            for k, t in enumerate(tight):
-                while t:
-                    low = t & -t
-                    on[low.bit_length() - 1] |= 1 << k
-                    t ^= low
+        # on[j] is the mask of the rays on processed row j.
+        on = [0] * (bit.bit_length() - 1)
+        for k, t in enumerate(tight if plus and minus else ()):
+            while t:
+                low = t & -t
+                on[low.bit_length() - 1] |= 1 << k
+                t ^= low
         new_rays: list[tuple[int, ...]] = []
         new_tight: list[int] = []
         for p in plus:
@@ -98,18 +95,14 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
                 common = tp & tight[q]
                 if common.bit_count() < dim - 2:
                     continue
-                if on is None:
-                    if any(t & common == common for k, t in enumerate(tight) if k != p and k != q):
-                        continue
-                else:
-                    # The rays on every common row, narrowed until only the pair is left.
-                    pair, rest, c = (1 << p) | (1 << q), (1 << len(rays)) - 1, common
-                    while c and rest != pair:
-                        low = c & -c
-                        rest &= on[low.bit_length() - 1]
-                        c ^= low
-                    if rest != pair:
-                        continue
+                # The rays on every common row, narrowed until only the pair is left.
+                pair, rest, c = (1 << p) | (1 << q), (1 << len(rays)) - 1, common
+                while c and rest != pair:
+                    low = c & -c
+                    rest &= on[low.bit_length() - 1]
+                    c ^= low
+                if rest != pair:
+                    continue
                 vq = vals[q]
                 new_rays.append(tuple(_row_primitive([vp * qx - vq * px for px, qx in zip(rp, rays[q])])))
                 new_tight.append(common | bit)
