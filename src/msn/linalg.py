@@ -2,7 +2,10 @@
 
 Vectors are tuples of ``Fraction``; matrices are immutable row-major grids
 that carry their shape, so matrices with no rows or no columns need no
-special case anywhere else.  Each subspace question clears denominators
+special case anywhere else.  A product scales each operand to integers
+once: ``mul`` adds x times row t of B into row i for each nonzero entry
+x = A[i][t], ``apply`` takes one integer dot per row, and each builds
+one Fraction per result entry.  Each subspace question clears denominators
 row by row (row scaling preserves spans and kernels), makes one call to
 the integer echelon kernel, and builds Fractions only from the primitive
 integers it returns; a span intersection is read off one reduction of
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from msn import _kernel
 from msn.errors import DimensionMismatch
@@ -125,13 +129,26 @@ class Matrix:
     def apply(self, x: Vec) -> Vec:
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} into {self.rows}x{self.cols}")
-        return tuple(dot(r, x) for r in self.entries)
+        a, da = _scale_to_int([v for r in self.entries for v in r])
+        ix, dx = _scale_to_int(x)
+        n = self.cols
+        return tuple(Fraction(sum(map(mul, a[i * n:(i + 1) * n], ix)), da * dx) for i in range(self.rows))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        ot = other.transpose()
-        return Matrix(tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries), other.cols)
+        a, da = _scale_to_int([v for r in self.entries for v in r])
+        b, db = _scale_to_int([v for r in other.entries for v in r])
+        k, n = self.cols, other.cols
+        brows = [b[t * n:(t + 1) * n] for t in range(k)]
+        out = []
+        for i in range(self.rows):
+            acc = [0] * n
+            for x, brow in zip(a[i * k:(i + 1) * k], brows):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+            out.append(tuple(Fraction(s, da * db) for s in acc))
+        return Matrix(tuple(out), n)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(self.col(j) for j in range(self.cols)), self.rows)

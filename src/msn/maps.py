@@ -6,9 +6,10 @@ apply, compose and subtract like any other.
 
 Operator seminorms are computed exactly as gauges, in integers.  At level
 m the codomain functionals are pulled back along the map
-(``_pullbacks``: one scaled matrix, one integer dot per functional and
-column), and ``seminorms._dominant`` keeps one pullback per +/-
-direction, the largest, as an integer row with its scale, the
+(``_pullbacks``: the nonzero matrix rows, the coordinates the map
+reaches, scaled once, and one integer dot per functional and column over
+those coordinates only), and ``seminorms._dominant`` keeps, of the
+distinct pullbacks, one per +/- direction, the largest, as an integer row with its scale, the
 ``_scale_to_int`` form that ``lp.gauge_max`` takes; the domain
 functionals take the same form through ``seminorms._ball``.  The operator seminorm is the largest gauge of a
 pullback over the domain's unit ball, and the lower constant is the
@@ -101,22 +102,24 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
 
     One representative per +/- direction, the largest multiple of it:
     defines the same pulled-back seminorm with a usually much shorter
-    list.  The matrix and the functional list are each scaled to
-    integers once, so a pullback is one integer dot per column over one
-    common denominator, and ``seminorms._dominant`` keeps its rows in the
+    list.  ``theta . f`` reads only the coordinates f reaches, its
+    nonzero rows, so only those entries are scaled to integers, once
+    each.  Each distinct pullback, one integer dot per column over one
+    common denominator, goes to ``seminorms._dominant``, whose rows do
+    not depend on that denominator or on their order: the
     ``_scale_to_int`` form, sorted as their Fractions would sort.
     """
-    cols = list(zip(*f.matrix.entries))
-    ints, den = _scale_to_int([x for col in cols for x in col])
-    r = f.matrix.rows
-    columns = [ints[j * r:(j + 1) * r] for j in range(len(cols))]
-    # All codomain functionals over one common denominator t.
-    thetas = f.codomain.seminorms[m].functionals
-    flat, t = _scale_to_int([x for theta in thetas for x in theta])
-    k = f.codomain.dim
+    support = [i for i, r in enumerate(f.matrix.entries) if any(r)]
+    if not support:
+        return []
+    n = f.matrix.cols
+    ints, den = _scale_to_int([x for i in support for x in f.matrix.entries[i]])
+    columns = [ints[j::n] for j in range(n)]
+    # The reached entries of all codomain functionals over one common denominator t.
+    flat, t = _scale_to_int([theta[i] for theta in f.codomain.seminorms[m].functionals for i in support])
+    k = len(support)
     # theta . f is the integer vector over t * den; _dominant drops zero pullbacks.
-    pulled = ([sum(map(mul, flat[i * k:(i + 1) * k], col)) for col in columns]
-              for i in range(len(thetas)))
+    pulled = {tuple(sum(map(mul, flat[i:i + k], col)) for col in columns) for i in range(0, len(flat), k)}
     return _dominant(pulled, t * den)
 
 

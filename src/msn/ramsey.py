@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
-from operator import mul
+from math import gcd, lcm
+from operator import and_, mul
 
 from msn.errors import (
     BadArgument,
@@ -24,9 +26,9 @@ from msn.errors import (
     ShapeMismatch,
     UndefinedPoint,
 )
-from msn.linalg import Matrix, Vec, _scale_to_int, dot, vec_sub
+from msn.linalg import Matrix, Vec, _scale_to_int
 from msn.maps import LinearMap, compose, is_embedding, map_distance, sup_distance
-from msn.polytope import polytope_vertices
+from msn.polytope import vertex_rows
 from msn.seminorms import PolyhedralSeminorm, quotient_norm
 from msn.spaces import MultiSpace, _pad_functionals, joint_kernel, product_space
 
@@ -57,29 +59,6 @@ def _line_image_constraints(X: MultiSpace, Y: MultiSpace):
     return [X.seminorms[m]((Fraction(1),)) for m in range(X.length)]
 
 
-def _grid_on_hull(verts: list[Vec], mesh_den, metric) -> list[Vec]:
-    """Points of the convex hull within ``mesh_den`` of every hull point.
-
-    Simplex grid on the convex-combination weights with exact rounding
-    bound (#verts - 1) * diameter / N.  The vertices are scaled to
-    integers over one common denominator ``D``, so each point is an
-    integer combination over ``N * D`` and one ``Fraction`` per coordinate.
-    """
-    if not verts:
-        return []
-    diam = max((metric(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]), default=Fraction(0))
-    k = len(verts)
-    need = (k - 1) * diam / mesh_den
-    n = -(-need.numerator // need.denominator)  # ceil
-    n = max(int(n), 1)
-    d = len(verts[0])
-    flat, den = _scale_to_int([x for v in verts for x in v])
-    cols = [flat[j::d] for j in range(d)]
-    nd = n * den
-    return [tuple(Fraction(sum(map(mul, weights, col)), nd) for col in cols)
-            for weights in _compositions(n, k)]
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -96,8 +75,10 @@ def sphere_points(X: MultiSpace, Y: MultiSpace, eps) -> list[Vec]:
     seminorm spheres, a finite union of faces of one polytope, whose
     vertices are enumerated once; each face, the hull of the vertices on
     it, is covered by an exact simplex grid with mesh at most eps, and
-    each grid point is re-checked exactly.  Sorted, but for the ± kernel
-    pair of all-zero targets.  Raises when the constraint set is empty.
+    each distinct grid point is re-checked exactly, all in integers;
+    Fractions are built only for the kept points.  Sorted, but for the
+    ± kernel pair of all-zero targets.  Raises when the constraint set
+    is empty.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -114,37 +95,54 @@ def sphere_points(X: MultiSpace, Y: MultiSpace, eps) -> list[Vec]:
             raise EmptyEmbeddingSet("no nonzero vector annihilated by every level")
         return [ker[0], tuple(-x for x in ker[0])]
 
-    def metric(a: Vec, b: Vec) -> Fraction:
-        best = Fraction(0)
-        for m in range(X.length):
-            if targets[m] == 0:
-                continue
-            best = max(best, Y.seminorms[m](vec_sub(a, b)) / targets[m])
-        return best
-
     # P: every level's |φ·y| <= c_m, plus pins setting the joint kernel of
     # the nonzero levels to zero for a canonical section.  A recession
     # direction of P lies in that kernel and is orthogonal to it, so P is
     # bounded: each sphere face {φ·y = c} is a face of P, the hull of the
     # vertices of P on it (Fukuda & Prodon 1996).  A face picks one signed
     # row (±φ, c_m) of every level with a nonzero target and functionals.
-    signed = [[(s, c) for phi in Y.seminorms[m].functionals for s in (phi, tuple(-x for x in phi))]
-              for m, c in enumerate(targets)]
-    rows = [r for level in signed for r in level]
+    rows = [(r, c) for m, c in enumerate(targets) for phi in Y.seminorms[m].functionals
+            for r in (phi, tuple(-x for x in phi))]
     for k in joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0]):
         rows += [(k, 0), (tuple(-x for x in k), 0)]
-    verts = polytope_vertices(rows, Y.dim)
-    points: set[Vec] = set()
-    for eqs in iproduct(*(level for level, c in zip(signed, targets) if c and level)):
-        face = [v for v in verts if all(dot(a, v) == c for a, c in eqs)]
-        for p in _grid_on_hull(face, eps, metric):
-            # grid points of a face of the sphere stay on the sphere only
-            # if the face is exact; re-check exactly and keep valid ones
-            if all(Y.seminorms[m](p) == targets[m] for m in range(X.length)):
-                points.add(p)
+    vrows = vertex_rows(rows, Y.dim)
+    D = lcm(*(t for _, t in vrows))
+    verts = [[x * (D // t) for x in xs] for xs, t in vrows]  # vertex i is verts[i] / D
+    # Level m as (a, s, c): its functionals a_j / s over one denominator, and its target.
+    levels = []
+    for sm, c in zip(Y.seminorms, targets):
+        flat, s = _scale_to_int([x for phi in sm.functionals for x in phi])
+        levels.append(([flat[j * Y.dim:(j + 1) * Y.dim] for j in range(len(sm.functionals))], s, c))
+    # vals[j][i] = a_j . verts[i], so φ_j is c at vertex i iff vals[j][i] * c.den == c.num * s * D.
+    active = [(s, c, [[sum(map(mul, a, v)) for v in verts] for a in fa]) for fa, s, c in levels if c and fa]
+    tight = [[sum(1 << i for i, x in enumerate(vs) if sg * x * c.denominator == c.numerator * s * D)
+              for vs in vals for sg in (1, -1)] for s, c, vals in active]
+    grid: set[tuple] = set()
+    for eqs in iproduct(*tight):
+        on = reduce(and_, eqs, (1 << len(verts)) - 1)
+        face = [i for i in range(len(verts)) if on >> i & 1]
+        if not face:
+            continue
+        # Simplex grid with exact rounding bound (#verts - 1) * diameter / n
+        # <= eps; per level, the diameter is the widest spread of one
+        # functional over the face, over s * D * c.
+        diam = max((Fraction(max(max(vs[i] for i in face) - min(vs[i] for i in face) for vs in vals), s * D) / c
+                    for s, c, vals in active), default=Fraction(0))
+        need = (len(face) - 1) * diam / eps
+        n = max(-(-need.numerator // need.denominator), 1)
+        cols = list(zip(*(verts[i] for i in face)))
+        for weights in _compositions(n, len(face)):
+            w = [sum(map(mul, weights, col)) for col in cols]
+            g = gcd(*w, n * D)
+            grid.add((tuple(x // g for x in w), n * D // g))  # the point p / den in lowest terms
+    # Grid points of a face of the sphere stay on the sphere only if the
+    # face is exact; re-check each distinct one exactly and keep the valid.
+    points = sorted(tuple(Fraction(x, den) for x in p) for p, den in grid
+                    if all(max((abs(sum(map(mul, a, p))) for a in fa), default=0) * c.denominator
+                           == c.numerator * s * den for fa, s, c in levels))
     if not points:
         raise EmptyEmbeddingSet("sphere system has no solutions")
-    return sorted(points)
+    return points
 
 
 def build_net(X: MultiSpace, Y: MultiSpace, eps) -> EmbeddingNet:

@@ -30,7 +30,9 @@ It also covers paths the benchmark inputs barely reach (seeded inputs from
   columns of a random invertible matrix, on random spaces;
 * ``product_amalgam`` on separated block-embedding triples;
 * ``back_and_forth`` of two ``line_space(1)``, ``line_space(2)`` towers
-  (seeds 11 and 12, dimension cap 4);
+  (seeds 11 and 12, dimension cap 4), and four steps from level 3 of the
+  loaded seed-3 and seed-12345 towers above, where the chain dimensions
+  grow to 55 and the largest ``Matrix.mul`` product is 89 x 55 x 21;
 * ``build_net`` of ``line_space(1)`` into random two- and three-dimensional
   spaces;
 * ``search_monochromatic`` over every two-colouring of acceptance
@@ -94,7 +96,9 @@ def _certify(h, tmp: Path) -> None:
             h.update(repr((f.domain, f.codomain, accept, reject)).encode())
 
 
-def _towers(h, tmp: Path) -> None:
+def _towers(h, tmp: Path) -> dict:
+    """Hash every tower; return the loaded ones by seed."""
+    towers = {}
     catalog = [line_space(1), line_space(2)]
     deltas = [Fraction(0), Fraction(1, 4)]
     for seed in TOWER_SEEDS:
@@ -103,6 +107,8 @@ def _towers(h, tmp: Path) -> None:
         tower = msn.io.load_tower(out)
         rep = verify_tower(tower)
         h.update(repr((tower.stages, [link.matrix for link in tower.links], rep)).encode())
+        towers[seed] = tower
+    return towers
 
 
 def _isos(h) -> None:
@@ -140,9 +146,10 @@ def _product_amalgams(h) -> None:
             done += 1
 
 
-def _back_and_forth(h) -> None:
+def _back_and_forth(h, towers: dict) -> None:
     a, b = (build_tower((line_space(1), line_space(2)), [Fraction(0)], 4, seed=s, dim_cap=4) for s in (11, 12))
     h.update(repr(back_and_forth(a, b, steps=2, start_level=3)).encode())
+    h.update(repr(back_and_forth(towers[3], towers[12345], 4, 3)).encode())
 
 
 def _nets(h) -> None:
@@ -180,11 +187,11 @@ def main() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         _amalgam(h)
         _certify(h, Path(tmp))
-        _towers(h, Path(tmp))
+        towers = _towers(h, Path(tmp))
     _isos(h)
     _quotients_and_pullbacks(h)
     _product_amalgams(h)
-    _back_and_forth(h)
+    _back_and_forth(h, towers)
     _nets(h)
     _criterion_8_search(h)
     _symmetric_hull(h)

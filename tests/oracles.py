@@ -28,7 +28,10 @@ is ``amalgam._coupled_level`` as it was when it went through Fractions
 (``Matrix.apply``, ``polytope_vertices``, ``from_functionals``), verbatim
 but for its name.  ``scan_cone_rays`` is ``polytope._cone_rays`` as it
 was when every (+, -) ray pair was tested by scanning the other rays'
-tight sets, verbatim but for its name and docstring.
+tight sets, verbatim but for its name and docstring.  ``fraction_apply``
+and ``fraction_mul`` are ``Matrix.apply`` and ``Matrix.mul`` as they were
+when each result entry was one Fraction ``dot``, verbatim but for their
+names.
 """
 
 from fractions import Fraction
@@ -51,6 +54,7 @@ from msn.linalg import (
     Vec,
     _primitive_direction,
     _scale_to_int,
+    dot,
     int_rows,
     vec_add,
     vec_scale,
@@ -676,3 +680,20 @@ def scan_cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | N
         tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero] + new_tight
         bit <<= 1
     return rays
+
+
+# ``Matrix.apply`` and ``Matrix.mul`` as they were when each result entry
+# was one Fraction ``dot``.
+
+
+def fraction_apply(self: Matrix, x: Vec) -> Vec:
+    if len(x) != self.cols:
+        raise DimensionMismatch(f"vector of length {len(x)} into {self.rows}x{self.cols}")
+    return tuple(dot(r, x) for r in self.entries)
+
+
+def fraction_mul(self: Matrix, other: Matrix) -> Matrix:
+    if self.cols != other.rows:
+        raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+    ot = other.transpose()
+    return Matrix(tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries), other.cols)

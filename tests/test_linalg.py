@@ -204,3 +204,39 @@ def test_rank_takes_the_shorter_side(m):
     r = m.rank()
     assert r == len(row_space_basis(list(m.entries))) == m.cols - len(nullspace(m))
     assert r == m.transpose().rank()
+
+
+# Int and Fraction entries, with denominators up to 10^6.
+big = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6),
+                st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6))
+
+
+@st.composite
+def products(draw):
+    """``(A, B, x)``: a k x m and an m x n matrix and an m-vector, 0 to 4 of
+    each, built with no conversion so that int entries stay ints; a row of
+    A or of B may be zero."""
+    def mat(rows, cols):
+        m = [draw(st.lists(big, min_size=cols, max_size=cols)) for _ in range(rows)]
+        if rows and draw(st.booleans()):
+            m[draw(st.integers(0, rows - 1))] = [0] * cols
+        return Matrix(tuple(map(tuple, m)), cols)
+
+    k, m, n = (draw(st.integers(0, 4)) for _ in range(3))
+    return mat(k, m), mat(m, n), tuple(draw(st.lists(big, min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+@example((Z(3, 0), Z(0, 2), ()))
+@example((Z(0, 3), Z(3, 2), (1, F(-1, 10**6), 0)))
+@example((Z(2, 3), Z(3, 0), (0, 0, 0)))
+@example((Matrix(((1, 0), (0, 0)), 2), Matrix(((F(1, 999983), 2), (3, F(-7, 10**6))), 2), (F(1, 3), -2)))
+def test_products_match_the_fraction_loops(case):
+    a, b, x = case
+    prod = a.mul(b)
+    assert prod == oracles.fraction_mul(a, b)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    image = a.apply(x)
+    assert image == oracles.fraction_apply(a, x)
+    assert all(type(v) is Fraction for v in image) and all(type(v) is Fraction for r in prod.entries for v in r)

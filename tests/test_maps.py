@@ -22,12 +22,14 @@ from msn.maps import (
     map_distance,
     lower_constant,
     lower_witness,
+    map_sub,
     operator_seminorm,
     sup_distance,
     upper_witness,
 )
 from msn.seminorms import PolyhedralSeminorm, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, line_space, trivial_space
+from msn.tower import build_tower
 
 from genhelpers import block_embedding_triple, image_space, random_invertible
 from oracles import fraction_pullbacks
@@ -261,14 +263,44 @@ def _level_maps():
     return out
 
 
+def _tower_maps():
+    """(map, level) pairs into the dimension-8 stages of the seed-3 and
+    seed-12345 towers: every map ``verify_tower`` checks there that reaches
+    only some of the 8 coordinates (members, chains, discharge maps and
+    certificate differences), a dense map and a map out of the zero space."""
+    out = {}
+    for seed in (3, 12345):
+        t = build_tower([line_space(1), line_space(2)], [0, F(1, 4)], 5, seed=seed, dim_cap=8)
+        found = [e for es in t.member_embeddings for e in es] + [r.j_map for r in t.discharges]
+        found += [map_sub(compose(t.links[r.stage], r.gamma), compose(r.j_map, r.eta)) for r in t.discharges]
+        for m in range(len(t.stages)):
+            chain = identity_map(t.stages[m])
+            for n in range(m + 1, len(t.stages)):
+                chain = compose(t.links[n - 1], chain)
+                found.append(chain)
+        for f in found:
+            if f.codomain.dim == 8 and not all(map(any, f.matrix.entries)):
+                out[f] = None
+    Y = t.stages[-1]
+    dense = Matrix.from_rows([[F((-1) ** i * (i + 1), j + 2) + j for j in range(2)] for i in range(8)])
+    out[LinearMap(t.stages[0], Y, dense)] = None
+    out[LinearMap(trivial_space(1), Y, Matrix.zero(8, 0))] = None
+    return [(f, m) for f in out for m in range(f.domain.length)]
+
+
 def _rows(vectors):
     """The integer ``(ints, m)`` rows ``gauge_scale`` takes."""
     return [_scale_to_int(v) for v in vectors]
 
 
 def test_pullbacks_match_fraction_oracle_and_gauges():
+    """Certify-style maps and pushout legs, and the tower maps into a
+    dimension-8 stage that reach 0, 1, 2, 4 or all 8 coordinates."""
+    tower = _tower_maps()
+    supports = Counter(sum(map(any, f.matrix.entries)) for f, _ in tower)
+    assert set(supports) == {0, 1, 2, 4, 8}, supports
     escapes = 0
-    for f, m in _level_maps():
+    for f, m in _level_maps() + tower:
         rows = _pullbacks(f, m)
         pulled = tuple(tuple(F(x, s) for x in ints) for ints, s in rows)
         assert pulled == fraction_pullbacks(f.matrix.entries, f.codomain.seminorms[m].functionals)

@@ -270,13 +270,17 @@ def _net_or_empty(build, X, Y, eps):
 @example((line_space(1), MultiSpace.make((S(3, [(1, 0, 0), (1, 2, 0)]),)), F(1)))
 @example((line_space(1, 2), MultiSpace.make((S(3, [(1, 0, 0)]), S(3, [(2, 0, 0), (1, 1, 0)]))), F(2)))
 @example((line_space(2, 1), MultiSpace.make((S(2, [(1, 0)]), S(2, [(0, 1), (1, -1)]))), F(1)))
+@example((line_space(0, 1), MultiSpace.make((S(2, [(1, 1)]), S(2, [(1, 0), (0, 1)]))), F(1)))
+@example((line_space(1, 0), MultiSpace.make((S(2, [(1, 0), (1, 1)]), PolyhedralSeminorm.zero(2))), F(1, 2)))
+@example((line_space(1, 1), MultiSpace.make((S(2, [(1, 0), (0, 1)]), PolyhedralSeminorm.zero(2))), F(1)))
 def test_build_net_reads_every_face_off_one_polytope(case):
-    """Multi-level lines, zero-target levels and nontrivial joint kernels included."""
+    """Multi-level lines, zero-target levels, levels with no functionals
+    and nontrivial joint kernels included."""
     X, Y, eps = case
     calls = []
-    real = ramsey.polytope_vertices
+    real = ramsey.vertex_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ramsey, "polytope_vertices", lambda *a: calls.append(1) or real(*a))
+        mp.setattr(ramsey, "vertex_rows", lambda *a: calls.append(1) or real(*a))
         got = _net_or_empty(build_net, X, Y, eps)
     assert got == _net_or_empty(oracles.per_face_build_net, X, Y, eps)
     assert len(calls) <= 1
