@@ -1,10 +1,15 @@
 """Exact pivoting kernels, in pure Python.
 
-Two primitives back every exact computation in the library:
+Three primitives back every exact computation in the library:
 
 * ``echelon_int`` -- fraction-free Gauss-Jordan elimination on integer
   matrices (rows may be rescaled, so it preserves row spaces, ranks and
   kernels but not the matrix as a map).
+* ``leading_basis`` -- the same elimination run over the rows one at a
+  time, keeping the first rows that are independent of the ones before
+  them, with each kept row's combination coefficients, and stopping at a
+  square basis (the start cone of double description, the separation
+  test of a space).
 * integer-pivoting simplex steps (``bland_min`` / ``pivot``) on a
   condensed tableau (Tucker's dictionary form): an integer matrix whose
   columns are only the nonbasic variables, named by a ``cols`` list beside
@@ -23,14 +28,11 @@ UNBOUNDED = 1
 
 
 def _row_primitive(row):
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            break
+    """The integer list divided by its content; ``row`` itself when that is 0 or 1."""
+    g = gcd(*row)
     if g > 1:
         return [v // g for v in row]
-    return row[:]
+    return row
 
 
 def echelon_int(rows):
@@ -74,6 +76,54 @@ def echelon_int(rows):
         if rank == m:
             break
     return rank, pivcols, mat[:rank]
+
+
+def leading_basis(rows, n):
+    """The first rows of width ``n`` that are independent of the rows before them.
+
+    One fraction-free Gauss-Jordan pass over the iterable ``rows``, in
+    order, that stops reading once ``n`` rows are kept.  A row is kept if
+    it does not reduce to zero, and is then stored reduced as
+    ``[row | e_k]``, ``k`` its place among the kept rows.  Returns
+    ``(chosen, pivcols, red)``: the indices of the kept rows and, per kept
+    row, its pivot column and its reduced row, primitive with a positive
+    pivot ``d_k`` and zero in the other pivot columns; its last ``n``
+    entries are the coefficients that give its first ``n`` from the kept
+    rows.  So with ``n`` rows kept, row ``pivcols[k]`` of the inverse of the
+    kept rows is ``red[k][n:] / d_k``.
+    """
+    chosen, pivcols, red = [], [], []
+    for i, row in enumerate(rows):
+        # Reduce the row alone first; the coefficients take the same steps
+        # only if it is kept, so a dependent row costs half.
+        r, steps = list(row), []
+        for c, b in zip(pivcols, red):
+            f = r[c]
+            if f:
+                a = b[c]
+                r = [a * x - f * y for x, y in zip(r, b)]
+                steps.append((a, f, b))
+        c = next((j for j in range(n) if r[j]), -1)
+        if c < 0:
+            continue
+        comb = [0] * n
+        comb[len(red)] = 1
+        for a, f, b in steps:
+            comb = [a * x - f * y for x, y in zip(comb, b[n:])]
+        r = _row_primitive(r + comb)
+        if r[c] < 0:
+            r = [-x for x in r]
+        a = r[c]
+        for k, b in enumerate(red):
+            f = b[c]
+            if f:
+                red[k] = _row_primitive([a * x - f * y for x, y in zip(b, r)])
+        chosen.append(i)
+        pivcols.append(c)
+        red.append(r)
+        if len(red) == n:
+            break
+    return chosen, pivcols, red
 
 
 def pivot(tab, den, basis, cols, r, jc):

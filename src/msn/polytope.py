@@ -13,12 +13,14 @@ every answer is read off those rays: for vertices, the system is empty
 iff no ray has t > 0 and unbounded iff it is not empty and has
 lineality or a ray with t == 0; for facets, lineality turns into
 implicit equalities, emitted as opposite inequality pairs.  The method
-works in integers throughout: the start cone comes from two
-fraction-free eliminations, each ray's tight set is an int bitmask
-extended by one bit per inserted row, and ray pairs are tested for
-adjacency combinatorially, with no rank computation, by per-row ray
-masks (Terzer & Stelling, "Large-scale computation of elementary flux
-modes with bit pattern trees", Bioinformatics 2008).
+works in integers throughout: the start cone comes from one
+fraction-free Gauss-Jordan pass that keeps the first independent rows
+and their combination coefficients, each ray keeps an id for life and
+its tight set as an int bitmask extended by one bit per inserted row,
+and ray pairs are tested for adjacency combinatorially, with no rank
+computation, by per-row masks of ray ids that each new ray extends by
+its own bit (Terzer & Stelling, "Large-scale computation of elementary
+flux modes with bit pattern trees", Bioinformatics 2008).
 ``polytope_facets`` returns the primitive integer rows it builds, and
 the vertex functions take int and Fraction rows alike, so a facet list
 goes back in with no conversion.  ``vertex_rows`` returns each
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from msn import _kernel
 from msn._kernel import _row_primitive
@@ -46,70 +49,89 @@ def _cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | None:
     Returns None when the rows have rank below ``dim``: the cone is not
     pointed, and ``_lineality_split`` splits it.  Double description
     (Fukuda & Prodon, "Double description method revisited", 1996): start
-    from the simplicial cone of the lexicographically first ``dim``
-    independent rows, whose rays are the primitive columns of the
-    inverse, then insert the remaining rows one at a time.  Each ray keeps
-    its tight set, the processed rows it lies on, as an int bitmask.  A
-    (+, -) pair is adjacent, and yields the new ray on the inserted
+    from the simplicial cone of the first ``dim`` rows that are independent
+    of the rows before them, whose rays are the primitive columns of the
+    inverse, read off one ``_kernel.leading_basis`` pass; then insert the
+    remaining rows one at a time.  Each ray gets an id when it is made and
+    keeps its tight set, the processed rows it lies on, as an int bitmask;
+    ``on[j]`` is the mask of the ids on processed row j, set from the zero
+    and new rays when row j is inserted and then only by later new rays.
+    A (+, -) pair is adjacent, and yields the new ray on the inserted
     hyperplane, iff its common tight set has at least ``dim - 2`` rows and
-    no third ray lies on all of them: the AND of the per-row ray masks
+    no third ray lies on all of them: the AND of the live ids with ``on[j]``
     over the common rows, which stops once only the pair is left, is the
-    pair alone.
+    pair alone.  The rays come out as the rays with row . y > 0, then those
+    with row . y == 0, then the new ones, at every insertion.
     """
-    # The pivot columns of the transpose are the lex-first independent rows.
-    rank, chosen, _ = _kernel.echelon_int([list(c) for c in zip(*rows)])
-    if rank < dim:
+    chosen, pivcols, red = _kernel.leading_basis(rows, dim)
+    if len(chosen) < dim:
         return None
-    # [B | I] reduces to rows c_i * [e_i | row i of B^-1] with c_i > 0.
-    aug = [list(rows[i]) + [int(j == k) for j in range(dim)] for k, i in enumerate(chosen)]
-    _, _, red = _kernel.echelon_int(aug)
-    m = lcm(*(r[i] for i, r in enumerate(red)))
-    scale = [m // r[i] for i, r in enumerate(red)]
-    rays = [tuple(_row_primitive([s * r[dim + j] for s, r in zip(scale, red)])) for j in range(dim)]
-    # Ray j lies on every chosen row but row j.
+    # Row k of the reduction is d_k e_{c_k} = comb_k . B, so column j of
+    # B^-1 holds comb_k[j] / d_k at coordinate c_k; scale it by lcm(d).
+    m = lcm(*(r[c] for c, r in zip(pivcols, red)))
+    rays: list = []
+    for j in range(dim):
+        y = [0] * dim
+        for c, r in zip(pivcols, red):
+            y[c] = r[dim + j] * (m // r[c])
+        rays.append(tuple(_row_primitive(y)))
+    # Ray j lies on every chosen row but row j, so chosen row k holds
+    # every ray but ray k: the tight sets and the row masks start equal.
     full = (1 << dim) - 1
-    tight = [full ^ (1 << j) for j in range(dim)]
+    tight: list = [full ^ (1 << j) for j in range(dim)]
+    on = tight[:]
+    live = full
+    order = list(range(dim))
 
     chosen_set = set(chosen)
-    bit = 1 << dim
-    for idx in range(len(rows)):
+    for idx, row in enumerate(rows):
         if idx in chosen_set:
             continue
-        row = rows[idx]
-        vals = [sum(a * x for a, x in zip(row, r)) for r in rays]
-        plus = [k for k, v in enumerate(vals) if v > 0]
-        zero = [k for k, v in enumerate(vals) if v == 0]
-        minus = [k for k, v in enumerate(vals) if v < 0]
-        # on[j] is the mask of the rays on processed row j.
-        on = [0] * (bit.bit_length() - 1)
-        for k, t in enumerate(tight if plus and minus else ()):
-            while t:
-                low = t & -t
-                on[low.bit_length() - 1] |= 1 << k
-                t ^= low
-        new_rays: list[tuple[int, ...]] = []
-        new_tight: list[int] = []
-        for p in plus:
-            tp, rp, vp = tight[p], rays[p], vals[p]
-            for q in minus:
+        plus, zero, minus = [], [], []
+        for k in order:
+            v = sum(map(mul, row, rays[k]))
+            if v > 0:
+                plus.append((k, v))
+            elif v < 0:
+                minus.append((k, v))
+            else:
+                zero.append(k)
+        # Ids from ``first`` on are this row's new rays; ``onrow`` collects
+        # the ids on the row.  ``live`` takes the new ids only after the
+        # pairs, so each AND chain sees the rays of before the insertion.
+        bit, first, onrow = 1 << len(on), len(rays), 0
+        for p, vp in plus if minus else ():
+            tp, rp = tight[p], rays[p]
+            for q, vq in minus:
                 common = tp & tight[q]
                 if common.bit_count() < dim - 2:
                     continue
-                # The rays on every common row, narrowed until only the pair is left.
-                pair, rest, c = (1 << p) | (1 << q), (1 << len(rays)) - 1, common
+                # The live rays on every common row, narrowed until only the pair is left.
+                pair, rest, c = (1 << p) | (1 << q), live, common
                 while c and rest != pair:
                     low = c & -c
                     rest &= on[low.bit_length() - 1]
                     c ^= low
                 if rest != pair:
                     continue
-                vq = vals[q]
-                new_rays.append(tuple(_row_primitive([vp * qx - vq * px for px, qx in zip(rp, rays[q])])))
-                new_tight.append(common | bit)
-        rays = [rays[k] for k in plus] + [rays[k] for k in zero] + new_rays
-        tight = [tight[k] for k in plus] + [tight[k] | bit for k in zero] + new_tight
-        bit <<= 1
-    return rays
+                k = 1 << len(rays)
+                rays.append(tuple(_row_primitive([vp * qx - vq * px for px, qx in zip(rp, rays[q])])))
+                tight.append(common | bit)
+                onrow |= k
+                while common:
+                    low = common & -common
+                    on[low.bit_length() - 1] |= k
+                    common ^= low
+        for k in zero:
+            tight[k] |= bit
+            onrow |= 1 << k
+        for q, _ in minus:
+            live ^= 1 << q
+            rays[q] = tight[q] = None
+        live |= onrow
+        on.append(onrow)
+        order = [p for p, _ in plus] + zero + list(range(first, len(rays)))
+    return [rays[k] for k in order]
 
 
 def _lineality_split(rows: list[list[int]], dim: int):

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
+from msn import _kernel
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
-from msn.linalg import Matrix, Vec, nullspace
+from msn.linalg import Matrix, Vec, _scale_to_int, nullspace
 from msn.lp import gauge_max
 from msn.seminorms import PolyhedralSeminorm, _ball
 
@@ -120,8 +121,13 @@ def joint_kernel(X: MultiSpace, levels=None) -> list[Vec]:
 
 
 def is_separated(X: MultiSpace) -> bool:
-    rows = [f for s in X.seminorms for f in s.functionals]
-    return Matrix.from_rows(rows, X.dim).rank() == X.dim
+    """Whether the functionals of all levels span the dual: only the joint kernel is 0.
+
+    The integer rows are reduced one at a time, and the test stops as soon
+    as ``dim`` of them are independent.
+    """
+    rows = (_scale_to_int(f)[0] for s in X.seminorms for f in s.functionals)
+    return len(_kernel.leading_basis(rows, X.dim)[0]) == X.dim
 
 
 def extend_with_norm(X: MultiSpace) -> MultiSpace:

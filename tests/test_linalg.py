@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -240,3 +241,38 @@ def test_products_match_the_fraction_loops(case):
     image = a.apply(x)
     assert image == oracles.fraction_apply(a, x)
     assert all(type(v) is Fraction for v in image) and all(type(v) is Fraction for r in prod.entries for v in r)
+
+
+@st.composite
+def square_width_rows(draw):
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=9))
+    # Repeats and multiples of earlier rows, so that leading rows are dependent.
+    for i, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(-2, 2)), max_size=4)):
+        if rows:
+            rows.insert(i % (len(rows) + 1), [s * x for x in rows[i % len(rows)]])
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_width_rows())
+@example((0, [[], []]))
+@example((2, [[0, 0], [1, 2], [2, 4], [0, 1], [1, 1]]))
+def test_leading_basis_keeps_the_lex_first_rows_and_inverts_them(case):
+    """The kept rows are the transpose's pivot columns, each reduced row is
+    its coefficients times the kept rows, and a square basis is inverted."""
+    n, rows = case
+    it = iter(rows)
+    chosen, pivcols, red = _kernel.leading_basis(it, n)
+    assert chosen == _kernel.echelon_int([list(c) for c in zip(*rows)])[1][:n]
+    if len(chosen) == n and n:
+        assert len(list(it)) == len(rows) - chosen[-1] - 1
+    basis = [rows[i] for i in chosen]
+    for c, r in zip(pivcols, red):
+        assert gcd(*r) == 1 and r[c] > 0
+        assert all(r[p] == 0 for p in pivcols if p != c)
+        assert r[:n] == [sum(k * b[j] for k, b in zip(r[n:], basis)) for j in range(n)]
+    if len(chosen) == n:
+        inv = [[Fraction(r[n + j], r[c]) for j in range(n)] for c, r in sorted(zip(pivcols, red))]
+        assert [[sum(b[i] * inv[i][j] for i in range(n)) for j in range(n)] for b in basis] == \
+            [[int(i == j) for j in range(n)] for i in range(n)]

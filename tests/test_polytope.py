@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from msn import _kernel
 from msn.amalgam import pushout
 from msn.errors import UnboundedPolyhedron
 from msn.linalg import _scale_to_int, int_rows, vec
@@ -184,6 +185,40 @@ def test_cone_rays_match_the_tight_set_scan_when_rows_outnumber_rays():
 def test_cone_rays_none_without_full_rank():
     assert _cone_rays([[1, 2, 0], [2, 4, 0], [-1, 0, 0]], 3) is None
     assert _cone_rays([[1, -1], [-1, 1]], 2) is None
+
+
+@pytest.mark.parametrize("rows, dim", [
+    # dependent leading rows: the start cone skips rows 1, 2 and 4
+    ([[1, 2, 0], [2, 4, 0], [-1, -2, 0], [0, 0, 1], [0, 0, 3], [1, 0, 0], [0, 1, 1], [1, -1, 2]], 3),
+    # duplicate rows, before and after the start cone is complete
+    ([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0], [1, 1, -1], [1, 1, -1], [0, 0, 1]], 3),
+    # a zero row, first and among the inserted rows
+    ([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [1, 1, -1, -1]], 4),
+    # a row that cuts off every ray, after the cone has grown new rays
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1], [1, -1, 1], [-1, -1, -1]], 3),
+    ([[1, 0], [0, 1], [-1, -1]], 2),
+    # rank below dim: not pointed
+    ([[1, 2, 3], [2, 4, 6], [0, 1, 1], [0, -1, -1], [1, 3, 4]], 3),
+    ([[0, 0], [0, 0]], 2),
+])
+def test_cone_rays_of_explicit_cones_match_both_oracles(rows, dim):
+    rays = _cone_rays(rows, dim)
+    assert rays == scan_cone_rays(rows, dim)
+    if gauss_rank(rows) < dim:
+        assert rays is None
+    else:
+        assert set(rays) == brute_cone_rays(rows, dim)
+        assert len(set(rays)) == len(rays)
+
+
+def test_cone_rays_start_from_one_leading_basis(monkeypatch):
+    """The start cone comes from one ``leading_basis`` pass and no ``echelon_int`` call."""
+    calls = Counter()
+    for name in ("echelon_int", "leading_basis"):
+        real = getattr(_kernel, name)
+        monkeypatch.setattr(_kernel, name, lambda *a, _f=real, _n=name: calls.update([_n]) or _f(*a))
+    assert _cone_rays([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, -1, 1]], 3) is not None
+    assert calls == Counter(leading_basis=1)
 
 
 @settings(max_examples=60)

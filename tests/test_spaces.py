@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msn import io
 from msn.errors import ArityMismatch, BadLength
@@ -46,6 +48,31 @@ def test_separated_examples():
     assert is_separated(coords2())
     assert not is_separated(MultiSpace.make((S(2, [(1, 0)]),)))
     assert not is_separated(MultiSpace((PolyhedralSeminorm.zero(1),)))
+
+
+@st.composite
+def spaces_some_separated(draw):
+    """Spaces of dimension 0-4 with zero levels, and functionals that often
+    miss a direction, so that about half are not separated."""
+    dim = draw(st.integers(0, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    off = draw(st.integers(-1, dim - 1))  # a coordinate no functional reads, or none
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        funcs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=4))
+        funcs = [[0 if j == off else x for j, x in enumerate(f)] for f in funcs]
+        levels.append(S(dim, [f for f in funcs if any(f)]))
+    return MultiSpace(tuple(levels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces_some_separated())
+@example(MultiSpace((PolyhedralSeminorm.zero(0),)))
+@example(MultiSpace((PolyhedralSeminorm.zero(2), S(2, [(1, 1), (2, 2)], reduce=False), PolyhedralSeminorm.zero(2))))
+@example(MultiSpace((S(3, [(1, 0, 0)]), PolyhedralSeminorm.zero(3), S(3, [(0, F(1, 2), 0), (0, 0, 3)]))))
+def test_is_separated_is_full_rank(X):
+    rows = [f for s in X.seminorms for f in s.functionals]
+    assert is_separated(X) == (Matrix.from_rows(rows, X.dim).rank() == X.dim)
 
 
 def test_extend_with_norm():
