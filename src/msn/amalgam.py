@@ -20,7 +20,7 @@ block inclusions and the certificate: the operator seminorms of [f; -g]
 (``_stacked``, built once per pushout).  ``_coupling`` scales [f; -g] and
 the coupling constant to integers once per pushout, so each coupled level
 stays in integers from the dual-ball facets through the vertex rows to the
-kept functionals, the only Fractions it builds.
+stored rows of the kept functionals, and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     shared dual ball (facet ``a`` gives the row ``fg a`` = (f a, -g a));
     its vertex list is the functional family.  All in integers: the
     facets are primitive rows, ``coupling`` is ``_coupling(fg, c)``, and
-    the vertex rows go to ``_dominant`` over their common denominator, so
-    Fractions are built once, for the kept functionals.
+    the vertex rows go to ``_dominant`` over their common denominator,
+    whose rows the seminorm stores; no Fraction is built.
     """
     dy, dz = Y.dim, Z.dim
     total = dy + dz
@@ -155,8 +155,7 @@ def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     rows += [(tuple(sum(map(mul, r, a)) for r in fgi), ci * b) for a, b in dual_ball_facets(X.seminorms[n])]
     verts = vertex_rows(rows, total)
     m = lcm(*(t for _, t in verts))
-    funcs = _dominant(([x * (m // t) for x in xs] for xs, t in verts), m)
-    return PolyhedralSeminorm(total, tuple(tuple(Fraction(x, s) for x in ia) for ia, s in funcs))
+    return PolyhedralSeminorm(total, tuple(_dominant(([x * (m // t) for x in xs] for xs, t in verts), m)))
 
 
 def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:

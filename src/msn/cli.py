@@ -56,10 +56,6 @@ def _diag(payload: dict) -> None:
     sys.stderr.write(io.dumps(payload))
 
 
-def _rat(s: str) -> Fraction:
-    return io.rat_from_str(s)
-
-
 # --- space ------------------------------------------------------------
 
 
@@ -70,7 +66,7 @@ def cmd_space_inspect(args):
         "length": X.length,
         "graded": X.graded,
         "separated": is_separated(X),
-        "functionalsPerLevel": [len(s.functionals) for s in X.seminorms],
+        "functionalsPerLevel": [len(s.rows) for s in X.seminorms],
     }
     _emit(doc, args.out, "inspect.json")
     return 0
@@ -119,7 +115,7 @@ def cmd_space_truncate(args):
 
 def cmd_map_check(args):
     f = io.load_map(args.map)
-    ok, wit = is_embedding(f, _rat(args.delta))
+    ok, wit = is_embedding(f, io.rat_from_str(args.delta))
     if ok:
         _emit({"embedding": True, "delta": args.delta}, args.out, "check.json")
         return 0
@@ -189,7 +185,7 @@ def cmd_amalgam_push(args):
     Z = io.load_space(args.z)
     f = io.load_map(args.f)
     g = io.load_map(args.g)
-    res = pushout(X, Y, Z, f, g, _rat(args.delta), _rat(args.eps),
+    res = pushout(X, Y, Z, f, g, io.rat_from_str(args.delta), io.rat_from_str(args.eps),
                   graded=args.graded, separated=args.separated)
     _emit_amalgam(res, args.out)
     return 0
@@ -201,7 +197,7 @@ def cmd_amalgam_product(args):
     Z = io.load_space(args.z)
     f = io.load_map(args.f)
     g = io.load_map(args.g)
-    res = product_amalgam(X, Y, Z, f, g, _rat(args.delta), _rat(args.eps))
+    res = product_amalgam(X, Y, Z, f, g, io.rat_from_str(args.delta), io.rat_from_str(args.eps))
     _emit_amalgam(res, args.out)
     return 0
 
@@ -216,8 +212,8 @@ def cmd_amalgam_multi(args):
         X = io.load_space(parts[0])
         gamma = io.load_map(parts[1])
         eta = io.load_map(parts[2])
-        pairs.append((X, gamma, eta, _rat(parts[3])))
-    res = multi_amalgam(Y, pairs, _rat(args.eps))
+        pairs.append((X, gamma, eta, io.rat_from_str(parts[3])))
+    res = multi_amalgam(Y, pairs, io.rat_from_str(args.eps))
     _emit(io.space_to_doc(res.space), args.out, "z.json")
     _emit(io.map_to_doc(res.into), args.out, "into.json")
     for i, (j, bounds) in enumerate(zip(res.legs, res.bounds)):
@@ -232,7 +228,7 @@ def cmd_amalgam_multi(args):
 
 def cmd_tower_build(args):
     catalog = [io.load_space(p) for p in args.catalog]
-    deltas = [_rat(d) for d in args.deltas.split(",")]
+    deltas = [io.rat_from_str(d) for d in args.deltas.split(",")]
     tower = build_tower(catalog, deltas, args.stages, seed=args.seed, omega=args.omega,
                         pairs_per_stage=args.pairs_per_stage, dim_cap=args.dim_cap)
     io.save_tower(tower, args.out or "tower")
@@ -263,7 +259,7 @@ def cmd_tower_backforth(args):
 def cmd_ramsey_net(args):
     X = io.load_space(args.x)
     Y = io.load_space(args.y)
-    net = build_net(X, Y, _rat(args.eps))
+    net = build_net(X, Y, io.rat_from_str(args.eps))
     _emit(io.net_to_doc(net), args.out, "net.json")
     return 0
 
@@ -271,7 +267,7 @@ def cmd_ramsey_net(args):
 def cmd_ramsey_oscillate(args):
     net = io.net_from_doc(io.read_json(args.net))
     c = io.colouring_from_doc(io.read_json(args.colouring))
-    eps = None if args.eps is None else _rat(args.eps)
+    eps = None if args.eps is None else io.rat_from_str(args.eps)
     v = oscillation(c, net.points, eps=eps)
     _emit({"oscillation": io.rat_to_str(v)}, args.out, "oscillation.json")
     return 0
@@ -282,7 +278,7 @@ def cmd_ramsey_search(args):
     net_xy = io.net_from_doc(io.read_json(args.net_xy))
     c = io.colouring_from_doc(io.read_json(args.colouring))
     candidates = [io.load_map(p) for p in args.candidates]
-    out = search_monochromatic(c, net_xz, net_xy, candidates, _rat(args.eps))
+    out = search_monochromatic(c, net_xz, net_xy, candidates, io.rat_from_str(args.eps))
     if out is None:
         _diag({"error": "NotFound"})
         return MATH_FAILURE

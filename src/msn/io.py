@@ -306,18 +306,25 @@ def _tower_file(root: Path, name: str) -> Path:
     return root / name
 
 
+def _joins(f: LinearMap, dom: MultiSpace, cod: MultiSpace, where: str) -> None:
+    if (f.domain, f.codomain) != (dom, cod):
+        raise FormatError(f"{where} does not map the spaces its place in the tower fixes")
+
+
 def load_tower(indir) -> Tower:
     """Read a tower directory written by ``save_tower``.
 
-    Every file, key and type is checked, and so are the counts that
-    ``verify_tower`` relies on; a malformed artifact raises ``FormatError``.
-    A file named in the manifest must be a plain file name in ``indir``.
+    Every file, key and type is checked, and so are the counts and wiring
+    that ``verify_tower`` relies on (link i maps stage i into stage i + 1,
+    member (i, j) catalog j into stage i; discharge gamma and eta map one
+    domain into stage n, J stage n into stage n + 1); a malformed artifact
+    raises ``FormatError``.  Files in the manifest are plain file names.
 
     Each distinct catalog and stage file is parsed once, and every map
     that names it gets that ``MultiSpace`` object; a map space given by
     any other name is a ``FormatError``.  An inline space document, as
     in directories written before spaces were named by file, is parsed
-    where it stands.
+    where it stands; spaces are compared by value.
     """
     root = Path(indir)
 
@@ -340,25 +347,37 @@ def load_tower(indir) -> Tower:
 
     catalog = tuple(named[name] for name in catalog_names)
     stages = tuple(named[name] for name in stage_names)
-    links = tuple(_map_from_doc(read(p), space) for p in _names(manifest, "links", what))
+    link_names = _names(manifest, "links", what)
+    links = tuple(_map_from_doc(read(p), space) for p in link_names)
     if len(links) != max(len(stages) - 1, 0):
         raise FormatError(f"{what}: {len(links)} links for {len(stages)} stages")
-    members_doc = read(_field(manifest, "members", str, what))
+    for i, (p, link) in enumerate(zip(link_names, links)):
+        _joins(link, stages[i], stages[i + 1], f"{p}: link {i}")
+    name = _field(manifest, "members", str, what)
+    members_doc = read(name)
     _check_format(members_doc, "tower members file")
-    members = []
-    for per_stage in _field(members_doc, "embeddings", list, "tower members file"):
-        if not isinstance(per_stage, list):
-            raise FormatError("tower members file: a stage entry is not a list")
-        members.append(tuple(_map_from_doc(d, space) for d in per_stage))
-    discharges_doc = read(_field(manifest, "discharges", str, what))
+    members = _field(members_doc, "embeddings", list, "tower members file")
+    if len(members) != len(stages):
+        raise FormatError(f"{name}: {len(members)} member rows for {len(stages)} stages")
+    for i, per_stage in enumerate(members):
+        if not isinstance(per_stage, list) or len(per_stage) != len(catalog):
+            raise FormatError(f"{name}: stage {i} does not list one map per catalog member")
+        members[i] = tuple(_map_from_doc(d, space) for d in per_stage)
+        for j, emb in enumerate(members[i]):
+            _joins(emb, catalog[j], stages[i], f"{name}: member ({i}, {j})")
+    name = _field(manifest, "discharges", str, what)
+    discharges_doc = read(name)
     _check_format(discharges_doc, "tower discharges file")
     discharges = tuple(discharge_from_doc(d, space)
                        for d in _field(discharges_doc, "records", list, "tower discharges file"))
-    for rec in discharges:
+    for k, rec in enumerate(discharges):
         if not 0 <= rec.stage < len(links):
             raise FormatError(f"discharge record: stage {rec.stage} has no link")
         if len(rec.bounds) != rec.gamma.domain.length:
             raise FormatError("discharge record: one bound per level of gamma's domain expected")
+        _joins(rec.gamma, rec.eta.domain, stages[rec.stage], f"{name}: record {k} gamma")
+        _joins(rec.eta, rec.gamma.domain, stages[rec.stage], f"{name}: record {k} eta")
+        _joins(rec.j_map, stages[rec.stage], stages[rec.stage + 1], f"{name}: record {k} J")
     return Tower(catalog, _rat_list(_field(manifest, "deltas", list, what), "tower deltas"),
                  _field(manifest, "seed", int, what), _field(manifest, "omega", bool, what),
                  stages, links, tuple(members), discharges)

@@ -222,7 +222,7 @@ def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
     n = len(objectives[0][0]) if objectives else len(ball[0][0]) if ball else 0
     if any(len(pi) != n for pi, _ in objectives) or any(len(ia) != n for ia, _ in ball):
         raise DimensionMismatch("objective and functional arities differ")
-    slack = [ia + [-x for x in ia] + [ib] for ia, ib in _ball_rows(ball)]
+    slack = [list(ia) + [-x for x in ia] + [ib] for ia, ib in _ball_rows(ball)]
     # The best value so far is num / vden, attained at X / xden.
     num, vden, X, xden = 0, 1, [0] * n, 1
     for pi, pm in objectives:

@@ -7,11 +7,11 @@ apply, compose and subtract like any other.
 Operator seminorms are computed exactly as gauges, in integers.  At level
 m the codomain functionals are pulled back along the map
 (``_pullbacks``: the nonzero matrix rows, the coordinates the map
-reaches, scaled once, and one integer dot per functional and column over
+reaches, scaled once, and one integer dot per stored row and column over
 those coordinates only), and ``seminorms._dominant`` keeps, of the
 distinct pullbacks, one per +/- direction, the largest, as an integer row with its scale, the
-``_scale_to_int`` form that ``lp.gauge_max`` takes; the domain
-functionals take the same form through ``seminorms._ball``.  The operator seminorm is the largest gauge of a
+``_scale_to_int`` form that ``lp.gauge_max`` takes and in which every
+seminorm stores its functionals.  The operator seminorm is the largest gauge of a
 pullback over the domain's unit ball, and the lower constant is the
 reciprocal of the largest gauge of a domain functional over the
 pullbacks' ball; each is one ``gauge_max`` call, which also yields a
@@ -20,7 +20,7 @@ point over the largest gauge, on the unit sphere.  An infinite gauge
 gives instead a kernel vector of one list that the other does not kill
 (``_escape``), scaled to the sphere for the lower witness.
 Every level question reads its rows from ``_level_rows``, which checks
-the level, scales the domain functionals and pulls back once;
+the level, reads the stored domain rows and pulls back once;
 ``distortion`` asks for the two constants of each level.  ``is_embedding``
 needs only to know whether both gauges stay within ``1 + delta``, and
 reads each level through ``_level_check``, which skips identity levels.
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
@@ -58,7 +59,7 @@ from msn.linalg import (
     zero_vec,
 )
 from msn.lp import gauge_max
-from msn.seminorms import _ball, _dominant, seminorm_kernel
+from msn.seminorms import _dominant, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
 
@@ -97,15 +98,15 @@ def map_sub(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(f.domain, f.codomain, f.matrix.sub(g.matrix))
 
 
-def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
+def _pullbacks(f: LinearMap, m: int) -> list[tuple[tuple[int, ...], int]]:
     """Codomain level-m functionals composed with f, deduplicated, as integer rows.
 
     One representative per +/- direction, the largest multiple of it:
     defines the same pulled-back seminorm with a usually much shorter
     list.  ``theta . f`` reads only the coordinates f reaches, its
     nonzero rows, so only those entries are scaled to integers, once
-    each.  Each distinct pullback, one integer dot per column over one
-    common denominator, goes to ``seminorms._dominant``, whose rows do
+    each.  Each distinct pullback, one integer dot per column over the
+    lcm of the row scales, goes to ``seminorms._dominant``, whose rows do
     not depend on that denominator or on their order: the
     ``_scale_to_int`` form, sorted as their Fractions would sort.
     """
@@ -115,11 +116,12 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[list[int], int]]:
     n = f.matrix.cols
     ints, den = _scale_to_int([x for i in support for x in f.matrix.entries[i]])
     columns = [ints[j::n] for j in range(n)]
-    # The reached entries of all codomain functionals over one common denominator t.
-    flat, t = _scale_to_int([theta[i] for theta in f.codomain.seminorms[m].functionals for i in support])
-    k = len(support)
-    # theta . f is the integer vector over t * den; _dominant drops zero pullbacks.
-    pulled = {tuple(sum(map(mul, flat[i:i + k], col)) for col in columns) for i in range(0, len(flat), k)}
+    rows = f.codomain.seminorms[m].rows
+    t = lcm(*(s for _, s in rows))
+    # theta . f, theta = a / s, is the integer vector (a . f) * (t // s) over
+    # t * den, read on the reached entries of a; _dominant drops zero pullbacks.
+    pulled = {tuple(sum(map(mul, a, col)) * (t // s) for col in columns)
+              for a, s in (([ia[i] for i in support], s) for ia, s in rows)}
     return _dominant(pulled, t * den)
 
 
@@ -130,12 +132,12 @@ def _is_identity_on_level(f: LinearMap, m: int) -> bool:
 
 
 def _level_rows(f: LinearMap, m: int):
-    """``(dom, ball, pulled)`` of level m: its domain seminorm, that as
-    ``_ball`` rows, and the codomain functionals pulled back (``_pullbacks``)."""
+    """``(dom, ball, pulled)`` of level m: its domain seminorm, its stored
+    rows, and the codomain functionals pulled back (``_pullbacks``)."""
     if not 0 <= m < f.domain.length:
         raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
     dom = f.domain.seminorms[m]
-    return dom, _ball(dom), _pullbacks(f, m)
+    return dom, dom.rows, _pullbacks(f, m)
 
 
 def _escape(rows, other, d: int) -> Vec:

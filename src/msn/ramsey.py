@@ -26,7 +26,7 @@ from msn.errors import (
     ShapeMismatch,
     UndefinedPoint,
 )
-from msn.linalg import Matrix, Vec, _scale_to_int
+from msn.linalg import Matrix, Vec
 from msn.maps import LinearMap, compose, is_embedding, map_distance, sup_distance
 from msn.polytope import vertex_rows
 from msn.seminorms import PolyhedralSeminorm, quotient_norm
@@ -54,7 +54,7 @@ class EmbeddingNet:
     resolution: Fraction | None
 
 
-def _line_image_constraints(X: MultiSpace, Y: MultiSpace):
+def _line_image_constraints(X: MultiSpace):
     """Values the image vector of the basis of a line must attain."""
     return [X.seminorms[m]((Fraction(1),)) for m in range(X.length)]
 
@@ -87,7 +87,7 @@ def sphere_points(X: MultiSpace, Y: MultiSpace, eps) -> list[Vec]:
         raise DimensionMismatch("exhaustive enumeration needs a one-dimensional domain")
     if X.length > Y.length:
         raise ShapeMismatch("domain carries more levels than the codomain")
-    targets = _line_image_constraints(X, Y)
+    targets = _line_image_constraints(X)
 
     if all(t == 0 for t in targets):
         ker = joint_kernel(Y, range(X.length))
@@ -100,19 +100,18 @@ def sphere_points(X: MultiSpace, Y: MultiSpace, eps) -> list[Vec]:
     # direction of P lies in that kernel and is orthogonal to it, so P is
     # bounded: each sphere face {φ·y = c} is a face of P, the hull of the
     # vertices of P on it (Fukuda & Prodon 1996).  A face picks one signed
-    # row (±φ, c_m) of every level with a nonzero target and functionals.
-    rows = [(r, c) for m, c in enumerate(targets) for phi in Y.seminorms[m].functionals
-            for r in (phi, tuple(-x for x in phi))]
+    # row (±φ, c_m) of every level with a nonzero target and functionals,
+    # each φ = a / s as the row (±a, c_m s).
+    rows = [(r, c * s) for m, c in enumerate(targets) for a, s in Y.seminorms[m].rows
+            for r in (a, tuple(-x for x in a))]
     for k in joint_kernel(Y, [m for m in range(X.length) if targets[m] != 0]):
         rows += [(k, 0), (tuple(-x for x in k), 0)]
     vrows = vertex_rows(rows, Y.dim)
     D = lcm(*(t for _, t in vrows))
     verts = [[x * (D // t) for x in xs] for xs, t in vrows]  # vertex i is verts[i] / D
-    # Level m as (a, s, c): its functionals a_j / s over one denominator, and its target.
-    levels = []
-    for sm, c in zip(Y.seminorms, targets):
-        flat, s = _scale_to_int([x for phi in sm.functionals for x in phi])
-        levels.append(([flat[j * Y.dim:(j + 1) * Y.dim] for j in range(len(sm.functionals))], s, c))
+    # Level m as (a, s, c): its functionals a_j / s over the lcm s of the row scales, and its target.
+    levels = [([[x * (s // t) for x in a] for a, t in sm.rows], s, c)
+              for sm, c in zip(Y.seminorms, targets) for s in [lcm(*(t for _, t in sm.rows))]]
     # vals[j][i] = a_j . verts[i], so φ_j is c at vertex i iff vals[j][i] * c.den == c.num * s * D.
     active = [(s, c, [[sum(map(mul, a, v)) for v in verts] for a in fa]) for fa, s, c in levels if c and fa]
     tight = [[sum(1 << i for i, x in enumerate(vs) if sg * x * c.denominator == c.numerator * s * D)

@@ -1,22 +1,22 @@
 """Polyhedral seminorms: evaluation, kernels, duality, quotients.
 
-A seminorm is stored as the canonical finite family of functionals whose
-absolute values it maximises.  The list keeps one functional per +/-
-direction, the largest multiple, sorted (``_dominant``, in integers over
-one common denominator), with redundant members (those inside the convex
-hull of the others and their negatives) removed by exact LP membership
-tests on the ``_scale_to_int`` rows that ``_dominant`` returns and both
-gauges take.  A list of at most ``dim`` independent rows, where no member
+A seminorm stores the canonical finite family of functionals whose
+absolute values it maximises as integer rows ``(ints, s)``, each the
+functional ``ints / s`` in lowest terms (``linalg._scale_to_int``), the
+form both gauges take.  The list keeps one functional per +/- direction,
+the largest multiple, sorted (``_dominant``, in integers over one common
+denominator), with redundant members (those inside the convex hull of
+the others and their negatives) removed by exact LP membership tests on
+those rows.  A list of at most ``dim`` independent rows, where no member
 can be redundant, is settled by one ``echelon_int`` rank test instead.
-Fractions are built once, for the kept list.  Every seminorm, the sup
-norm included, leaves ``from_functionals`` in this canonical order, so a
-saved and reloaded seminorm is the same value.  The empty family encodes
-the zero seminorm, and ``from_functionals`` builds it from an empty list
-like any other, so callers need no special case.
-Evaluation is in integers: each call scales ``x`` and the whole list to
-integers once, takes one integer dot per functional and builds one
-``Fraction`` at the end.  The integer form is not stored on the
-seminorm; kept on every instance it cost more memory than it saved time.
+``from_functionals`` builds no Fraction; ``functionals`` is the Fraction
+view, built on each read.  Every seminorm, the sup norm included, leaves
+``from_functionals`` in this canonical order, so a saved and reloaded
+seminorm is the same value.  The empty family encodes the zero
+seminorm, and ``from_functionals`` builds it from an empty list like any
+other, so callers need no special case.  Evaluation is in integers: each
+call scales ``x`` once, takes one integer dot per row over the lcm of
+the row scales and builds one ``Fraction`` at the end.
 The dual ball, the symmetric hull of the functionals, is used through
 its facets (``dual_ball_facets``, primitive integer rows), the one
 memoised function in the package.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from msn import _kernel
@@ -47,7 +47,7 @@ from msn.lp import gauge_scale
 from msn.polytope import polytope_facets
 
 
-def _dominant(vectors, m: int) -> list[tuple[list[int], int]]:
+def _dominant(vectors, m: int) -> list[tuple[tuple[int, ...], int]]:
     """One ``_scale_to_int`` row per +/- direction of the vectors ``v / m``, the largest.
 
     Per ``_primitive_direction`` key ``d`` of the integer ``vectors`` the
@@ -65,13 +65,8 @@ def _dominant(vectors, m: int) -> list[tuple[list[int], int]]:
     rows = []
     for d, g in sorted(best.items(), key=lambda dg: [dg[1] * x for x in dg[0]]):
         h = gcd(g, m)
-        rows.append(([x * (g // h) for x in d], m // h))
+        rows.append((tuple(x * (g // h) for x in d), m // h))
     return rows
-
-
-def _ball(s) -> list[tuple[list[int], int]]:
-    """The seminorm's functionals as ``_scale_to_int`` rows, the ball form the gauges take."""
-    return [_scale_to_int(phi) for phi in s.functionals]
 
 
 def _independent(rows, dim: int) -> bool:
@@ -81,21 +76,23 @@ def _independent(rows, dim: int) -> bool:
 
 @dataclass(frozen=True)
 class PolyhedralSeminorm:
-    """max over stored functionals of the absolute pairing with x."""
+    """max over stored functionals, the rows ``ints / s``, of the absolute pairing with x."""
 
     dim: int
-    functionals: tuple[Vec, ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
+
+    @property
+    def functionals(self) -> tuple[Vec, ...]:
+        """The Fraction view of ``rows``, built on each read."""
+        return tuple(tuple(Fraction(x, s) for x in ia) for ia, s in self.rows)
 
     @staticmethod
     def from_functionals(dim: int, functionals, reduce: bool = True) -> "PolyhedralSeminorm":
-        funcs = []
-        for f in functionals:
-            f = vec(f)
-            if len(f) != dim:
-                raise DimensionMismatch("functional arity != dim")
-            if all(x == 0 for x in f):
-                raise ValueError("zero functionals are not stored; use the empty list")
-            funcs.append(f)
+        funcs = [tuple(f) for f in functionals]
+        if any(len(f) != dim for f in funcs):
+            raise DimensionMismatch("functional arity != dim")
+        if not all(map(any, funcs)):
+            raise ValueError("zero functionals are not stored; use the empty list")
         # The whole list over one common denominator m, so _dominant's
         # integer sizes and order are those of the Fractions.
         flat, m = _scale_to_int([x for f in funcs for x in f])
@@ -111,7 +108,7 @@ class PolyhedralSeminorm:
                     rows.pop(i)
                 else:
                     i += 1
-        return PolyhedralSeminorm(dim, tuple(tuple(Fraction(x, s) for x in ia) for ia, s in rows))
+        return PolyhedralSeminorm(dim, tuple(rows))
 
     @staticmethod
     def zero(dim: int) -> "PolyhedralSeminorm":
@@ -122,22 +119,21 @@ class PolyhedralSeminorm:
         return PolyhedralSeminorm.from_functionals(dim, Matrix.identity(dim).entries)
 
     def __call__(self, x) -> Fraction:
-        """``max |f . x|`` in integers: one scaling of ``x`` and of the list per call."""
+        """``max |f . x|`` in integers: one scaling of ``x`` per call."""
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionMismatch("vector arity != dim")
-        if not self.functionals:
+        if not self.rows:
             return Fraction(0)
         ix, xm = _scale_to_int(x)
-        # The whole list over one common denominator m, so the integer
-        # dots compare directly and the maximum needs no Fraction.
-        flat, m = _scale_to_int([a for f in self.functionals for a in f])
-        n = self.dim
-        best = max(abs(sum(map(mul, flat[i:i + n], ix))) for i in range(0, len(flat), n))
+        # Every row over the lcm m of the scales, so the integer dots
+        # compare directly and the maximum needs no Fraction.
+        m = lcm(*(s for _, s in self.rows))
+        best = max(abs(sum(map(mul, ia, ix))) * (m // s) for ia, s in self.rows)
         return Fraction(best, m * xm)
 
     def is_zero(self) -> bool:
-        return not self.functionals
+        return not self.rows
 
 
 def seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:

@@ -15,14 +15,14 @@ from itertools import chain, combinations
 
 from msn import _kernel
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
-from msn.linalg import Matrix, Vec, _scale_to_int, nullspace
+from msn.linalg import Matrix, Vec, _int_nullspace
 from msn.lp import gauge_max
-from msn.seminorms import PolyhedralSeminorm, _ball
+from msn.seminorms import PolyhedralSeminorm
 
 
 def _level_dominates(lo: PolyhedralSeminorm, hi: PolyhedralSeminorm) -> bool:
     """Exact check that hi >= lo pointwise: every lo functional has gauge at most 1 over hi's ball."""
-    worst = gauge_max(_ball(lo), _ball(hi))[0]
+    worst = gauge_max(lo.rows, hi.rows)[0]
     return worst is not None and worst <= 1
 
 
@@ -106,18 +106,14 @@ def invariant_alpha(X: MultiSpace) -> KernelInvariant:
         raise BadLength(f"kernel invariant capped at 16 levels, got {X.length}")
     entries = []
     for s in _subsets(X.length):
-        rows = []
-        for k in s:
-            rows.extend(X.seminorms[k].functionals)
-        entries.append((tuple(s), X.dim - Matrix.from_rows(rows, X.dim).rank()))
+        rows = [ia for k in s for ia, _ in X.seminorms[k].rows]
+        entries.append((tuple(s), X.dim - _kernel.echelon_int(rows)[0]))
     return KernelInvariant(X.length, tuple(entries))
 
 
 def joint_kernel(X: MultiSpace, levels=None) -> list[Vec]:
-    rows = []
-    for k in (range(X.length) if levels is None else levels):
-        rows.extend(X.seminorms[k].functionals)
-    return nullspace(Matrix.from_rows(rows, X.dim))
+    rows = [ia for k in (range(X.length) if levels is None else levels) for ia, _ in X.seminorms[k].rows]
+    return [tuple(map(Fraction, v)) for v in _int_nullspace(rows, X.dim)]
 
 
 def is_separated(X: MultiSpace) -> bool:
@@ -126,7 +122,7 @@ def is_separated(X: MultiSpace) -> bool:
     The integer rows are reduced one at a time, and the test stops as soon
     as ``dim`` of them are independent.
     """
-    rows = (_scale_to_int(f)[0] for s in X.seminorms for f in s.functionals)
+    rows = (ia for s in X.seminorms for ia, _ in s.rows)
     return len(_kernel.leading_basis(rows, X.dim)[0]) == X.dim
 
 
@@ -135,8 +131,7 @@ def extend_with_norm(X: MultiSpace) -> MultiSpace:
     linf = PolyhedralSeminorm.linf(X.dim)
     if X.graded:
         last = X.seminorms[-1]
-        new = PolyhedralSeminorm.from_functionals(
-            X.dim, tuple(last.functionals) + tuple(linf.functionals))
+        new = PolyhedralSeminorm.from_functionals(X.dim, last.functionals + linf.functionals)
         return MultiSpace.make(X.seminorms + (new,), graded=True)
     return MultiSpace.make(X.seminorms + (linf,), graded=False)
 
@@ -160,13 +155,7 @@ def graded_closure(X: MultiSpace) -> MultiSpace:
 
 
 def _pad_functionals(funcs, offset: int, total: int):
-    out = []
-    for f in funcs:
-        row = [Fraction(0)] * total
-        for j, x in enumerate(f):
-            row[offset + j] = x
-        out.append(tuple(row))
-    return out
+    return [(0,) * offset + tuple(f) + (0,) * (total - offset - len(f)) for f in funcs]
 
 
 def product_space(factors) -> MultiSpace:

@@ -62,7 +62,7 @@ def _sampled_eta(base: LinearMap, cur: MultiSpace, delta, r) -> LinearMap:
     ``is_embedding``.  Otherwise the signed scaled base is used.
     """
     member = base.domain
-    total_funcs = sum(len(s.functionals) for s in cur.seminorms)
+    total_funcs = sum(len(s.rows) for s in cur.seminorms)
     if member.dim == 1 and total_funcs <= 40:
         try:
             points = sphere_points(member, cur, Fraction(2))

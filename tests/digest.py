@@ -9,7 +9,10 @@ it prints::
 
 Each run imports ``msn`` from the ``src`` directory of its own checkout and
 the workload generators from its ``perfbench/workloads.py`` (read only;
-nothing there is changed).  The hash covers the ``repr`` of:
+nothing there is changed).  The hash covers the ``repr`` of the objects below, with each
+``PolyhedralSeminorm`` written as ``(dim, functionals)``, its Fraction
+view, so that the line does not depend on how a seminorm stores its
+functionals:
 
 * ``Amalgam`` seed 31337, batches 0-5: the pushout space, both leg matrices
   and the bound certificate;
@@ -69,7 +72,7 @@ from msn.linalg import Matrix  # noqa: E402
 from msn.maps import LinearMap, bm_upper_bound, build_iso_from_invariant  # noqa: E402
 from msn.polytope import polytope_facets  # noqa: E402
 from msn.ramsey import build_net, discrete_table, search_monochromatic  # noqa: E402
-from msn.seminorms import quotient_norm  # noqa: E402
+from msn.seminorms import PolyhedralSeminorm, quotient_norm  # noqa: E402
 from msn.spaces import is_separated, line_space, pullback_space  # noqa: E402
 from msn.tower import back_and_forth, build_tower, verify_tower  # noqa: E402
 from test_acceptance import _hexagon, _sphere_witness_candidates  # noqa: E402
@@ -77,6 +80,10 @@ from workloads import Amalgam, Certify  # noqa: E402
 
 SEED = 31337
 TOWER_SEEDS = (3, 99, 12345, 7, 11, 13)
+
+# A seminorm hashes as (dim, functionals), its Fraction view, whatever form
+# it stores: the repr of a dataclass with those two fields.
+PolyhedralSeminorm.__repr__ = lambda s: f"PolyhedralSeminorm(dim={s.dim!r}, functionals={s.functionals!r})"
 
 
 def _amalgam(h) -> None:

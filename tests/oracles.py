@@ -526,7 +526,7 @@ def per_face_build_net(X, Y, eps):
         raise DimensionMismatch("exhaustive enumeration needs a one-dimensional domain")
     if X.length > Y.length:
         raise ShapeMismatch("domain carries more levels than the codomain")
-    targets = ramsey._line_image_constraints(X, Y)
+    targets = ramsey._line_image_constraints(X)
 
     if all(t == 0 for t in targets):
         ker = joint_kernel(Y, range(X.length))

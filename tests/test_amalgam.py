@@ -239,6 +239,9 @@ def test_coupled_level_matches_fraction_oracle(case):
         got = amalgam._coupled_level(Y, Z, X, coupling, n)
         assert got == fraction_coupled_level(Y, Z, X, fg, n, c), n
         assert all(type(x) is Fraction for phi in got.functionals for x in phi)
+        # stored as from_functionals would store its Fraction view
+        same = PolyhedralSeminorm.from_functionals(got.dim, got.functionals, reduce=False)
+        assert got == same and hash(got) == hash(same)
 
 
 def test_product_amalgam_one_dim_matches_pushout():

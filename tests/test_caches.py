@@ -24,10 +24,10 @@ def test_every_lru_cache_is_bounded():
 
 
 def test_seminorms_and_maps_hold_only_their_fields():
-    # Evaluation and the embedding check scale to integers inside each
-    # call; an integer form kept on every seminorm raised amalgam's peak
-    # RSS by 1.8 MB after 1024 ops.  No derived state may land on the
-    # instances.
+    # A seminorm stores its integer rows and nothing else; its Fraction
+    # view is built on each read.  An integer form kept beside stored
+    # Fractions raised amalgam's peak RSS by 1.8 MB after 1024 ops.  No
+    # derived state may land on the instances.
     S = PolyhedralSeminorm.from_functionals
     X = MultiSpace.make((S(2, [(1, 0), (F(1, 2), 1)]), S(2, [(1, 1), (F(1, 3), -1)])))
     f = LinearMap(X, X, Matrix.from_rows([[1, F(1, 2)], [0, F(3, 2)]]))

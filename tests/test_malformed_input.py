@@ -215,6 +215,39 @@ def test_mutated_tower_fails_with_format_error(case):
     assert json.loads(err)["error"] == "FormatError"
 
 
+def _no_members(doc):
+    doc["embeddings"] = []
+
+
+def _identity_member(doc):
+    doc["embeddings"][1][0] = {"format": io.FORMAT, "domain": "catalog0.json",
+                               "codomain": "catalog0.json", "matrix": [["1"]]}
+
+
+def _link_between_catalog_members(doc):
+    doc.update(domain="catalog0.json", codomain="catalog1.json", matrix=[["1"]])
+
+
+def _eta_from_another_member(doc):
+    doc["records"][0]["eta"]["domain"] = "catalog1.json"
+
+
+@pytest.mark.parametrize("name, edit", [("members.json", _no_members), ("members.json", _identity_member),
+                                        ("link0.json", _link_between_catalog_members),
+                                        ("discharges.json", _eta_from_another_member)])
+def test_tower_maps_must_join_the_spaces_their_place_fixes(name, edit):
+    """Well-formed maps in the wrong places: no member table (verify counted 13
+    checks, not 19), a member mapping catalog 0 to itself (verified ok), a
+    link between two catalog members and a discharge whose gamma and eta
+    leave different members (each a ShapeMismatch in verify)."""
+    doc = copy.deepcopy(TOWER[name])
+    edit(doc)
+    rc, err = _verify(name, io.dumps(doc))
+    assert rc == 1
+    diag = json.loads(err)
+    assert diag["error"] == "FormatError" and diag["detail"].startswith(name), diag
+
+
 def test_net_and_colouring_documents_are_checked():
     q = io.space_to_doc(line_space(1))
     net = {"format": io.FORMAT, "domain": q, "codomain": q, "points": [[["1"]], [["-1"]]],

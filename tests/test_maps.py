@@ -305,7 +305,7 @@ def test_pullbacks_match_fraction_oracle_and_gauges():
         pulled = tuple(tuple(F(x, s) for x in ints) for ints, s in rows)
         assert pulled == fraction_pullbacks(f.matrix.entries, f.codomain.seminorms[m].functionals)
         # the rows are the lowest-terms scaling of the Fraction pullbacks
-        assert rows == [_scale_to_int(psi) for psi in pulled]
+        assert rows == [(tuple(ia), s) for ia, s in _rows(pulled)]
         dom = f.domain.seminorms[m].functionals
         ups = [gauge_scale(psi, _rows(dom)) for psi in _rows(pulled)]
         assert operator_seminorm(f, m) == (None if None in ups else max(ups, default=F(0)))
@@ -349,7 +349,8 @@ def test_lower_witness_attains_lower_constant():
 
 def _space_doc(dim, levels):
     """A space file's document with the functional lists as written, not reduced."""
-    return io.space_to_doc(MultiSpace(tuple(PolyhedralSeminorm(dim, tuple(lev)) for lev in levels)))
+    return io.space_to_doc(MultiSpace(tuple(PolyhedralSeminorm(dim, tuple((tuple(ia), s) for ia, s in _rows(lev)))
+                                            for lev in levels)))
 
 
 def _certify_maps():

@@ -46,7 +46,7 @@ def _functionals_and_vector(draw):
 @given(_functionals_and_vector())
 def test_integer_eval_matches_fraction_oracle(case):
     dim, funcs, x = case
-    raw = PolyhedralSeminorm(dim, tuple(vec(f) for f in funcs))
+    raw = PolyhedralSeminorm(dim, tuple((tuple(ia), s) for ia, s in map(_scale_to_int, funcs)))
     canon = S(dim, funcs) if funcs else PolyhedralSeminorm.zero(dim)
     want = fraction_seminorm(funcs, x)
     for s in (raw, canon):
@@ -82,6 +82,26 @@ def test_front_end_matches_fraction_oracle(case):
     # reduction only drops functionals, so the list stays sorted
     reduced = S(dim, funcs).functionals
     assert set(reduced) <= set(got) and list(reduced) == sorted(reduced)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_redundant_lists(), st.booleans())
+def test_stored_rows_are_the_lowest_terms_rows_of_the_fraction_view(case, reduce):
+    """The one stored form: each row ``_scale_to_int`` of its Fraction view, in
+    lowest terms; and equal lists from different inputs are equal values."""
+    dim, funcs = case
+    s = S(dim, funcs, reduce=reduce)
+    assert len(s.rows) == len(s.functionals)
+    for (ia, t), phi in zip(s.rows, s.functionals):
+        assert type(ia) is tuple and t > 0 and gcd(*ia, t) == 1
+        assert (list(ia), t) == _scale_to_int(phi)
+    if not reduce:
+        assert list(s.functionals) == fraction_front_end(funcs)
+    # Reversed, negated, with a smaller positive multiple of each and the
+    # Fraction view itself: the same list.
+    other = [tuple(-x for x in f) for f in reversed(funcs)] + [tuple(F(x) / 3 for x in f) for f in funcs]
+    for t in (S(dim, other, reduce=reduce), S(dim, s.functionals, reduce=reduce)):
+        assert t == s and hash(t) == hash(s)
 
 
 def test_kernel_examples():
@@ -214,7 +234,7 @@ def test_reduce_never_changes_eval(funcs, x):
     funcs = [f for f in funcs if any(v != 0 for v in f)]
     if not funcs:
         return
-    raw = PolyhedralSeminorm(2, tuple(vec(f) for f in funcs))
+    raw = PolyhedralSeminorm(2, tuple((tuple(ia), s) for ia, s in map(_scale_to_int, funcs)))
     red = S(2, raw.functionals)
     assert red(vec(x)) == raw(vec(x))
 

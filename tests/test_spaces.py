@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from msn import io
 from msn.errors import ArityMismatch, BadLength
-from msn.linalg import Matrix
+from msn.linalg import Matrix, _scale_to_int
 from msn.lp import gauge_scale
-from msn.seminorms import PolyhedralSeminorm, _ball
+from msn.seminorms import PolyhedralSeminorm
 from msn.spaces import (
     MultiSpace,
     _level_dominates,
@@ -240,7 +240,8 @@ def test_level_dominates_is_the_per_row_gauge_rule():
         if rng.random() < 0.3:
             # hi at least lo: lo's functionals, some scaled up, among hi's
             hi = S(dim, hi.functionals + tuple(tuple(x * rng.choice((1, 2)) for x in f) for f in lo.functionals))
-        gauges = [gauge_scale(row, _ball(hi)) for row in _ball(lo)]
+        ball = [_scale_to_int(f) for f in hi.functionals]
+        gauges = [gauge_scale(_scale_to_int(f), ball) for f in lo.functionals]
         want = all(g is not None and g <= 1 for g in gauges)
         assert _level_dominates(lo, hi) == want, (lo, hi)
         seen.add((want, not hi.functionals, not lo.functionals))
