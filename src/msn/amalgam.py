@@ -17,10 +17,10 @@ eps, delta and the map shapes, ``_swapped`` reads the result for (Z, Y)
 as the one for (Y, Z) when Y is the longer space, ``_band`` builds the
 levels at or above the length of X, and ``_direct_sum`` builds the two
 block inclusions and the certificate: the operator seminorms of [f; -g]
-(``_stacked``, built once per pushout).  ``_coupling`` scales [f; -g] and
-the coupling constant to integers once per pushout, so each coupled level
-stays in integers from the dual-ball facets through the vertex rows to the
-stored rows of the kept functionals, and builds no Fraction.
+(``_stacked``, built once per pushout).  ``_coupling`` puts the stored
+integer rows of [f; -g] and the coupling constant over one lcm, so each
+coupled level stays in integers from the dual-ball facets through the
+vertex rows to the stored rows of the kept functionals, and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from msn.errors import (
     NotSeparated,
     ShapeMismatch,
 )
-from msn.linalg import Matrix, Vec, _scale_to_int, frac
+from msn.linalg import Matrix, Vec, frac
 from msn.lp import solve_lp
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance, operator_seminorm
 from msn.polytope import vertex_rows
@@ -111,26 +111,26 @@ def _band(Y: MultiSpace, Z: MultiSpace, n: int, prev: PolyhedralSeminorm | None)
 
 def _stacked(f: LinearMap, g: LinearMap) -> Matrix:
     """[f; -g], the matrix of ``leg_y . f - leg_z . g`` for block inclusions."""
-    return Matrix(f.matrix.entries + g.matrix.scale(-1).entries, f.domain.dim)
+    return Matrix.stack((f.matrix, g.matrix.scale(-1)), f.domain.dim)
 
 
 def _coupling(fg: Matrix, c: Fraction) -> tuple[list[list[int]], int]:
-    """``(m * fg, m * c)`` in integers, ``fg`` as rows, over one common denominator ``m``.
+    """``(m * fg, m * c)`` in integers, ``fg`` as rows, over ``m = lcm(fg.den, c.denominator)``.
 
     The X rows of the coupled dual ball built from them are ``m`` times
     ``(fg a, c b)``, the same inequalities, so they give the same vertices.
     """
-    flat, m = _scale_to_int([c, *(x for row in fg.entries for x in row)])
-    dx = fg.cols  # slices, not a step of dx: X may have dimension 0
-    return [flat[1 + i * dx:1 + (i + 1) * dx] for i in range(len(fg.entries))], flat[0]
+    m = lcm(fg.den, c.denominator)
+    k = m // fg.den
+    return [[x * k for x in r] for r in fg.ints], c.numerator * (m // c.denominator)
 
 
 def _direct_sum(X: MultiSpace, Y: MultiSpace, Z: MultiSpace, W: MultiSpace, fg: Matrix,
                 levels: int, delta: Fraction, eps: Fraction) -> AmalgamResult:
     """W = Y (+) Z with its block inclusions; ``fg``: X -> W certifies the first ``levels`` levels."""
     dy, dz = Y.dim, Z.dim
-    leg_y = LinearMap(Y, W, Matrix(Matrix.identity(dy).entries + Matrix.zero(dz, dy).entries, dy))
-    leg_z = LinearMap(Z, W, Matrix(Matrix.zero(dy, dz).entries + Matrix.identity(dz).entries, dz))
+    leg_y = LinearMap(Y, W, Matrix.stack((Matrix.identity(dy), Matrix.zero(dz, dy)), dy))
+    leg_z = LinearMap(Z, W, Matrix.stack((Matrix.zero(dy, dz), Matrix.identity(dz)), dz))
     cert = tuple(operator_seminorm(LinearMap(X, W, fg), n) for n in range(levels))
     return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 
@@ -166,19 +166,20 @@ def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:
     materialisation as the cross-check oracle.
     """
     dx = X.dim
+    ft, gt = f.matrix.transpose(), g.matrix.transpose()
     # variables: x (dx), then epigraph bounds s >= ||y - f(x)||_Y,n,
     # t >= ||z + g(x)||_Z,n, r >= ||x||_X,n
     nv = dx + 3
     cons = []
     for phi in Y.seminorms[n].functionals:
         base = sum(phi[i] * y[i] for i in range(Y.dim))
-        comp = tuple(sum(phi[i] * f.matrix.entries[i][j] for i in range(Y.dim)) for j in range(dx))
+        comp = ft.apply(phi)
         for sgn in (1, -1):
             row = tuple(-Fraction(sgn) * x for x in comp) + (Fraction(-1), Fraction(0), Fraction(0))
             cons.append((row, -Fraction(sgn) * base))
     for psi in Z.seminorms[n].functionals:
         base = sum(psi[i] * z[i] for i in range(Z.dim))
-        comp = tuple(sum(psi[i] * g.matrix.entries[i][j] for i in range(Z.dim)) for j in range(dx))
+        comp = gt.apply(psi)
         for sgn in (1, -1):
             row = tuple(Fraction(sgn) * x for x in comp) + (Fraction(0), Fraction(-1), Fraction(0))
             cons.append((row, -Fraction(sgn) * base))
@@ -413,8 +414,8 @@ def product_amalgam(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
         legy_blocks.append(res.leg_y.matrix.mul(qy.projection))
         legz_blocks.append(res.leg_z.matrix.mul(qz.projection))
     W = product_space(blocks)
-    leg_y = LinearMap(Y, W, Matrix.from_rows((r for m in legy_blocks for r in m.entries), Y.dim))
-    leg_z = LinearMap(Z, W, Matrix.from_rows((r for m in legz_blocks for r in m.entries), Z.dim))
+    leg_y = LinearMap(Y, W, Matrix.stack(legy_blocks, Y.dim))
+    leg_z = LinearMap(Z, W, Matrix.stack(legz_blocks, Z.dim))
     cert = tuple(map_distance(compose(leg_y, f), compose(leg_z, g), i) for i in range(X.length))
     return AmalgamResult(W, leg_y, leg_z, cert, delta, eps)
 

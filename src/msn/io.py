@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from msn.errors import DimensionMismatch, LengthMismatch, MsnError, ShapeMismatch
@@ -32,9 +33,15 @@ class FormatError(MsnError):
     pass
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """The literal of ``n / d`` in lowest terms, ``d`` positive: one ``gcd``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def rat_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _ratio_str(x.numerator, x.denominator)
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -111,7 +118,7 @@ def space_to_doc(X: MultiSpace) -> dict:
         "dim": X.dim,
         "graded": X.graded,
         "seminorms": [
-            {"functionals": [[rat_to_str(x) for x in f] for f in s.functionals]}
+            {"functionals": [[_ratio_str(x, d) for x in ia] for ia, d in s.rows]}
             for s in X.seminorms
         ],
     }
@@ -152,7 +159,7 @@ def space_from_doc(doc) -> MultiSpace:
 
 
 def matrix_to_doc(m: Matrix) -> list:
-    return [[rat_to_str(x) for x in row] for row in m.entries]
+    return [[_ratio_str(x, m.den) for x in r] for r in m.ints]
 
 
 def matrix_from_doc(doc, cols: int | None) -> Matrix:
@@ -432,7 +439,7 @@ def colouring_from_doc(doc):
     if "table" in doc:
         rows = []
         for entry in _field(doc, "table", list, what):
-            key = matrix_from_doc(_field(entry, "matrix", list, "colouring entry"), None).entries
+            key = matrix_from_doc(_field(entry, "matrix", list, "colouring entry"), None)
             v = (_field(entry, "value", int, "colouring entry") if kind == "discrete"
                  else rat_from_str(_field(entry, "value", str, "colouring entry")))
             if kind == "discrete" and not 0 <= v < colours:

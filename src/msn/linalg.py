@@ -1,16 +1,17 @@
 """Exact rational vectors, matrices and subspace calculus.
 
-Vectors are tuples of ``Fraction``; matrices are immutable row-major grids
-that carry their shape, so matrices with no rows or no columns need no
-special case anywhere else.  A product scales each operand to integers
-once: ``mul`` adds x times row t of B into row i for each nonzero entry
-x = A[i][t], ``apply`` takes one integer dot per row, and each builds
-one Fraction per result entry.  Each subspace question clears denominators
-row by row (row scaling preserves spans and kernels), makes one call to
-the integer echelon kernel, and builds Fractions only from the primitive
-integers it returns; a span intersection is read off one reduction of
-``[U | U; V | 0]``.  Zero rows need no filter: the kernel never pivots
-on them.
+Vectors are tuples of ``Fraction``.  A matrix stores its integer rows over
+one common denominator, in lowest terms, and its shape, so matrices with
+no rows or no columns need no special case anywhere else; ``entries`` is
+its Fraction view.  Every matrix operation works on the stored integers:
+``mul`` adds x times row t of B into row i for each nonzero x = A[i][t],
+``apply`` builds one Fraction per result entry, and ``rank``,
+``nullspace`` and ``inverse`` pass the rows to the integer echelon kernel.
+Each subspace question on Fraction rows clears denominators row by row
+(row scaling preserves spans and kernels), makes one call to the kernel,
+and builds Fractions only from the primitive integers it returns; a span
+intersection is read off one reduction of ``[U | U; V | 0]``.  Zero rows
+need no filter: the kernel never pivots on them.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ def vec(xs) -> Vec:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, u: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -86,84 +78,104 @@ def _primitive_direction(ints) -> tuple[int, tuple[int, ...]]:
     return g, tuple(x // g for x in ints)
 
 
+def _lowest(rows, den: int, cols: int) -> "Matrix":
+    """The matrix ``rows / den`` (``den`` positive), with the common factor cancelled."""
+    g = gcd(den, *(x for r in rows for x in r))
+    return Matrix(tuple(tuple(x // g for x in r) for r in rows), den // g, cols)
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable exact ``rows x cols`` matrix; ``entries[i][j]`` is row i, column j.
+    """Immutable exact ``rows x cols`` matrix ``ints / den``, ``den > 0`` and ``gcd(den, *ints) == 1``.
 
-    The width is stored, not read off the rows, so every shape is a
-    matrix: a 0 x n matrix is the map from n coordinates to none, an
-    n x 0 one the map out of the zero space, and a k x 0 matrix times a
-    0 x n one is the k x n zero matrix.
+    Equal matrices are equal values and hash alike.  The width is stored,
+    not read off the rows, so every shape is a matrix: a 0 x n matrix is
+    the map from n coordinates to none, an n x 0 one the map out of the
+    zero space, and a k x 0 matrix times a 0 x n one is the k x n zero
+    matrix.
     """
 
-    entries: tuple[Vec, ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int
     cols: int
+
+    @property
+    def entries(self) -> tuple[Vec, ...]:
+        """The Fraction view, ``entries[i][j]`` row i, column j, built on each read."""
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.ints)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "Matrix":
-        """The matrix with these rows; ``cols`` defaults to the first row's length."""
-        tup = tuple(vec(r) for r in rows)
+        """The matrix with these rows of ints and Fractions; ``cols`` defaults to the first row's length."""
+        tup = [tuple(r) for r in rows]
         if cols is None:
             if not tup:
                 raise DimensionMismatch("no rows to read the width from")
             cols = len(tup[0])
         if any(len(r) != cols for r in tup):
             raise DimensionMismatch(f"rows are not all of width {cols}")
-        return Matrix(tup, cols)
+        flat, den = _scale_to_int([x for r in tup for x in r])
+        return Matrix(tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(len(tup))), den, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
+        return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple(zero_vec(cols) for _ in range(rows)), cols)
+        return Matrix(((0,) * cols,) * rows, 1, cols)
+
+    @staticmethod
+    def stack(blocks, cols: int) -> "Matrix":
+        """The rows of ``blocks`` in order, width ``cols``: over the lcm of their ``den`` none has a common factor."""
+        blocks = list(blocks)
+        if any(b.cols != cols for b in blocks):
+            raise DimensionMismatch(f"blocks are not all of width {cols}")
+        den = lcm(*(b.den for b in blocks))
+        return Matrix(tuple(tuple(x * (den // b.den) for x in r) for b in blocks for r in b.ints), den, cols)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.ints)
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        return tuple(Fraction(r[j], self.den) for r in self.ints)
 
     def apply(self, x: Vec) -> Vec:
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} into {self.rows}x{self.cols}")
-        a, da = _scale_to_int([v for r in self.entries for v in r])
         ix, dx = _scale_to_int(x)
-        n = self.cols
-        return tuple(Fraction(sum(map(mul, a[i * n:(i + 1) * n], ix)), da * dx) for i in range(self.rows))
+        den = self.den * dx
+        return tuple(Fraction(sum(map(mul, r, ix)), den) for r in self.ints)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        a, da = _scale_to_int([v for r in self.entries for v in r])
-        b, db = _scale_to_int([v for r in other.entries for v in r])
-        k, n = self.cols, other.cols
-        brows = [b[t * n:(t + 1) * n] for t in range(k)]
         out = []
-        for i in range(self.rows):
-            acc = [0] * n
-            for x, brow in zip(a[i * k:(i + 1) * k], brows):
+        for arow in self.ints:
+            acc = [0] * other.cols
+            for x, brow in zip(arow, other.ints):
                 if x:
                     acc = [s + x * y for s, y in zip(acc, brow)]
-            out.append(tuple(Fraction(s, da * db) for s in acc))
-        return Matrix(tuple(out), n)
+            out.append(acc)
+        return _lowest(out, self.den * other.den, other.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.col(j) for j in range(self.cols)), self.rows)
+        return Matrix(tuple(tuple(r[j] for r in self.ints) for j in range(self.cols)), self.den, self.rows)
 
     def sub(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in sub")
-        return Matrix(tuple(vec_sub(r, s) for r, s in zip(self.entries, other.entries)), self.cols)
+        a, b = self.den, other.den
+        diff = [[x * b - y * a for x, y in zip(r, s)] for r, s in zip(self.ints, other.ints)]
+        return _lowest(diff, a * b, self.cols)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(tuple(vec_scale(c, r) for r in self.entries), self.cols)
+        return _lowest([[x * c.numerator for x in r] for r in self.ints], self.den * c.denominator, self.cols)
 
     def rank(self) -> int:
         """rank(M) = rank(Mᵀ), so eliminate whichever of the two has fewer rows."""
-        rows = int_rows(self.entries)
+        rows = self.ints
         if self.rows > self.cols:
             rows = list(zip(*rows))
         return _kernel.echelon_int(rows)[0]
@@ -199,7 +211,7 @@ def _int_nullspace(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
 def nullspace(mat: Matrix) -> list[Vec]:
     """Canonical kernel basis of the matrix as a linear map."""
-    return [tuple(map(Fraction, v)) for v in _int_nullspace(int_rows(mat.entries), mat.cols)]
+    return [tuple(map(Fraction, v)) for v in _int_nullspace(mat.ints, mat.cols)]
 
 
 def in_span(rows: list[Vec], v: Vec) -> bool:
@@ -230,18 +242,18 @@ def intersect_spans(urows: list[Vec], vrows: list[Vec]) -> list[Vec]:
 def inverse(mat: Matrix) -> Matrix | None:
     """The inverse matrix, or None if singular.
 
-    [M | I] reduces to rows c_i * [e_i | row i of M^-1].  Each augmented
-    row is scaled to integers as a whole: scaling M's part alone would
-    give the inverse of the scaled matrix.
+    [ints | den I] = den [M | I] reduces to primitive rows c_i * [e_i | row
+    i of M^-1], so over the lcm of the c_i those rows share no factor with it.
     """
     n = mat.rows
     if mat.cols != n:
         raise DimensionMismatch("inverse of non-square matrix")
-    aug = int_rows((*r, *(int(i == j) for j in range(n))) for i, r in enumerate(mat.entries))
+    aug = [(*r, *(mat.den if i == j else 0 for j in range(n))) for i, r in enumerate(mat.ints)]
     _, pivcols, red = _kernel.echelon_int(aug)
     if pivcols != list(range(n)):
         return None
-    return Matrix(tuple(tuple(Fraction(x, r[i]) for x in r[n:]) for i, r in enumerate(red)), n)
+    m = lcm(*(r[i] for i, r in enumerate(red)))
+    return Matrix(tuple(tuple(x * (m // r[i]) for x in r[n:]) for i, r in enumerate(red)), m, n)
 
 
 def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:

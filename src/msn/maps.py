@@ -6,9 +6,9 @@ apply, compose and subtract like any other.
 
 Operator seminorms are computed exactly as gauges, in integers.  At level
 m the codomain functionals are pulled back along the map
-(``_pullbacks``: the nonzero matrix rows, the coordinates the map
-reaches, scaled once, and one integer dot per stored row and column over
-those coordinates only), and ``seminorms._dominant`` keeps, of the
+(``_pullbacks``: the nonzero rows of the matrix's stored integers, the
+coordinates the map reaches, and one integer dot per stored row and
+column over those coordinates only), and ``seminorms._dominant`` keeps, of the
 distinct pullbacks, one per +/- direction, the largest, as an integer row with its scale, the
 ``_scale_to_int`` form that ``lp.gauge_max`` takes and in which every
 seminorm stores its functionals.  The operator seminorm is the largest gauge of a
@@ -50,7 +50,6 @@ from msn.linalg import (
     Vec,
     _int_nullspace,
     _primitive_direction,
-    _scale_to_int,
     in_span,
     intersect_spans,
     inverse,
@@ -103,32 +102,29 @@ def _pullbacks(f: LinearMap, m: int) -> list[tuple[tuple[int, ...], int]]:
 
     One representative per +/- direction, the largest multiple of it:
     defines the same pulled-back seminorm with a usually much shorter
-    list.  ``theta . f`` reads only the coordinates f reaches, its
-    nonzero rows, so only those entries are scaled to integers, once
-    each.  Each distinct pullback, one integer dot per column over the
-    lcm of the row scales, goes to ``seminorms._dominant``, whose rows do
-    not depend on that denominator or on their order: the
+    list.  ``theta . f`` reads only the coordinates f reaches, the
+    nonzero rows of the matrix's stored integers.  Each distinct
+    pullback, one integer dot per column over the lcm of the row scales
+    times the matrix's denominator, goes to ``seminorms._dominant``, whose
+    rows do not depend on that denominator or on their order: the
     ``_scale_to_int`` form, sorted as their Fractions would sort.
     """
-    support = [i for i, r in enumerate(f.matrix.entries) if any(r)]
+    ints = f.matrix.ints
+    support = [i for i, r in enumerate(ints) if any(r)]
     if not support:
         return []
-    n = f.matrix.cols
-    ints, den = _scale_to_int([x for i in support for x in f.matrix.entries[i]])
-    columns = [ints[j::n] for j in range(n)]
+    columns = list(zip(*(ints[i] for i in support)))
     rows = f.codomain.seminorms[m].rows
     t = lcm(*(s for _, s in rows))
     # theta . f, theta = a / s, is the integer vector (a . f) * (t // s) over
     # t * den, read on the reached entries of a; _dominant drops zero pullbacks.
     pulled = {tuple(sum(map(mul, a, col)) * (t // s) for col in columns)
               for a, s in (([ia[i] for i in support], s) for ia, s in rows)}
-    return _dominant(pulled, t * den)
+    return _dominant(pulled, t * f.matrix.den)
 
 
 def _is_identity_on_level(f: LinearMap, m: int) -> bool:
-    e, n = f.matrix.entries, f.domain.dim  # the n x n identity, with no matrix built
-    return (len(e) == n and all(len(r) == n and r[i] == 1 and not any(r[:i] + r[i + 1:]) for i, r in enumerate(e))
-            and f.domain.seminorms[m] == f.codomain.seminorms[m])
+    return f.matrix == Matrix.identity(f.domain.dim) and f.domain.seminorms[m] == f.codomain.seminorms[m]
 
 
 def _level_rows(f: LinearMap, m: int):

@@ -177,14 +177,13 @@ class Colouring:
     kind: str                      # "discrete" | "continuous"
     colours: int | None            # discrete only
     level: int | None              # continuous only: Lipschitz level count
-    table: tuple[tuple[tuple, Fraction | int], ...] | None
+    table: tuple[tuple[Matrix, Fraction | int], ...] | None
     builtin: tuple | None          # ("coordinate-clamp", coord)
 
     def __call__(self, f: LinearMap):
         if self.table is not None:
-            key = f.matrix.entries
             for k, v in self.table:
-                if k == key:
+                if k == f.matrix:
                     return v
             raise UndefinedPoint("colouring table does not cover this map")
         name = self.builtin[0]
@@ -192,18 +191,19 @@ class Colouring:
             coord = self.builtin[1]
             if not 0 <= coord < f.matrix.rows:
                 raise UndefinedPoint(f"coordinate {coord} outside the codomain of dimension {f.matrix.rows}")
-            val = f.matrix.entries[coord][0]
-            return min(Fraction(1), max(Fraction(0), val))
+            if not f.matrix.cols:
+                raise UndefinedPoint("a map out of the zero space has no coordinate to clamp")
+            return min(Fraction(1), max(Fraction(0), f.matrix.col(0)[coord]))
         raise UndefinedPoint(f"unknown builtin colouring {name!r}")
 
 
 def discrete_table(net: EmbeddingNet, values, colours: int) -> Colouring:
-    table = tuple((p.matrix.entries, int(v)) for p, v in zip(net.points, values, strict=True))
+    table = tuple((p.matrix, int(v)) for p, v in zip(net.points, values, strict=True))
     return Colouring("discrete", colours, None, table, None)
 
 
 def continuous_table(net: EmbeddingNet, values, level: int) -> Colouring:
-    table = tuple((p.matrix.entries, Fraction(v)) for p, v in zip(net.points, values, strict=True))
+    table = tuple((p.matrix, Fraction(v)) for p, v in zip(net.points, values, strict=True))
     return Colouring("continuous", None, level, table, None)
 
 
@@ -298,10 +298,7 @@ def bad_colouring_from_discrete(c: Colouring, net: EmbeddingNet, top_colour: int
 
 def product_embedding(factors, Z: MultiSpace, X: MultiSpace) -> LinearMap:
     """Stack per-level embeddings into the coordinate product."""
-    rows = []
-    for f in factors:
-        rows.extend(list(f.matrix.entries))
-    return LinearMap(X, Z, Matrix.from_rows(rows, X.dim))
+    return LinearMap(X, Z, Matrix.stack((f.matrix for f in factors), X.dim))
 
 
 def product_colouring(c: Colouring, X: MultiSpace, blocks):
@@ -335,8 +332,7 @@ def quotient_lift(c, X: MultiSpace, Z: MultiSpace):
     total = 2 * Z.dim
     padded_funcs = _pad_functionals(Z.seminorms[0].functionals, 0, total)
     padded = MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False),))
-    pad_matrix = Matrix(Matrix.identity(Z.dim).entries + Matrix.zero(Z.dim, Z.dim).entries, Z.dim)
-    embed_pad = LinearMap(Z, padded, pad_matrix)
+    embed_pad = LinearMap(Z, padded, Matrix.stack((Matrix.identity(Z.dim), Matrix.zero(Z.dim, Z.dim)), Z.dim))
 
     def lifted(gamma: LinearMap):
         return c(compose(gamma, pi))

@@ -177,4 +177,4 @@ def quotient_norm(s: PolyhedralSeminorm) -> QuotientNorm:
     Minv = inverse(Matrix.from_rows(ker + units, d).transpose())
     lift = Matrix.from_rows(units, d).transpose()
     norm = PolyhedralSeminorm.from_functionals(len(comp), [tuple(f[j] for j in comp) for f in s.functionals])
-    return QuotientNorm(projection=Matrix(Minv.entries[len(ker):], d), lift=lift, norm=norm)
+    return QuotientNorm(projection=Matrix.from_rows(Minv.entries[len(ker):], d), lift=lift, norm=norm)

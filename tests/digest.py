@@ -10,9 +10,9 @@ it prints::
 Each run imports ``msn`` from the ``src`` directory of its own checkout and
 the workload generators from its ``perfbench/workloads.py`` (read only;
 nothing there is changed).  The hash covers the ``repr`` of the objects below, with each
-``PolyhedralSeminorm`` written as ``(dim, functionals)``, its Fraction
-view, so that the line does not depend on how a seminorm stores its
-functionals:
+``PolyhedralSeminorm`` written as ``(dim, functionals)`` and each ``Matrix``
+as ``(entries, cols)``, their Fraction views, so that the line does not
+depend on how a seminorm stores its functionals or a matrix its entries:
 
 * ``Amalgam`` seed 31337, batches 0-5: the pushout space, both leg matrices
   and the bound certificate;
@@ -81,9 +81,11 @@ from workloads import Amalgam, Certify  # noqa: E402
 SEED = 31337
 TOWER_SEEDS = (3, 99, 12345, 7, 11, 13)
 
-# A seminorm hashes as (dim, functionals), its Fraction view, whatever form
-# it stores: the repr of a dataclass with those two fields.
+# A seminorm hashes as (dim, functionals) and a matrix as (entries, cols),
+# their Fraction views, whatever form they store: the repr of a dataclass
+# with those two fields.
 PolyhedralSeminorm.__repr__ = lambda s: f"PolyhedralSeminorm(dim={s.dim!r}, functionals={s.functionals!r})"
+Matrix.__repr__ = lambda m: f"Matrix(entries={m.entries!r}, cols={m.cols!r})"
 
 
 def _amalgam(h) -> None:
@@ -135,7 +137,7 @@ def _quotients_and_pullbacks(h) -> None:
         X = random_space(rng, dim, rng.randint(1, 3))
         T = random_invertible(rng, dim)
         k = rng.randint(1, dim)
-        lift = Matrix(tuple(r[:k] for r in T.entries), k)
+        lift = Matrix.from_rows([r[:k] for r in T.entries], k)
         h.update(repr(([quotient_norm(s) for s in X.seminorms], pullback_space(X, lift))).encode())
 
 

@@ -31,7 +31,11 @@ was when every (+, -) ray pair was tested by scanning the other rays'
 tight sets, verbatim but for its name and docstring.  ``fraction_apply``
 and ``fraction_mul`` are ``Matrix.apply`` and ``Matrix.mul`` as they were
 when each result entry was one Fraction ``dot``, verbatim but for their
-names.
+names and the Fraction transpose.  ``fraction_transpose``, ``fraction_sub``,
+``fraction_scale`` and ``fraction_rank`` are the Fraction loops that
+``Matrix`` ran when it stored Fraction entries, with the ``vec_sub`` and
+``vec_scale`` they called; ``fraction_stack`` is the ``entries``
+concatenation that ``Matrix.stack`` replaced.
 """
 
 from fractions import Fraction
@@ -57,8 +61,6 @@ from msn.linalg import (
     dot,
     int_rows,
     vec_add,
-    vec_scale,
-    vec_sub,
     zero_vec,
 )
 from msn.maps import LinearMap, compose, is_embedding
@@ -441,7 +443,7 @@ def inverse(mat: Matrix) -> Matrix | None:
         if x is None:
             return None
         cols.append(x)
-    return Matrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)), n)
+    return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)], n)
 
 
 def coordinate_complement(span_rows: list[Vec], dim: int) -> list[int]:
@@ -683,7 +685,21 @@ def scan_cone_rays(rows: list[list[int]], dim: int) -> list[tuple[int, ...]] | N
 
 
 # ``Matrix.apply`` and ``Matrix.mul`` as they were when each result entry
-# was one Fraction ``dot``.
+# was one Fraction ``dot``, and ``transpose``, ``sub``, ``scale`` and
+# ``rank`` as they were when a matrix stored its Fraction entries, with
+# ``linalg.vec_sub`` and ``vec_scale``, which ``sub`` and ``scale`` called.
+# ``fraction_stack`` is the ``entries`` concatenation that ``Matrix.stack``
+# replaced.  Each reads the Fraction view and builds its result through
+# ``Matrix.from_rows``.
+
+
+def vec_sub(u: Vec, v: Vec) -> Vec:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(c, u: Vec) -> Vec:
+    c = Fraction(c)
+    return tuple(c * a for a in u)
 
 
 def fraction_apply(self: Matrix, x: Vec) -> Vec:
@@ -695,5 +711,28 @@ def fraction_apply(self: Matrix, x: Vec) -> Vec:
 def fraction_mul(self: Matrix, other: Matrix) -> Matrix:
     if self.cols != other.rows:
         raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-    ot = other.transpose()
-    return Matrix(tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries), other.cols)
+    ot = fraction_transpose(other)
+    return Matrix.from_rows([[dot(r, c) for c in ot.entries] for r in self.entries], other.cols)
+
+
+def fraction_transpose(self: Matrix) -> Matrix:
+    e = self.entries
+    return Matrix.from_rows([[r[j] for r in e] for j in range(self.cols)], self.rows)
+
+
+def fraction_sub(self: Matrix, other: Matrix) -> Matrix:
+    if (self.rows, self.cols) != (other.rows, other.cols):
+        raise DimensionMismatch("shape mismatch in sub")
+    return Matrix.from_rows([vec_sub(r, s) for r, s in zip(self.entries, other.entries)], self.cols)
+
+
+def fraction_scale(self: Matrix, c) -> Matrix:
+    return Matrix.from_rows([vec_scale(c, r) for r in self.entries], self.cols)
+
+
+def fraction_rank(self: Matrix) -> int:
+    return len(row_space_basis(list(self.entries)))
+
+
+def fraction_stack(blocks, cols: int) -> Matrix:
+    return Matrix.from_rows([r for m in blocks for r in m.entries], cols)

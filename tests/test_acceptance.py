@@ -14,7 +14,7 @@ import pytest
 
 from msn import io
 from msn.amalgam import primal_pushout_value, pushout
-from msn.linalg import Matrix, vec_add, vec_sub
+from msn.linalg import Matrix, vec_add
 from msn.maps import (
     LinearMap,
     build_iso_from_invariant,
@@ -30,6 +30,7 @@ from msn.spaces import MultiSpace, invariant_alpha, line_space, product_space
 from msn.tower import back_and_forth, build_tower, verify_tower
 
 from genhelpers import block_embedding_triple, image_space, random_invertible, random_space
+from oracles import vec_sub
 
 F = Fraction
 S = PolyhedralSeminorm.from_functionals

@@ -24,10 +24,11 @@ def test_every_lru_cache_is_bounded():
 
 
 def test_seminorms_and_maps_hold_only_their_fields():
-    # A seminorm stores its integer rows and nothing else; its Fraction
-    # view is built on each read.  An integer form kept beside stored
-    # Fractions raised amalgam's peak RSS by 1.8 MB after 1024 ops.  No
-    # derived state may land on the instances.
+    # A seminorm stores its integer rows and a matrix its integer rows over
+    # one denominator, and nothing else; their Fraction views are built on
+    # each read.  An integer form kept beside stored Fractions raised
+    # amalgam's peak RSS by 1.8 MB after 1024 ops.  No derived state may
+    # land on the instances.
     S = PolyhedralSeminorm.from_functionals
     X = MultiSpace.make((S(2, [(1, 0), (F(1, 2), 1)]), S(2, [(1, 1), (F(1, 3), -1)])))
     f = LinearMap(X, X, Matrix.from_rows([[1, F(1, 2)], [0, F(3, 2)]]))
@@ -35,5 +36,7 @@ def test_seminorms_and_maps_hold_only_their_fields():
         s((F(1, 2), 3))
     assert not is_embedding(f, 0)[0] and is_embedding(f, 3)[0]
     distortion(f)
-    for obj in (*X.seminorms, f):
+    assert f.matrix.entries[1] == (0, F(3, 2)) and f((1, 2)) == (2, 3)
+    assert set(vars(f.matrix)) == {"ints", "den", "cols"}
+    for obj in (*X.seminorms, f, f.matrix):
         assert set(vars(obj)) == {fld.name for fld in fields(obj)}, type(obj).__name__

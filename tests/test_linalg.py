@@ -120,6 +120,9 @@ def test_from_rows_needs_a_width():
         Matrix.from_rows([[1, 2]], 3)
     with pytest.raises(DimensionMismatch):
         Matrix.from_rows([[1, 2], [1]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.stack((Matrix.zero(0, 3), Matrix.zero(1, 2)), 3)
+    assert Matrix.stack((), 3) == Matrix.zero(0, 3)
 
 
 entries = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
@@ -214,33 +217,64 @@ big = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6),
 
 @st.composite
 def products(draw):
-    """``(A, B, x)``: a k x m and an m x n matrix and an m-vector, 0 to 4 of
-    each, built with no conversion so that int entries stay ints; a row of
-    A or of B may be zero."""
+    """``(A, B, C, S, x, c)``: a k x m, two m x n and a k x k matrix, an
+    m-vector and a scalar, 0 to 4 of each, with int and Fraction entries; a
+    row of each matrix may be zero, and ``c`` may be 0."""
     def mat(rows, cols):
         m = [draw(st.lists(big, min_size=cols, max_size=cols)) for _ in range(rows)]
         if rows and draw(st.booleans()):
             m[draw(st.integers(0, rows - 1))] = [0] * cols
-        return Matrix(tuple(map(tuple, m)), cols)
+        return Matrix.from_rows(m, cols)
 
     k, m, n = (draw(st.integers(0, 4)) for _ in range(3))
-    return mat(k, m), mat(m, n), tuple(draw(st.lists(big, min_size=m, max_size=m)))
+    return (mat(k, m), mat(m, n), mat(m, n), mat(k, k), tuple(draw(st.lists(big, min_size=m, max_size=m))),
+            draw(big))
 
 
 @settings(max_examples=200, deadline=None)
 @given(products())
-@example((Z(3, 0), Z(0, 2), ()))
-@example((Z(0, 3), Z(3, 2), (1, F(-1, 10**6), 0)))
-@example((Z(2, 3), Z(3, 0), (0, 0, 0)))
-@example((Matrix(((1, 0), (0, 0)), 2), Matrix(((F(1, 999983), 2), (3, F(-7, 10**6))), 2), (F(1, 3), -2)))
+@example((Z(3, 0), Z(0, 2), Z(0, 2), Z(3, 3), (), 0))
+@example((Z(0, 3), Z(3, 2), R([[1, 0], [0, F(1, 2)], [5, 5]]), Z(0, 0), (1, F(-1, 10**6), 0), F(1, 3)))
+@example((Z(2, 3), Z(3, 0), Z(3, 0), R([[2, 0], [0, 2]]), (0, 0, 0), -1))
+@example((R([[1, 0], [0, 0]]), R([[F(1, 999983), 2], [3, F(-7, 10**6)]]), R([[F(1, 999983), 2], [0, 1]]),
+          R([[1, 2], [3, 5]]), (F(1, 3), -2), F(-7, 2)))
 def test_products_match_the_fraction_loops(case):
-    a, b, x = case
+    a, b, c, sq, x, s = case
     prod = a.mul(b)
     assert prod == oracles.fraction_mul(a, b)
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
     image = a.apply(x)
     assert image == oracles.fraction_apply(a, x)
     assert all(type(v) is Fraction for v in image) and all(type(v) is Fraction for r in prod.entries for v in r)
+    blocks = (b, c, Matrix.zero(1, b.cols), b.scale(F(1, 6)))
+    assert Matrix.stack(blocks, b.cols) == oracles.fraction_stack(blocks, b.cols)
+    assert b.sub(c) == oracles.fraction_sub(b, c)
+    assert b.scale(s) == oracles.fraction_scale(b, s)
+    assert b.scale(0) == oracles.fraction_scale(b, 0) == Matrix.zero(b.rows, b.cols)
+    assert a.transpose() == oracles.fraction_transpose(a)
+    assert (a.rank(), b.rank()) == (oracles.fraction_rank(a), oracles.fraction_rank(b))
+    assert inverse(sq) == oracles.inverse(sq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.lists(big, min_size=n, max_size=n),
+                                                                         max_size=4))),
+       st.integers(1, 12))
+@example((0, [[], []]), 3)
+@example((2, [[0, 0], [4, 6]]), 2)
+@example((2, [[F(1, 2), F(3, 4)], [F(-1, 4), 2]]), 12)
+def test_equal_grids_are_equal_matrices_in_lowest_terms(case, k):
+    """Int against Fraction entries, and the same values built with a common
+    factor ``k`` that ``scale`` then pulls out, give one stored form."""
+    n, rows = case
+    grids = [Matrix.from_rows(rows, n),
+             Matrix.from_rows([[F(x) for x in r] for r in rows], n),
+             Matrix.from_rows([[x * k for x in r] for r in rows], n).scale(F(1, k)),
+             Matrix.from_rows([[F(x, k) for x in r] for r in rows], n).scale(k)]
+    m = grids[0]
+    assert all(g == m and hash(g) == hash(m) for g in grids)
+    assert m.den > 0 and gcd(m.den, *(x for r in m.ints for x in r)) == 1
+    assert m.entries == tuple(tuple(F(x) for x in r) for r in rows)
 
 
 @st.composite

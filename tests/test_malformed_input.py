@@ -258,7 +258,7 @@ def test_net_and_colouring_documents_are_checked():
             io.net_from_doc({**net, key: bad})
     colouring = {"format": io.FORMAT, "kind": "discrete", "colours": 2,
                  "table": [{"matrix": [["1"]], "value": 0}, {"matrix": [["-1"]], "value": 1}]}
-    assert io.colouring_from_doc(colouring).table[1] == (((F(-1),),), 1)
+    assert io.colouring_from_doc(colouring).table[1] == (Matrix.from_rows([[-1]]), 1)
     clamp = {"format": io.FORMAT, "kind": "continuous", "level": 1, "builtin": ["coordinate-clamp", "0"]}
     assert io.colouring_from_doc(clamp).builtin == ("coordinate-clamp", 0)
     for doc in ({**colouring, "kind": "x"}, {**colouring, "colours": "2"},
@@ -307,6 +307,21 @@ def test_malformed_colouring_files_fail_with_format_error():
     # a well-formed coordinate the net's points do not have
     rc, err = _oscillate({**clamp, "builtin": ["coordinate-clamp", "7"]})
     assert (rc, json.loads(err)["error"]) == (2, "UndefinedPoint")
+
+
+def test_clamp_on_a_net_out_of_the_zero_space_is_an_undefined_point(tmp_path):
+    """A map out of the zero space has no column for ``coordinate-clamp`` to
+    read: exit 2 with ``UndefinedPoint``, as a table missing a point does."""
+    zero = {"format": io.FORMAT, "dim": 0, "graded": False, "seminorms": [{"functionals": []}]}
+    io.write_json(tmp_path / "net.json", {"format": io.FORMAT, "domain": zero,
+                                          "codomain": io.space_to_doc(line_space(1)), "points": [[[]], [[]]]})
+    io.write_json(tmp_path / "c.json", {"format": io.FORMAT, "kind": "continuous",
+                                        "builtin": ["coordinate-clamp", "0"]})
+    err = stdio.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+        rc = main(["ramsey", "oscillate", "--net", str(tmp_path / "net.json"),
+                   "--colouring", str(tmp_path / "c.json")])
+    assert (rc, json.loads(err.getvalue())["error"]) == (2, "UndefinedPoint")
 
 
 def test_net_points_that_are_not_exact_embeddings_fail_with_format_error(tmp_path):
