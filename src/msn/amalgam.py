@@ -20,7 +20,9 @@ block inclusions and the certificate: the operator seminorms of [f; -g]
 (``_stacked``, built once per pushout).  ``_coupling`` puts the stored
 integer rows of [f; -g] and the coupling constant over one lcm, so each
 coupled level stays in integers from the dual-ball facets through the
-vertex rows to the stored rows of the kept functionals, and builds no Fraction.
+vertex rows to ``seminorms._from_rows``.  The bands, the sum levels and
+the rescaled levels are built there too, from the stored rows of their
+inputs, so no Fraction is built.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from msn.linalg import Matrix, Vec, frac
 from msn.lp import solve_lp
 from msn.maps import LinearMap, compose, identity_map, is_embedding, map_distance, operator_seminorm
 from msn.polytope import vertex_rows
-from msn.seminorms import PolyhedralSeminorm, _dominant, dual_ball_facets, quotient_norm
+from msn.seminorms import PolyhedralSeminorm, _from_rows, dual_ball_facets, quotient_norm
 from msn.spaces import (
     MultiSpace,
-    _pad_functionals,
+    _pad_rows,
     extend_with_norm,
     is_graded_sequence,
     is_separated,
@@ -102,11 +104,11 @@ def _band(Y: MultiSpace, Z: MultiSpace, n: int, prev: PolyhedralSeminorm | None)
     graded mode) when given.
     """
     total = Y.dim + Z.dim
-    funcs = _pad_functionals(Y.seminorms[n].functionals, 0, total) if n < Y.length else []
-    funcs += _pad_functionals(Z.seminorms[n].functionals, Y.dim, total)
+    rows = _pad_rows(Y.seminorms[n].rows, 0, total) if n < Y.length else []
+    rows += _pad_rows(Z.seminorms[n].rows, Y.dim, total)
     if prev is not None:
-        funcs += prev.functionals
-    return PolyhedralSeminorm.from_functionals(total, funcs)
+        rows += prev.rows
+    return _from_rows(total, rows)
 
 
 def _stacked(f: LinearMap, g: LinearMap) -> Matrix:
@@ -144,8 +146,7 @@ def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     shared dual ball (facet ``a`` gives the row ``fg a`` = (f a, -g a));
     its vertex list is the functional family.  All in integers: the
     facets are primitive rows, ``coupling`` is ``_coupling(fg, c)``, and
-    the vertex rows go to ``_dominant`` over their common denominator,
-    whose rows the seminorm stores; no Fraction is built.
+    the vertex rows go to ``_from_rows``.
     """
     dy, dz = Y.dim, Z.dim
     total = dy + dz
@@ -153,9 +154,7 @@ def _coupled_level(Y: MultiSpace, Z: MultiSpace, X: MultiSpace,
     rows = [(a + (0,) * dz, b) for a, b in dual_ball_facets(Y.seminorms[n])]
     rows += [((0,) * dy + a, b) for a, b in dual_ball_facets(Z.seminorms[n])]
     rows += [(tuple(sum(map(mul, r, a)) for r in fgi), ci * b) for a, b in dual_ball_facets(X.seminorms[n])]
-    verts = vertex_rows(rows, total)
-    m = lcm(*(t for _, t in verts))
-    return PolyhedralSeminorm(total, tuple(_dominant(([x * (m // t) for x in xs] for xs, t in verts), m)))
+    return _from_rows(total, vertex_rows(rows, total), reduce=False)
 
 
 def primal_pushout_value(Y, Z, X, f, g, n, c, y: Vec, z: Vec) -> Fraction:
@@ -320,11 +319,10 @@ def rescale_expansive(X: MultiSpace, delta) -> MultiSpace:
         raise BadArgument("delta must be nonnegative")
     if delta == 0:
         return X
-    factor = Fraction(1, 1) / (1 + delta)
-    sems = []
-    for s in X.seminorms:
-        funcs = [tuple(factor * x for x in f) for f in s.functionals]
-        sems.append(PolyhedralSeminorm.from_functionals(X.dim, funcs, reduce=False))
+    # ints / s divided by 1 + delta = p / q is (ints * q) / (s * p).
+    p, q = (1 + delta).as_integer_ratio()
+    sems = (_from_rows(X.dim, [(tuple(x * q for x in ia), s * p) for ia, s in sem.rows], reduce=False)
+            for sem in X.seminorms)
     return MultiSpace(tuple(sems), X.graded)
 
 
@@ -350,21 +348,19 @@ def pushout_n_preserving(X: MultiSpace, Y: MultiSpace, Z: MultiSpace,
         if not ok:
             raise NotAnNEmbedding(f"{name} does not preserve the first {n} levels exactly", wit)
 
-    dy, dz = Y.dim, Z.dim
-    total = dy + dz
     fg = _stacked(f, g)
     coupling = _coupling(fg, eps)
     sems = []
     for m in range(Z.length):
+        ry, rz = Y.seminorms[m].rows, Z.seminorms[m].rows
         if m < n:
             sems.append(_coupled_level(Y, Z, X, coupling, m))
-        else:
-            fy, fz = Y.seminorms[m].functionals, Z.seminorms[m].functionals
-            if fy and fz:  # the sum seminorm: every a + b and a - b
-                funcs = [tuple(a) + sb for a in fy for b in fz for sb in (tuple(b), tuple(-x for x in b))]
-            else:  # one factor is zero at this level: the other's seminorm
-                funcs = _pad_functionals(fy, 0, total) + _pad_functionals(fz, dy, total)
-            sems.append(PolyhedralSeminorm.from_functionals(total, funcs))
+        elif ry and rz:  # the sum seminorm: every a/s + b/t and a/s - b/t
+            rows = [(tuple(x * t for x in a) + tuple(x * sg * s for x in b), s * t)
+                    for a, s in ry for b, t in rz for sg in (1, -1)]
+            sems.append(_from_rows(Y.dim + Z.dim, rows))
+        else:  # one factor is zero at this level: the other's seminorm, their block max
+            sems.append(_band(Y, Z, m, None))
     graded = X.graded and Y.graded and Z.graded
     W = MultiSpace(tuple(sems), graded and is_graded_sequence(tuple(sems)))
     return _direct_sum(X, Y, Z, W, fg, n, Fraction(0), eps)

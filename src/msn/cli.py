@@ -86,7 +86,7 @@ def cmd_space_quotient(args):
     doc = {
         "projection": io.matrix_to_doc(q.projection),
         "lift": io.matrix_to_doc(q.lift),
-        "norm": {"functionals": [[io.rat_to_str(x) for x in f] for f in q.norm.functionals]},
+        "norm": io.seminorm_to_doc(q.norm),
     }
     _emit(doc, args.out, "quotient.json")
     return 0

@@ -112,15 +112,16 @@ def _rat_list(doc, what: str) -> tuple[Fraction, ...]:
     return tuple(rat_from_str(x) for x in doc)
 
 
+def seminorm_to_doc(s: PolyhedralSeminorm) -> dict:
+    return {"functionals": [[_ratio_str(x, d) for x in ia] for ia, d in s.rows]}
+
+
 def space_to_doc(X: MultiSpace) -> dict:
     return {
         "format": FORMAT,
         "dim": X.dim,
         "graded": X.graded,
-        "seminorms": [
-            {"functionals": [[_ratio_str(x, d) for x in ia] for ia, d in s.rows]}
-            for s in X.seminorms
-        ],
+        "seminorms": [seminorm_to_doc(s) for s in X.seminorms],
     }
 
 

@@ -138,9 +138,6 @@ class Matrix:
     def rows(self) -> int:
         return len(self.ints)
 
-    def col(self, j: int) -> Vec:
-        return tuple(Fraction(r[j], self.den) for r in self.ints)
-
     def apply(self, x: Vec) -> Vec:
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} into {self.rows}x{self.cols}")

@@ -5,13 +5,9 @@ when either is zero, so maps out of or into the zero-dimensional space
 apply, compose and subtract like any other.
 
 Operator seminorms are computed exactly as gauges, in integers.  At level
-m the codomain functionals are pulled back along the map
-(``_pullbacks``: the nonzero rows of the matrix's stored integers, the
-coordinates the map reaches, and one integer dot per stored row and
-column over those coordinates only), and ``seminorms._dominant`` keeps, of the
-distinct pullbacks, one per +/- direction, the largest, as an integer row with its scale, the
-``_scale_to_int`` form that ``lp.gauge_max`` takes and in which every
-seminorm stores its functionals.  The operator seminorm is the largest gauge of a
+m the codomain's stored rows are pulled back along the map
+(``seminorms._pullbacks``), one integer row per +/- direction, the form
+``lp.gauge_max`` takes.  The operator seminorm is the largest gauge of a
 pullback over the domain's unit ball, and the lower constant is the
 reciprocal of the largest gauge of a domain functional over the
 pullbacks' ball; each is one ``gauge_max`` call, which also yields a
@@ -41,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from msn.errors import BadArgument, BadLevel, LengthMismatch, ShapeMismatch
@@ -58,7 +53,7 @@ from msn.linalg import (
     zero_vec,
 )
 from msn.lp import gauge_max
-from msn.seminorms import _dominant, seminorm_kernel
+from msn.seminorms import _pullbacks, seminorm_kernel
 from msn.spaces import MultiSpace, invariant_alpha, joint_kernel, pullback_space
 
 
@@ -97,32 +92,6 @@ def map_sub(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(f.domain, f.codomain, f.matrix.sub(g.matrix))
 
 
-def _pullbacks(f: LinearMap, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """Codomain level-m functionals composed with f, deduplicated, as integer rows.
-
-    One representative per +/- direction, the largest multiple of it:
-    defines the same pulled-back seminorm with a usually much shorter
-    list.  ``theta . f`` reads only the coordinates f reaches, the
-    nonzero rows of the matrix's stored integers.  Each distinct
-    pullback, one integer dot per column over the lcm of the row scales
-    times the matrix's denominator, goes to ``seminorms._dominant``, whose
-    rows do not depend on that denominator or on their order: the
-    ``_scale_to_int`` form, sorted as their Fractions would sort.
-    """
-    ints = f.matrix.ints
-    support = [i for i, r in enumerate(ints) if any(r)]
-    if not support:
-        return []
-    columns = list(zip(*(ints[i] for i in support)))
-    rows = f.codomain.seminorms[m].rows
-    t = lcm(*(s for _, s in rows))
-    # theta . f, theta = a / s, is the integer vector (a . f) * (t // s) over
-    # t * den, read on the reached entries of a; _dominant drops zero pullbacks.
-    pulled = {tuple(sum(map(mul, a, col)) * (t // s) for col in columns)
-              for a, s in (([ia[i] for i in support], s) for ia, s in rows)}
-    return _dominant(pulled, t * f.matrix.den)
-
-
 def _is_identity_on_level(f: LinearMap, m: int) -> bool:
     return f.matrix == Matrix.identity(f.domain.dim) and f.domain.seminorms[m] == f.codomain.seminorms[m]
 
@@ -133,7 +102,7 @@ def _level_rows(f: LinearMap, m: int):
     if not 0 <= m < f.domain.length:
         raise BadLevel(f"level {m} outside 0..{f.domain.length - 1}")
     dom = f.domain.seminorms[m]
-    return dom, dom.rows, _pullbacks(f, m)
+    return dom, dom.rows, _pullbacks(f.codomain.seminorms[m], f.matrix)
 
 
 def _escape(rows, other, d: int) -> Vec:

@@ -29,8 +29,8 @@ from msn.errors import (
 from msn.linalg import Matrix, Vec
 from msn.maps import LinearMap, compose, is_embedding, map_distance, sup_distance
 from msn.polytope import vertex_rows
-from msn.seminorms import PolyhedralSeminorm, quotient_norm
-from msn.spaces import MultiSpace, _pad_functionals, joint_kernel, product_space
+from msn.seminorms import _from_rows, quotient_norm
+from msn.spaces import MultiSpace, _pad_rows, joint_kernel, product_space
 
 
 def _map_metric(f: LinearMap, g: LinearMap) -> Fraction:
@@ -193,7 +193,7 @@ class Colouring:
                 raise UndefinedPoint(f"coordinate {coord} outside the codomain of dimension {f.matrix.rows}")
             if not f.matrix.cols:
                 raise UndefinedPoint("a map out of the zero space has no coordinate to clamp")
-            return min(Fraction(1), max(Fraction(0), f.matrix.col(0)[coord]))
+            return min(Fraction(1), max(Fraction(0), Fraction(f.matrix.ints[coord][0], f.matrix.den)))
         raise UndefinedPoint(f"unknown builtin colouring {name!r}")
 
 
@@ -330,8 +330,7 @@ def quotient_lift(c, X: MultiSpace, Z: MultiSpace):
     Xq = MultiSpace((q.norm,))
     pi = LinearMap(X, Xq, q.projection)
     total = 2 * Z.dim
-    padded_funcs = _pad_functionals(Z.seminorms[0].functionals, 0, total)
-    padded = MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False),))
+    padded = MultiSpace((_from_rows(total, _pad_rows(Z.seminorms[0].rows, 0, total), reduce=False),))
     embed_pad = LinearMap(Z, padded, Matrix.stack((Matrix.identity(Z.dim), Matrix.zero(Z.dim, Z.dim)), Z.dim))
 
     def lifted(gamma: LinearMap):

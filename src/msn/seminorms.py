@@ -9,14 +9,19 @@ denominator), with redundant members (those inside the convex hull of
 the others and their negatives) removed by exact LP membership tests on
 those rows.  A list of at most ``dim`` independent rows, where no member
 can be redundant, is settled by one ``echelon_int`` rank test instead.
-``from_functionals`` builds no Fraction; ``functionals`` is the Fraction
-view, built on each read.  Every seminorm, the sup norm included, leaves
-``from_functionals`` in this canonical order, so a saved and reloaded
-seminorm is the same value.  The empty family encodes the zero
-seminorm, and ``from_functionals`` builds it from an empty list like any
-other, so callers need no special case.  Evaluation is in integers: each
-call scales ``x`` once, takes one integer dot per row over the lcm of
-the row scales and builds one ``Fraction`` at the end.
+``_from_rows`` is the one constructor: every construction (quotients,
+pullbacks, products, closures, bands and pushout levels) builds from
+the stored rows of its inputs through it, and ``from_functionals``, for
+files and other Fraction input, scales its list once and calls it.  No
+Fraction is built; ``functionals`` is the Fraction view, built on each
+read.  Every seminorm, the sup norm included, leaves ``_from_rows`` in
+this canonical order, so a saved and reloaded seminorm is the same
+value.  The empty family encodes the zero seminorm, built from an empty
+list like any other, so callers need no special case.  Evaluation and
+the kernel are in integers: each call scales ``x`` once, takes one
+integer dot per row over the lcm of the row scales and builds one
+``Fraction`` at the end.  ``_pullbacks`` composes the rows with a matrix,
+for ``spaces.pullback_space`` and the operator seminorms of ``maps``.
 The dual ball, the symmetric hull of the functionals, is used through
 its facets (``dual_ball_facets``, primitive integer rows), the one
 memoised function in the package.
@@ -35,11 +40,11 @@ from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
     Vec,
+    _int_nullspace,
     _primitive_direction,
     _scale_to_int,
     coordinate_complement,
     inverse,
-    nullspace,
     vec,
     zero_vec,
 )
@@ -93,22 +98,9 @@ class PolyhedralSeminorm:
             raise DimensionMismatch("functional arity != dim")
         if not all(map(any, funcs)):
             raise ValueError("zero functionals are not stored; use the empty list")
-        # The whole list over one common denominator m, so _dominant's
-        # integer sizes and order are those of the Fractions.
+        # The whole list over one common denominator m, in one pass.
         flat, m = _scale_to_int([x for f in funcs for x in f])
-        rows = _dominant((flat[i * dim:(i + 1) * dim] for i in range(len(funcs))), m)
-        # Independent rows (at most dim, of full rank) are all kept: none
-        # lies in the span of the others, let alone in their hull.
-        if reduce and len(rows) > 1 and not _independent(rows, dim):
-            i = 0
-            while i < len(rows):
-                # Redundant iff in conv(the others and their negatives).
-                scale = gauge_scale(rows[i], rows[:i] + rows[i + 1:])
-                if scale is not None and scale <= 1:
-                    rows.pop(i)
-                else:
-                    i += 1
-        return PolyhedralSeminorm(dim, tuple(rows))
+        return _from_rows(dim, [(flat[i * dim:(i + 1) * dim], m) for i in range(len(funcs))], reduce)
 
     @staticmethod
     def zero(dim: int) -> "PolyhedralSeminorm":
@@ -116,7 +108,7 @@ class PolyhedralSeminorm:
 
     @staticmethod
     def linf(dim: int) -> "PolyhedralSeminorm":
-        return PolyhedralSeminorm.from_functionals(dim, Matrix.identity(dim).entries)
+        return _from_rows(dim, [(r, 1) for r in Matrix.identity(dim).ints])
 
     def __call__(self, x) -> Fraction:
         """``max |f . x|`` in integers: one scaling of ``x`` per call."""
@@ -136,9 +128,54 @@ class PolyhedralSeminorm:
         return not self.rows
 
 
+def _from_rows(dim: int, rows, reduce: bool = True) -> PolyhedralSeminorm:
+    """The canonical seminorm of the functionals ``ints / s`` of the rows ``(ints, s)``.
+
+    The rows go over the lcm of their scales, so ``_dominant``'s integer
+    sizes and order are those of the Fractions; it keeps one row per +/-
+    direction, and zero rows drop out.  With ``reduce``, the members
+    inside the convex hull of the others and their negatives are removed.
+    """
+    rows = list(rows)
+    m = lcm(*(s for _, s in rows))
+    rows = _dominant((ia if s == m else [x * (m // s) for x in ia] for ia, s in rows), m)
+    # Independent rows (at most dim, of full rank) are all kept: none
+    # lies in the span of the others, let alone in their hull.
+    if reduce and len(rows) > 1 and not _independent(rows, dim):
+        i = 0
+        while i < len(rows):
+            # Redundant iff in conv(the others and their negatives).
+            scale = gauge_scale(rows[i], rows[:i] + rows[i + 1:])
+            if scale is not None and scale <= 1:
+                rows.pop(i)
+            else:
+                i += 1
+    return PolyhedralSeminorm(dim, tuple(rows))
+
+
+def _pullbacks(s: PolyhedralSeminorm, mat: Matrix) -> list[tuple[tuple[int, ...], int]]:
+    """The functionals of ``s`` composed with ``mat``, one ``_dominant`` row per +/- direction.
+
+    ``theta . mat`` reads only the coordinates ``mat`` reaches, the
+    nonzero rows of its stored integers: one integer dot per column, over
+    the lcm of the row scales times the matrix's denominator.
+    """
+    ints = mat.ints
+    support = [i for i, r in enumerate(ints) if any(r)]
+    if not support:
+        return []
+    columns = list(zip(*(ints[i] for i in support)))
+    t = lcm(*(u for _, u in s.rows))
+    # theta . mat, theta = a / u, is the integer vector (a . mat) * (t // u)
+    # over t * den, read on the reached entries of a; _dominant drops zero pullbacks.
+    pulled = {tuple(sum(map(mul, a, col)) * (t // u) for col in columns)
+              for a, u in (([ia[i] for i in support], u) for ia, u in s.rows)}
+    return _dominant(pulled, t * mat.den)
+
+
 def seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:
-    """Canonical basis of {x : s(x) = 0}."""
-    return nullspace(Matrix.from_rows(s.functionals, s.dim))
+    """Canonical basis of {x : s(x) = 0}: the kernel of the stored integer rows."""
+    return [tuple(map(Fraction, v)) for v in _int_nullspace([ia for ia, _ in s.rows], s.dim)]
 
 
 @lru_cache(maxsize=1024)
@@ -176,5 +213,5 @@ def quotient_norm(s: PolyhedralSeminorm) -> QuotientNorm:
     units = [eye[j] for j in comp]
     Minv = inverse(Matrix.from_rows(ker + units, d).transpose())
     lift = Matrix.from_rows(units, d).transpose()
-    norm = PolyhedralSeminorm.from_functionals(len(comp), [tuple(f[j] for j in comp) for f in s.functionals])
+    norm = _from_rows(len(comp), [(tuple(ia[j] for j in comp), u) for ia, u in s.rows])
     return QuotientNorm(projection=Matrix.from_rows(Minv.entries[len(ker):], d), lift=lift, norm=norm)

@@ -4,7 +4,9 @@ A space is a finite-dimensional rational coordinate space carrying a
 nonempty finite sequence of polyhedral seminorms, optionally flagged as
 graded (pointwise non-decreasing in the level index).  The graded flag is
 validated on construction via exact dual-ball containment, one gauge LP
-per pair of consecutive levels (``_level_dominates``).
+per pair of consecutive levels (``_level_dominates``).  The norm
+extension, graded closure, products and pullbacks build from the stored
+rows of their inputs through ``seminorms._from_rows``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from msn import _kernel
 from msn.errors import ArityMismatch, BadLength, DimensionMismatch
 from msn.linalg import Matrix, Vec, _int_nullspace
 from msn.lp import gauge_max
-from msn.seminorms import PolyhedralSeminorm
+from msn.seminorms import PolyhedralSeminorm, _from_rows, _pullbacks
 
 
 def _level_dominates(lo: PolyhedralSeminorm, hi: PolyhedralSeminorm) -> bool:
@@ -128,12 +130,10 @@ def is_separated(X: MultiSpace) -> bool:
 
 def extend_with_norm(X: MultiSpace) -> MultiSpace:
     """Append a norm level: coordinate sup norm, or its running max if graded."""
-    linf = PolyhedralSeminorm.linf(X.dim)
+    new = PolyhedralSeminorm.linf(X.dim)
     if X.graded:
-        last = X.seminorms[-1]
-        new = PolyhedralSeminorm.from_functionals(X.dim, last.functionals + linf.functionals)
-        return MultiSpace.make(X.seminorms + (new,), graded=True)
-    return MultiSpace.make(X.seminorms + (linf,), graded=False)
+        new = _from_rows(X.dim, X.seminorms[-1].rows + new.rows)
+    return MultiSpace.make(X.seminorms + (new,), graded=X.graded)
 
 
 def truncate(X: MultiSpace, k: int) -> MultiSpace:
@@ -147,15 +147,16 @@ def truncate(X: MultiSpace, k: int) -> MultiSpace:
 def graded_closure(X: MultiSpace) -> MultiSpace:
     """Replace level n by the running max of levels <= n."""
     sems = []
-    acc: tuple[Vec, ...] = ()
+    acc = ()
     for s in X.seminorms:
-        acc = acc + tuple(s.functionals)
-        sems.append(PolyhedralSeminorm.from_functionals(X.dim, acc))
+        acc += s.rows
+        sems.append(_from_rows(X.dim, acc))
     return MultiSpace(tuple(sems), graded=True)
 
 
-def _pad_functionals(funcs, offset: int, total: int):
-    return [(0,) * offset + tuple(f) + (0,) * (total - offset - len(f)) for f in funcs]
+def _pad_rows(rows, offset: int, total: int):
+    """The rows ``(ints, s)`` as functionals on ``total`` coordinates, from coordinate ``offset`` on."""
+    return [((0,) * offset + ia + (0,) * (total - offset - len(ia)), s) for ia, s in rows]
 
 
 def product_space(factors) -> MultiSpace:
@@ -175,8 +176,7 @@ def product_space(factors) -> MultiSpace:
     sems = []
     off = 0
     for f in factors:
-        padded = _pad_functionals(f.seminorms[0].functionals, off, total)
-        sems.append(PolyhedralSeminorm.from_functionals(total, padded, reduce=False))
+        sems.append(_from_rows(total, _pad_rows(f.seminorms[0].rows, off, total), reduce=False))
         off += f.dim
     return MultiSpace(tuple(sems), graded=False)
 
@@ -192,9 +192,5 @@ def pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:
         raise DimensionMismatch("lift target dimension != space dimension")
     if lift.rank() != m:
         raise DimensionMismatch("lift columns are dependent")
-    sems = []
-    for s in X.seminorms:
-        restricted = Matrix.from_rows(s.functionals, X.dim).mul(lift).entries
-        restricted = [f for f in restricted if any(x != 0 for x in f)]
-        sems.append(PolyhedralSeminorm.from_functionals(m, restricted))
-    return MultiSpace(tuple(sems), graded=X.graded and is_graded_sequence(tuple(sems)))
+    sems = tuple(_from_rows(m, _pullbacks(s, lift)) for s in X.seminorms)
+    return MultiSpace(sems, graded=X.graded and is_graded_sequence(sems))

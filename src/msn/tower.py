@@ -258,7 +258,7 @@ class BackForthRecord:
 def _seed_object(tower: Tower, stage_index: int, length: int) -> MultiSpace:
     """1-dimensional subspace spanned by the first generator of a stage."""
     stage = tower.stages[stage_index]
-    col = Matrix.from_rows([[x] for x in Matrix.identity(stage.dim).col(0)])
+    col = Matrix(tuple((int(i == 0),) for i in range(stage.dim)), 1, 1)
     return truncate(pullback_space(stage, col), length)
 
 

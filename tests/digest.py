@@ -32,6 +32,11 @@ It also covers paths the benchmark inputs barely reach (seeded inputs from
 * ``quotient_norm`` of every level and ``pullback_space`` along the first
   columns of a random invertible matrix, on random spaces;
 * ``product_amalgam`` on separated block-embedding triples;
+* ``graded_closure`` and ``rescale_expansive`` of random spaces, the padded
+  space and quotient of ``quotient_lift``, ``pushout_n_preserving`` at
+  every cutoff on equal-length block-embedding triples, and
+  ``pushout(..., graded=True)`` on graded triples whose upper bands are
+  joined with the level below;
 * ``back_and_forth`` of two ``line_space(1)``, ``line_space(2)`` towers
   (seeds 11 and 12, dimension cap 4), and four steps from level 3 of the
   loaded seed-3 and seed-12345 towers above, where the chain dimensions
@@ -66,14 +71,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import msn.io  # noqa: E402
 from genhelpers import block_embedding_triple, image_space, random_invertible, random_space  # noqa: E402
-from msn.amalgam import product_amalgam  # noqa: E402
+from msn.amalgam import product_amalgam, pushout, pushout_n_preserving, rescale_expansive  # noqa: E402
 from msn.errors import EmptyEmbeddingSet  # noqa: E402
 from msn.linalg import Matrix  # noqa: E402
 from msn.maps import LinearMap, bm_upper_bound, build_iso_from_invariant  # noqa: E402
 from msn.polytope import polytope_facets  # noqa: E402
-from msn.ramsey import build_net, discrete_table, search_monochromatic  # noqa: E402
+from msn.ramsey import build_net, discrete_table, quotient_lift, search_monochromatic  # noqa: E402
 from msn.seminorms import PolyhedralSeminorm, quotient_norm  # noqa: E402
-from msn.spaces import is_separated, line_space, pullback_space  # noqa: E402
+from msn.spaces import MultiSpace, graded_closure, is_separated, line_space, pullback_space  # noqa: E402
 from msn.tower import back_and_forth, build_tower, verify_tower  # noqa: E402
 from test_acceptance import _hexagon, _sphere_witness_candidates  # noqa: E402
 from workloads import Amalgam, Certify  # noqa: E402
@@ -155,6 +160,29 @@ def _product_amalgams(h) -> None:
             done += 1
 
 
+def _constructions(h) -> None:
+    rng = random.Random(SEED + 4)
+    for _ in range(12):
+        dim = rng.randint(0, 3)
+        X = random_space(rng, dim, rng.randint(1, 3))
+        Z = random_space(rng, rng.randint(0, 3), 1)
+        Xq, pi, padded, embed_pad, _ = quotient_lift(None, MultiSpace(X.seminorms[:1]), Z)
+        h.update(repr((graded_closure(X), [rescale_expansive(X, Fraction(k, 3)) for k in range(3)],
+                       Xq, pi.matrix, padded, embed_pad.matrix)).encode())
+    for graded in (False, True):
+        for _ in range(8):
+            lam = rng.randint(1, 3)
+            lam_z = rng.randint(lam + 1, 4) if graded else lam
+            X, Y, Z, f, g = block_embedding_triple(
+                rng, rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1), lam,
+                rng.randint(lam, lam_z) if graded else lam, lam_z, graded=graded)
+            if graded:
+                res = [pushout(X, Y, Z, f, g, 0, Fraction(1, 8), graded=True)]
+            else:
+                res = [pushout_n_preserving(X, Y, Z, f, g, n, Fraction(1, 8)) for n in range(lam + 1)]
+            h.update(repr([(r.space, r.bound_certificate) for r in res]).encode())
+
+
 def _back_and_forth(h, towers: dict) -> None:
     a, b = (build_tower((line_space(1), line_space(2)), [Fraction(0)], 4, seed=s, dim_cap=4) for s in (11, 12))
     h.update(repr(back_and_forth(a, b, steps=2, start_level=3)).encode())
@@ -175,7 +203,8 @@ def _nets(h) -> None:
 def _criterion_8_search(h) -> None:
     q, res = _hexagon()
     net_xz, net_xy = build_net(q, res.space, Fraction(3, 4)), build_net(q, q, 2)
-    cands = _sphere_witness_candidates(res.space, [p.matrix.col(0) for p in net_xz.points], Fraction(1, 2))
+    firsts = [tuple(r[0] for r in p.matrix.entries) for p in net_xz.points]
+    cands = _sphere_witness_candidates(res.space, firsts, Fraction(1, 2))
     candidates = [res.leg_y, res.leg_z] + [LinearMap(q, res.space, Matrix.from_rows([[x] for x in v]))
                                            for v in cands]
     n = len(net_xz.points)
@@ -200,6 +229,7 @@ def main() -> str:
     _isos(h)
     _quotients_and_pullbacks(h)
     _product_amalgams(h)
+    _constructions(h)
     _back_and_forth(h, towers)
     _nets(h)
     _criterion_8_search(h)

@@ -6,7 +6,7 @@ cone-ray enumeration, 1-D breakpoint minimisation, the full-tableau
 integer simplex (``full_pivot``/``full_bland_min``, one column per
 variable) that the condensed kernel in ``msn._kernel`` replaced, and
 the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
-``msn.maps`` replaced, the Fraction seminorm value
+``msn.seminorms`` replaced, the Fraction seminorm value
 (``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
 replaced, the Fraction front end of ``from_functionals``
 (``fraction_front_end``) that the integer ``seminorms._dominant``
@@ -35,7 +35,10 @@ names and the Fraction transpose.  ``fraction_transpose``, ``fraction_sub``,
 ``fraction_scale`` and ``fraction_rank`` are the Fraction loops that
 ``Matrix`` ran when it stored Fraction entries, with the ``vec_sub`` and
 ``vec_scale`` they called; ``fraction_stack`` is the ``entries``
-concatenation that ``Matrix.stack`` replaced.
+concatenation that ``Matrix.stack`` replaced.  The ``fraction_*``
+constructions at the end are those that now build from the stored
+integer rows through ``seminorms._from_rows``, as they were when they
+read the Fraction view and called ``from_functionals``.
 """
 
 from fractions import Fraction
@@ -44,9 +47,10 @@ from itertools import product as iproduct
 from math import gcd, lcm
 from operator import mul
 
-from msn import _kernel, ramsey
+from msn import _kernel, linalg, ramsey
 from msn._kernel import _row_primitive
 from msn.errors import (
+    ArityMismatch,
     BadArgument,
     DimensionMismatch,
     EmptyEmbeddingSet,
@@ -59,14 +63,15 @@ from msn.linalg import (
     _primitive_direction,
     _scale_to_int,
     dot,
+    frac,
     int_rows,
     vec_add,
     zero_vec,
 )
 from msn.maps import LinearMap, compose, is_embedding
 from msn.polytope import polytope_vertices
-from msn.seminorms import PolyhedralSeminorm, dual_ball_facets
-from msn.spaces import joint_kernel
+from msn.seminorms import PolyhedralSeminorm, QuotientNorm, dual_ball_facets
+from msn.spaces import MultiSpace, is_graded_sequence, joint_kernel
 
 
 def _rref(rows, cols):
@@ -283,7 +288,7 @@ def full_lp(objective, rows):
 
 
 def fraction_pullbacks(entries, functionals):
-    """The functional list of ``maps._pullbacks`` in Fraction arithmetic.
+    """The functional list of ``seminorms._pullbacks`` in Fraction arithmetic.
 
     ``theta . M`` for every codomain functional ``theta`` and matrix ``M``
     (rows ``entries``); zero ones dropped, each signed so that its first
@@ -736,3 +741,135 @@ def fraction_rank(self: Matrix) -> int:
 
 def fraction_stack(blocks, cols: int) -> Matrix:
     return Matrix.from_rows([r for m in blocks for r in m.entries], cols)
+
+
+# The constructions as they were when each read the Fraction view of its
+# inputs' rows (``functionals``, or ``Matrix.entries`` for the sup norm)
+# and built its result through ``from_functionals``: ``seminorms.linf``,
+# ``seminorm_kernel`` and ``quotient_norm``; ``spaces.extend_with_norm``,
+# ``graded_closure``, ``product_space`` and ``pullback_space`` with the
+# ``_pad_functionals`` they called; ``amalgam._band``,
+# ``rescale_expansive`` and the sum level of ``pushout_n_preserving``
+# (from the cutoff on); and the padded space of ``ramsey.quotient_lift``.
+# Verbatim but for their names, and for the two pieces cut out of a larger
+# function (``fraction_sum_level``, ``fraction_padded``).
+
+
+def fraction_linf(dim: int) -> PolyhedralSeminorm:
+    return PolyhedralSeminorm.from_functionals(dim, Matrix.identity(dim).entries)
+
+
+def fraction_seminorm_kernel(s: PolyhedralSeminorm) -> list[Vec]:
+    """Canonical basis of {x : s(x) = 0}."""
+    return linalg.nullspace(Matrix.from_rows(s.functionals, s.dim))
+
+
+def fraction_quotient_norm(s: PolyhedralSeminorm) -> QuotientNorm:
+    """Quotient by the kernel along the lex-first coordinate complement."""
+    ker = fraction_seminorm_kernel(s)
+    d = s.dim
+    comp = linalg.coordinate_complement(ker, d)
+    eye = Matrix.identity(d).entries
+    units = [eye[j] for j in comp]
+    Minv = linalg.inverse(Matrix.from_rows(ker + units, d).transpose())
+    lift = Matrix.from_rows(units, d).transpose()
+    norm = PolyhedralSeminorm.from_functionals(len(comp), [tuple(f[j] for j in comp) for f in s.functionals])
+    return QuotientNorm(projection=Matrix.from_rows(Minv.entries[len(ker):], d), lift=lift, norm=norm)
+
+
+def fraction_extend_with_norm(X: MultiSpace) -> MultiSpace:
+    """Append a norm level: coordinate sup norm, or its running max if graded."""
+    linf = fraction_linf(X.dim)
+    if X.graded:
+        last = X.seminorms[-1]
+        new = PolyhedralSeminorm.from_functionals(X.dim, last.functionals + linf.functionals)
+        return MultiSpace.make(X.seminorms + (new,), graded=True)
+    return MultiSpace.make(X.seminorms + (linf,), graded=False)
+
+
+def fraction_graded_closure(X: MultiSpace) -> MultiSpace:
+    """Replace level n by the running max of levels <= n."""
+    sems = []
+    acc: tuple[Vec, ...] = ()
+    for s in X.seminorms:
+        acc = acc + tuple(s.functionals)
+        sems.append(PolyhedralSeminorm.from_functionals(X.dim, acc))
+    return MultiSpace(tuple(sems), graded=True)
+
+
+def fraction_pad(funcs, offset: int, total: int):
+    return [(0,) * offset + tuple(f) + (0,) * (total - offset - len(f)) for f in funcs]
+
+
+def fraction_product_space(factors) -> MultiSpace:
+    factors = list(factors)
+    if not factors:
+        raise ArityMismatch("empty product")
+    if any(f.length != 1 for f in factors):
+        raise ArityMismatch("product_space requires single-seminorm factors")
+    if len(factors) == 1:
+        return factors[0]
+    total = sum(f.dim for f in factors)
+    sems = []
+    off = 0
+    for f in factors:
+        padded = fraction_pad(f.seminorms[0].functionals, off, total)
+        sems.append(PolyhedralSeminorm.from_functionals(total, padded, reduce=False))
+        off += f.dim
+    return MultiSpace(tuple(sems), graded=False)
+
+
+def fraction_pullback_space(X: MultiSpace, lift: Matrix) -> MultiSpace:
+    m = lift.cols
+    if lift.rows != X.dim:
+        raise DimensionMismatch("lift target dimension != space dimension")
+    if lift.rank() != m:
+        raise DimensionMismatch("lift columns are dependent")
+    sems = []
+    for s in X.seminorms:
+        restricted = Matrix.from_rows(s.functionals, X.dim).mul(lift).entries
+        restricted = [f for f in restricted if any(x != 0 for x in f)]
+        sems.append(PolyhedralSeminorm.from_functionals(m, restricted))
+    return MultiSpace(tuple(sems), graded=X.graded and is_graded_sequence(tuple(sems)))
+
+
+def fraction_band(Y: MultiSpace, Z: MultiSpace, n: int, prev: PolyhedralSeminorm | None) -> PolyhedralSeminorm:
+    total = Y.dim + Z.dim
+    funcs = fraction_pad(Y.seminorms[n].functionals, 0, total) if n < Y.length else []
+    funcs += fraction_pad(Z.seminorms[n].functionals, Y.dim, total)
+    if prev is not None:
+        funcs += prev.functionals
+    return PolyhedralSeminorm.from_functionals(total, funcs)
+
+
+def fraction_rescale_expansive(X: MultiSpace, delta) -> MultiSpace:
+    delta = frac(delta)
+    if delta < 0:
+        raise BadArgument("delta must be nonnegative")
+    if delta == 0:
+        return X
+    factor = Fraction(1, 1) / (1 + delta)
+    sems = []
+    for s in X.seminorms:
+        funcs = [tuple(factor * x for x in f) for f in s.functionals]
+        sems.append(PolyhedralSeminorm.from_functionals(X.dim, funcs, reduce=False))
+    return MultiSpace(tuple(sems), X.graded)
+
+
+def fraction_sum_level(Y: MultiSpace, Z: MultiSpace, m: int) -> PolyhedralSeminorm:
+    """Level m of ``pushout_n_preserving`` at or above its cutoff."""
+    dy, dz = Y.dim, Z.dim
+    total = dy + dz
+    fy, fz = Y.seminorms[m].functionals, Z.seminorms[m].functionals
+    if fy and fz:  # the sum seminorm: every a + b and a - b
+        funcs = [tuple(a) + sb for a in fy for b in fz for sb in (tuple(b), tuple(-x for x in b))]
+    else:  # one factor is zero at this level: the other's seminorm
+        funcs = fraction_pad(fy, 0, total) + fraction_pad(fz, dy, total)
+    return PolyhedralSeminorm.from_functionals(total, funcs)
+
+
+def fraction_padded(Z: MultiSpace) -> MultiSpace:
+    """The padded space Z x Z with the first-block seminorm of ``quotient_lift``."""
+    total = 2 * Z.dim
+    padded_funcs = fraction_pad(Z.seminorms[0].functionals, 0, total)
+    return MultiSpace((PolyhedralSeminorm.from_functionals(total, padded_funcs, reduce=False),))

@@ -279,7 +279,7 @@ def test_criterion_8_micro_ramsey_exhaustive():
     assert npts <= 12, f"net has {npts} points"
     net_xy = build_net(q, q, 2)
     assert len(net_xy.points) == 2  # plus and minus the identity
-    vectors = [p.matrix.col(0) for p in net_xz.points]
+    vectors = [tuple(r[0] for r in p.matrix.entries) for p in net_xz.points]
     cands = _sphere_witness_candidates(W, vectors, F(1, 2))
     candidates = [res.leg_y, res.leg_z] + [
         LinearMap(q, W, Matrix.from_rows([[x] for x in v])) for v in cands]
@@ -297,7 +297,7 @@ def test_criterion_8_micro_ramsey_exhaustive():
         assert out is not None, f"no witness for colouring {mask:0{npts}b}"
         gamma, colour = out
         # independent coverage re-check by direct seminorm arithmetic
-        y = gamma.matrix.col(0)
+        y = tuple(r[0] for r in gamma.matrix.entries)
         for sgn in (1, -1):
             point = tuple(F(sgn) * x for x in y)
             assert any(values[i] == colour and direct_distance(point, v) <= F(1, 2)

@@ -53,6 +53,65 @@ def test_space_quotient_rejects_levels_outside_the_space(files, capsys):
         assert json.loads(captured.err) == {"error": "BadLevel", "detail": f"level {level} outside 0..0"}
 
 
+# Recorded with the Fraction-view writer that ``space quotient`` used
+# before it wrote the stored rows through ``io.seminorm_to_doc``.
+QUOTIENT_DOC = """{
+  "lift": [
+    [
+      "1",
+      "0"
+    ],
+    [
+      "0",
+      "1"
+    ],
+    [
+      "0",
+      "0"
+    ]
+  ],
+  "norm": {
+    "functionals": [
+      [
+        "1/2",
+        "-1/3"
+      ],
+      [
+        "3/4",
+        "0"
+      ],
+      [
+        "5/4",
+        "-1/3"
+      ]
+    ]
+  },
+  "projection": [
+    [
+      "1",
+      "0",
+      "-2/3"
+    ],
+    [
+      "0",
+      "1",
+      "-1"
+    ]
+  ]
+}
+"""
+
+
+def test_space_quotient_writes_the_recorded_bytes(tmp_path, capsys):
+    """Level 1 has non-integer functionals, a redundant multiple and a one-dimensional kernel."""
+    rows = [["1/2", "-1/3", "0"], ["3/4", "0", "-1/2"], ["5/4", "-1/3", "-1/2"], ["1/4", "-1/6", "0"]]
+    doc = {"format": "msn/1", "dim": 3, "graded": False,
+           "seminorms": [{"functionals": [["1", "0", "0"]]}, {"functionals": rows}]}
+    io.write_json(tmp_path / "s.json", doc)
+    assert run(["space", "quotient", tmp_path / "s.json", "--level", "1"]) == 0
+    assert capsys.readouterr().out == QUOTIENT_DOC
+
+
 def test_map_check_exit_codes(files, capsys):
     assert run(["map", "check", files / "id.json", "--delta", "0"]) == 0
     rc = run(["map", "check", files / "two.json", "--delta", "1/2"])

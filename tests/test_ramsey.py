@@ -55,7 +55,7 @@ def hexagon_space():
 
 def test_build_net_square_vertices_and_midpoints():
     net = build_net(line(), linf2(), 1)
-    pts = {p.matrix.col(0) for p in net.points}
+    pts = {tuple(r[0] for r in p.matrix.entries) for p in net.points}
     for v in [(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)]:
         assert tuple(map(F, v)) in pts
     # every net point lies exactly on the sup-norm unit sphere
@@ -289,7 +289,7 @@ def test_build_net_reads_every_face_off_one_polytope(case):
 def _columns_or_empty(X, Y, eps):
     """The image columns of ``build_net``'s points, or the message it raises."""
     try:
-        return [p.matrix.col(0) for p in build_net(X, Y, eps).points]
+        return [tuple(r[0] for r in p.matrix.entries) for p in build_net(X, Y, eps).points]
     except EmptyEmbeddingSet as e:
         return str(e)
 
