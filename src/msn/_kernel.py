@@ -11,11 +11,25 @@ Three primitives back every exact computation in the library:
   square basis (the start cone of double description, the separation
   test of a space).
 * integer-pivoting simplex steps (``bland_min`` / ``pivot``) on a
-  condensed tableau (Tucker's dictionary form): an integer matrix whose
-  columns are only the nonbasic variables, named by a ``cols`` list beside
-  ``basis``, plus the RHS, over one positive common denominator.  Basic
-  columns are unit vectors and are never stored.  All divisions are exact
-  by the subdeterminant invariant of integer pivoting.
+  compressed tableau: an integer matrix over one positive common
+  denominator whose columns are nonbasic variables, named by a ``cols``
+  list beside ``basis``, plus the RHS.  All divisions are exact by the
+  subdeterminant invariant of integer pivoting.  Basic columns are unit
+  vectors and are not stored (Tucker's dictionary form), and neither is
+  a line that ``mates`` gives from a stored one (Dantzig's upper-bounding
+  idea: a range row, and a free variable, need one line each, not two):
+
+  - the halves ``u``, ``v`` of a free variable (mates of width 0) have
+    negated columns while both are nonbasic; once one is basic at row
+    ``r``, the other's column is ``-den * e_r`` with reduced cost 0;
+  - the slacks of a row pair ``f . x <= b``, ``-f . x <= c`` (mates of
+    width ``w = b + c > 0``, so never both nonbasic) have negated rows,
+    RHS ``w * den - rhs``, while both are basic; once one is nonbasic,
+    the other's row is ``den`` in that one's column, RHS ``w * den``.
+
+  ``tab`` holds ``None`` for such a row, so ``basis`` and the row
+  numbers are the full tableau's; ``bland_min`` writes a row or column
+  out only when it becomes the pivot's.
 
 The private ``_row_primitive`` (divide an integer row by its content) is
 shared with the double description in ``msn.polytope``.
@@ -129,17 +143,18 @@ def leading_basis(rows, n):
 def pivot(tab, den, basis, cols, r, jc):
     """One integer pivot on entry (r, jc); returns the new denominator.
 
-    ``tab`` is condensed: its columns are the nonbasic variables named by
-    ``cols`` plus the RHS.  Rows ``i != r`` take the integer-pivoting update
-    ``(piv*v - f*p) // den``; column ``jc`` then holds the leaving variable
-    ``basis[r]``, whose column is ``-f`` off the pivot row and ``den`` on it.
-    Requires ``tab[r][jc] > 0`` and ``den > 0``; mutates ``tab``, ``basis``
-    and ``cols``.
+    ``tab`` is compressed (module docstring): its columns are the stored
+    nonbasic variables named by ``cols`` plus the RHS, and its ``None``
+    rows are left to ``bland_min``.  The stored rows ``i != r`` take the
+    integer-pivoting update ``(piv*v - f*p) // den``; column ``jc`` then
+    holds the leaving variable ``basis[r]``, whose column is ``-f`` off the
+    pivot row and ``den`` on it.  Requires ``tab[r][jc] > 0`` and
+    ``den > 0``; mutates ``tab``, ``basis`` and ``cols``.
     """
     prow = tab[r]
     piv = prow[jc]
     for i, row in enumerate(tab):
-        if i == r:
+        if i == r or row is None:
             continue
         f = row[jc]
         if f == 0:
@@ -154,51 +169,100 @@ def pivot(tab, den, basis, cols, r, jc):
     return piv
 
 
-def bland_min(tab, den, basis, cols, nbody, obj):
+def mirror(tab, cols, jc, mates):
+    """Store column ``jc`` as the column of its variable's free-variable mate: negate and rename it."""
+    for row in tab:
+        if row is not None:
+            row[jc] = -row[jc]
+    cols[jc] = mates[cols[jc]][0]
+
+
+def bland_min(tab, den, basis, cols, mates):
     """Simplex pivots to optimality with guaranteed termination.
 
-    ``tab`` is a condensed integer tableau with common positive denominator
-    ``den``: one column per nonbasic variable (``cols`` names them) plus the
-    RHS.  Rows ``< nbody`` are constraints, row ``obj`` carries reduced costs
-    with the negated objective value in the last column.  The entering
-    variable is the one with the most negative reduced cost (lowest variable
-    id on ties), falling back to Bland's rule (lowest variable id with a
-    negative cost) for as long as a degenerate streak persists
-    (anti-cycling).  The leaving row is the least ratio, lowest basic
+    ``tab`` is a compressed integer tableau (module docstring) with common
+    positive denominator ``den``: one column per stored nonbasic variable
+    (``cols`` names them) plus the RHS.  Its last row carries the reduced
+    costs with the negated objective value in the last column; every row
+    before it is a constraint row, stored or ``None``.  ``mates[v]`` is
+    ``None`` or ``(mate, w)`` for each variable ``v``.
+
+    The pivots are those of the full tableau.  The entering variable is
+    the one with the most negative reduced cost (lowest variable id on
+    ties), falling back to Bland's rule (lowest variable id with a
+    negative cost) for as long as a degenerate streak longer than
+    ``10 + nbody`` persists (anti-cycling), ``nbody`` counting every
+    constraint row.  The leaving row is the least ratio, lowest basic
     variable id on ties.  Returns ``(status, den)``.
     """
-    rhs = len(tab[0]) - 1
+    nbody = len(tab) - 1
+    rhs = len(cols)
     degenerate_streak = 0
     threshold = 10 + nbody
     while True:
-        objrow = tab[obj]
-        jc = -1
-        if degenerate_streak <= threshold:
-            best = 0
-            for j in range(rhs):
-                v = objrow[j]
-                if v < best or (v == best < 0 and cols[j] < cols[jc]):
-                    best = v
-                    jc = j
-        else:
-            for j in range(rhs):
-                if objrow[j] < 0 and (jc < 0 or cols[j] < cols[jc]):
-                    jc = j
+        # Pricing: a stored column with a positive cost offers its mirror.
+        objrow = tab[-1]
+        bland = degenerate_streak > threshold
+        jc = enter = -1
+        best = 0
+        for j in range(rhs):
+            v = objrow[j]
+            if v == 0:
+                continue
+            c = cols[j]
+            if v > 0:
+                m = mates[c]
+                if m is None or m[1]:
+                    continue
+                v, c = -v, m[0]
+            if bland:
+                if enter < 0 or c < enter:
+                    jc, enter = j, c
+            elif v < best or (v == best and c < enter):
+                best, jc, enter = v, j, c
         if jc < 0:
             return OPTIMAL, den
-        r = -1
+        if enter != cols[jc]:
+            mirror(tab, cols, jc, mates)
+        # Ratio test: a stored row offers itself, or its twin if that has
+        # the positive entry; an entering slack offers its mate's unit row.
+        r = leave = -1
         rnum = rden = 0
+        m = mates[enter]
+        if m is not None and m[1]:
+            leave, rnum, rden = m[0], m[1] * den, den
         for i in range(nbody):
-            a = tab[i][jc]
-            if a <= 0:
+            row = tab[i]
+            if row is None:
                 continue
-            b = tab[i][rhs]
-            if r < 0 or b * rden < rnum * a or (b * rden == rnum * a and basis[i] < basis[r]):
-                r, rnum, rden = i, b, a
-        if r < 0:
+            a = row[jc]
+            if a > 0:
+                b, v = row[rhs], basis[i]
+            elif a < 0 and (m := mates[basis[i]]) is not None and m[1]:
+                a, b, v = -a, m[1] * den - row[rhs], m[0]
+            else:
+                continue
+            if leave < 0 or b * rden < rnum * a or (b * rden == rnum * a and v < leave):
+                r, leave, rnum, rden = i, v, b, a
+        if leave < 0:
             return UNBOUNDED, den
         if rnum == 0:
             degenerate_streak += 1
         else:
             degenerate_streak = 0
+        if r < 0:
+            # The entering slack's mate leaves its unit row: a bound flip.
+            r = basis.index(leave)
+            tab[r] = [0] * rhs + [rnum]
+            tab[r][jc] = den
+            den = pivot(tab, den, basis, cols, r, jc)
+            tab[r] = None
+            continue
+        if basis[r] != leave:
+            # The twin of row r leaves: write it out in its own place, and
+            # row r, whose mate is now nonbasic, becomes a unit row.
+            row, tab[r] = tab[r], None
+            r = basis.index(leave)
+            tab[r] = [-x for x in row]
+            tab[r][rhs] = rnum
         den = pivot(tab, den, basis, cols, r, jc)

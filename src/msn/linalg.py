@@ -189,8 +189,12 @@ def _int_nullspace(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
     Free column f gives v[f] = L and v[p] = -red[i][f] * (L / red[i][p])
     for each pivot p, with L the lcm of the pivot entries; each vector is
-    then made primitive with its first nonzero entry positive.
+    then made primitive with its first nonzero entry positive.  Tall
+    input is first cut to its leading independent rows
+    (``_kernel.leading_basis``), which span the same rows.
     """
+    if len(rows) > n:
+        rows = [rows[i] for i in _kernel.leading_basis(rows, n)[0]]
     _, pivcols, red = _kernel.echelon_int(rows)
     pivset = set(pivcols)
     m = lcm(*(r[p] for r, p in zip(red, pivcols)))

@@ -2,15 +2,20 @@
 
 ``solve_lp`` minimises a rational objective over a system of inequality
 constraints ``a·x <= b`` with free variables, using a two-phase simplex
-with Bland's anti-cycling rule on a condensed integer tableau (one
-positive common denominator; all pivot divisions exact).  Infeasible and
-unbounded systems are reported distinctly.
+with Bland's anti-cycling rule on a compressed integer tableau
+(``msn._kernel``: one positive common denominator; all pivot divisions
+exact).  Infeasible and unbounded systems are reported distinctly.
 
-The tableau is in Tucker's dictionary form: each row holds only the
-nonbasic variables' columns, named by ``cols``, and the RHS; the basic
-columns, unit vectors, are implicit in ``basis``.  With ``x = u - v``
-and one slack per row, a row holds ``2n + 1`` entries in phase 2 (and one
-more per negative-bound row in phase 1) instead of ``2n + m + 1``.
+The tableau stores one column per free variable ``x_j = u_j - v_j``
+(``v_j`` mirrors ``u_j``) plus the stored nonbasic slacks, named by
+``cols``, and the RHS; basic columns are implicit in ``basis``.  A row
+right after its exact negation, both bounds ``>= 0`` with a positive sum
+(a ± pair ``|f·x|`` bounded on both sides), is that row's twin and is
+not stored (``None``).  So a gauge LP over ``k`` pairs in ``n``
+variables is a ``k × (n + 1)`` tableau in phase 2, where one column per
+variable and one row per constraint gave ``2k × (2n + 1)``; the pivots
+are the same.  Equality pairs and negative-bound rows stay single, and
+phase 1 adds one column per negative-bound row.
 
 The work stays in integers from input to result.  Each row ``(a, b)`` is
 scaled by the least common multiple of its denominators, read straight
@@ -18,7 +23,7 @@ off the ``numerator``/``denominator`` of its entries (ints and Fractions
 alike).  After phase 2 the optimum is read off the tableau over its
 common denominator ``den``: the point as integer numerators ``X`` over
 ``den``, the value as one ``Fraction``, and the active set by the integer
-test ``ia·X == ib·den`` on the scaled rows.
+test ``ia·X == ib·den`` on the scaled rows, with one dot per pair.
 
 Gauges, ``sup psi·x`` over the ball ``{x : |f·x| <= 1}``, come in two
 forms that share the phase-2 code (``_optimise``: cost row, ``bland_min``,
@@ -26,15 +31,15 @@ and ``_numerators``: the point read-out), and both take objectives and
 ball as the integer rows ``(ints, m)`` of ``linalg._scale_to_int``, so a
 caller that reuses a list scales it once.  ``gauge_scale`` is one
 ``solve_lp`` per objective.  ``gauge_max`` serves many objectives over
-one ball: it builds the integer slack tableau once, with no phase 1
-since every RHS is positive, and optimises each from a copy of it.
+one ball: it builds the ``k × (n + 1)`` slack tableau once, with no
+phase 1 since every RHS is positive, and optimises each from a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from msn import _kernel
 from msn.errors import DimensionMismatch, Infeasible, Unbounded
@@ -55,13 +60,13 @@ class LpResult:
     active: tuple[int, ...]
 
 
-def _optimise(tab, den, basis, cols, ci):
+def _optimise(tab, den, basis, cols, mates, ci):
     """Phase 2: minimise ``ci . x``, ``x = u - v``, from the feasible basis of ``tab``.
 
     ``ci`` are integer costs.  The den-scaled cost row is built over the
-    current basis, ``bland_min`` runs below it, and the row is popped
-    again, leaving the constraint rows.
-    Returns ``(status, den)``.
+    current basis (only ``u``, ``v`` cost, and their rows are stored),
+    ``bland_min`` runs below it, and the row is popped again, leaving the
+    constraint rows.  Returns ``(status, den)``.
     """
     nu = 2 * len(ci)
     cost = ci + [-x for x in ci]
@@ -71,11 +76,15 @@ def _optimise(tab, den, basis, cols, ci):
         cb = cost[b] if b < nu else 0
         if cb:
             obj = [o - cb * x for o, x in zip(obj, row)]
-    m = len(tab)
     tab.append(obj)
-    status, den = _kernel.bland_min(tab, den, basis, cols, m, m)
+    status, den = _kernel.bland_min(tab, den, basis, cols, mates)
     tab.pop()
     return status, den
+
+
+def _free_mates(n, extra):
+    """``mates`` for ``n`` free variables ``x = u - v`` (ids ``j`` and ``n + j``), then ``extra`` unmated ids."""
+    return [(n + j, 0) for j in range(n)] + [(j, 0) for j in range(n)] + [None] * extra
 
 
 def _numerators(tab, basis, n):
@@ -106,35 +115,44 @@ def solve_lp(objective, constraints) -> LpResult:
 
     m = len(rows)
     # Variables: u (n), v (n), slacks (m), then one artificial per row with
-    # a negative bound (that row is negated).  The tableau is condensed: its
-    # columns are the nonbasic variables, named by ``cols``, then the RHS.
+    # a negative bound (that row is negated).  The tableau is compressed:
+    # its columns are the stored nonbasic variables, named by ``cols``,
+    # then the RHS; v mirrors u, and a row right after its exact negation,
+    # both bounds >= 0 with a positive sum, is that row's twin (``None``).
     nu = 2 * n
     art_rows = [i for i, (_, ib) in enumerate(rows) if ib < 0]
     nart = len(art_rows)
-    cols = list(range(nu)) + [nu + i for i in art_rows]
-    tab: list[list[int]] = []
+    mates = _free_mates(n, m + nart)
+    cols = list(range(n)) + [nu + i for i in art_rows]
+    tab: list[list[int] | None] = []
     basis: list[int] = []
     k = 0
     for i, (ia, ib) in enumerate(rows):
-        neg = [-x for x in ia]
         if ib < 0:
-            row = neg + ia + [0] * nart + [-ib]
-            row[nu + k] = -1
+            row = [-x for x in ia] + [0] * nart + [-ib]
+            row[n + k] = -1
             basis.append(nu + m + k)
             k += 1
         else:
-            row = ia + neg + [0] * nart + [ib]
             basis.append(nu + i)
+            if mates[nu + i] is not None:
+                row = None
+            else:
+                row = ia + [0] * nart + [ib]
+                if i + 1 < m:
+                    ja, jb = rows[i + 1]
+                    if jb >= 0 and ib + jb > 0 and not any(map(add, ia, ja)):
+                        mates[nu + i], mates[nu + i + 1] = (nu + i + 1, ib + jb), (nu + i, ib + jb)
         tab.append(row)
 
     den = 1
     if nart:
         # Phase 1: minimise the sum of artificial variables (all basic).
-        obj = [0] * (nu + nart + 1)
+        obj = [0] * (n + nart + 1)
         for i in art_rows:
             obj = [o - x for o, x in zip(obj, tab[i])]
         tab.append(obj)
-        status, den = _kernel.bland_min(tab, den, basis, cols, m, m)
+        status, den = _kernel.bland_min(tab, den, basis, cols, mates)
         if status != _kernel.OPTIMAL:
             raise Infeasible("phase-1 unbounded (internal)")
         if tab[m][-1] != 0:
@@ -142,7 +160,12 @@ def solve_lp(objective, constraints) -> LpResult:
         tab.pop()
         # Drive any remaining artificial variables out of the basis.  The
         # columns u, v, slacks have full row rank (the slacks form a +-1
-        # diagonal), so every row has a nonzero entry among them.
+        # diagonal), so every row has a nonzero entry among them.  Each free
+        # variable is stored as its u column, the lower id of its two, and
+        # only artificials leave here, so the lowest id is read off ``cols``.
+        for j, v in enumerate(cols):
+            if n <= v < nu:
+                _kernel.mirror(tab, cols, j, mates)
         for i in range(m):
             if basis[i] < nu + m:
                 continue
@@ -154,17 +177,23 @@ def solve_lp(objective, constraints) -> LpResult:
         # Every artificial is now nonbasic and never enters again: drop
         # their columns (after a negated row, one may even have the wrong sign).
         keep = [j for j in range(len(cols)) if cols[j] < nu + m]
-        tab = [[row[j] for j in keep] + row[-1:] for row in tab]
+        tab = [row if row is None else [row[j] for j in keep] + row[-1:] for row in tab]
         cols = [cols[j] for j in keep]
 
     ci, cm = _scale_to_int(c)
-    status, den = _optimise(tab, den, basis, cols, ci)
+    status, den = _optimise(tab, den, basis, cols, mates, ci)
     if status != _kernel.OPTIMAL:
         raise Unbounded("objective unbounded below on the feasible set")
     X = _numerators(tab, basis, n)
     value = Fraction(sum(map(mul, ci, X)), cm * den)
-    active = tuple(i for i, (ia, ib) in enumerate(rows) if sum(map(mul, ia, X)) == ib * den)
-    return LpResult(value, tuple(Fraction(x, den) for x in X), active)
+    # A twin row's dot is the negated dot of the row before it.
+    active = []
+    for i, (ia, ib) in enumerate(rows):
+        t = mates[nu + i]
+        d = -d if t is not None and t[0] < nu + i else sum(map(mul, ia, X))
+        if d == ib * den:
+            active.append(i)
+    return LpResult(value, tuple(Fraction(x, den) for x in X), tuple(active))
 
 
 def _ball_rows(ball):
@@ -203,9 +232,10 @@ def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
 
     Objectives and ball functionals come as integer rows ``(ints, m)``,
     each ``psi`` or ``f`` times ``m``, the ``linalg._scale_to_int`` form.
-    ``_ball_rows`` turns each ball row into the pair ``ints . x <= m`` and
-    ``-ints . x <= m``, the rows ``gauge_scale`` solves, so every tableau
-    row is the one the Fraction input gave.
+    Each ball row is the pair ``ints . x <= m`` and ``-ints . x <= m``
+    (``_ball_rows``), the rows ``gauge_scale`` solves; the tableau stores
+    the first and leaves the second to its twin, so every tableau row is
+    the one the Fraction input gave.
 
     Returns ``(value, point)``: the maximum over the objectives of
     ``gauge_scale(psi, ball)`` and a ball point where the first
@@ -214,22 +244,27 @@ def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
     of the functionals) gives ``(None, None)``.
 
     Every RHS is positive, so the slack basis is feasible and there is
-    no phase 1.  Each objective is optimised from a copy of the slack
-    tableau.  A warm start from the previous optimum, also feasible,
+    no phase 1.  Each objective is optimised from a copy of the stored
+    slack rows.  A warm start from the previous optimum, also feasible,
     took more pivots: 2.15 against 2.05 per objective over the 3592
     objectives of the first 108 ``certify`` ops of perfbench seed 5.
     """
     n = len(objectives[0][0]) if objectives else len(ball[0][0]) if ball else 0
     if any(len(pi) != n for pi, _ in objectives) or any(len(ia) != n for ia, _ in ball):
         raise DimensionMismatch("objective and functional arities differ")
-    slack = [list(ia) + [-x for x in ia] + [ib] for ia, ib in _ball_rows(ball)]
+    # One stored row ia . x <= m per functional, its twin -ia . x <= m None.
+    slack, mates = [], _free_mates(n, 2 * len(ball))
+    for i, (ia, ib) in enumerate(ball):
+        slack += [list(ia) + [ib], None]
+        s = 2 * n + 2 * i
+        mates[s], mates[s + 1] = (s + 1, 2 * ib), (s, 2 * ib)
     # The best value so far is num / vden, attained at X / xden.
     num, vden, X, xden = 0, 1, [0] * n, 1
     for pi, pm in objectives:
-        tab = [row[:] for row in slack]
+        tab = [row if row is None else row[:] for row in slack]
         basis = list(range(2 * n, 2 * n + len(tab)))
-        cols = list(range(2 * n))
-        status, den = _optimise(tab, 1, basis, cols, [-x for x in pi])
+        cols = list(range(n))
+        status, den = _optimise(tab, 1, basis, cols, mates, [-x for x in pi])
         if status != _kernel.OPTIMAL:
             return None, None
         Y = _numerators(tab, basis, n)

@@ -4,7 +4,9 @@ These deliberately share no code with the library paths they check:
 plain Gaussian elimination over Fraction, constraint-subset vertex and
 cone-ray enumeration, 1-D breakpoint minimisation, the full-tableau
 integer simplex (``full_pivot``/``full_bland_min``, one column per
-variable) that the condensed kernel in ``msn._kernel`` replaced, and
+variable and one row per constraint) that the compressed kernel in
+``msn._kernel`` replaced, with ``expand_tableau`` to write a compressed
+tableau out in full, and
 the Fraction pullbacks (``fraction_pullbacks``) that the integer ones in
 ``msn.seminorms`` replaced, the Fraction seminorm value
 (``fraction_seminorm``) that the integer ``PolyhedralSeminorm.__call__``
@@ -285,6 +287,46 @@ def full_lp(objective, rows):
         obj = [o - cost[basis[i]] * x for o, x in zip(obj, tab[i])]
     tab.append(obj)
     return "unbounded" if full_bland_min(tab, den, basis, m, m)[0] else "optimal"
+
+
+def expand_tableau(tab, den, basis, cols, mates):
+    """The full tableau that a compressed ``msn._kernel`` tableau stands for.
+
+    Every constraint row in its place, ``None`` rows written out from their
+    mates (twin or unit rows), then the objective row if ``tab`` has one
+    more row than ``basis``; one column per variable, in id order, then the
+    RHS.  Basic columns are ``den`` unit vectors; an unstored half of a free
+    variable is the negated column of its stored mate, or ``-den`` on its
+    basic mate's row.  Variables that are neither basic, stored nor such a
+    half (dropped artificials) get no column.
+    """
+    nb = len(basis)
+    at = {v: j for j, v in enumerate(cols)}
+    row_of = {b: i for i, b in enumerate(basis)}
+    rows = list(tab)
+    for i in range(nb):
+        if rows[i] is None:
+            mate, w = mates[basis[i]]
+            assert w > 0
+            if mate in row_of:
+                twin = tab[row_of[mate]]
+                rows[i] = [-x for x in twin[:-1]] + [w * den - twin[-1]]
+            else:
+                rows[i] = [den if j == at[mate] else 0 for j in range(len(cols))] + [w * den]
+
+    def unit(r, d):
+        return [d if i == r else 0 for i in range(len(rows))]
+
+    full = []
+    for v in range(len(mates)):
+        if v in row_of:
+            full.append(unit(row_of[v], den))
+        elif v in at:
+            full.append([row[at[v]] for row in rows])
+        elif mates[v] is not None and mates[v][1] == 0:
+            mate = mates[v][0]
+            full.append([-row[at[mate]] for row in rows] if mate in at else unit(row_of[mate], -den))
+    return [[col[i] for col in full] + [row[-1]] for i, row in enumerate(rows)]
 
 
 def fraction_pullbacks(entries, functionals):

@@ -1,12 +1,16 @@
-"""Condensed integer pivoting against two references.
+"""Compressed integer pivoting against two references.
 
 ``oracles.full_pivot``/``full_bland_min`` are the full-tableau integer
-simplex (one column per variable) that the condensed kernel replaced, and
-a Fraction Gauss-Jordan tableau checks them both.  After every pivot the
-condensed tableau must agree with the full one on the denominator, on the
+simplex (one column per variable, one row per constraint) that the
+compressed kernel replaced, and a Fraction Gauss-Jordan tableau checks
+them both.  On tableaux with no mates (plain condensed ones), after every
+pivot the kernel must agree with the full one on the denominator, on the
 entering and leaving variables and on every nonbasic column, while
-``basis`` and ``cols`` partition the variables.  ``solve_lp`` must make
-the same pivots as ``oracles.full_lp``, the full-tableau two-phase solve.
+``basis`` and ``cols`` partition the variables.  With mates (free
+variables, ± row pairs), ``solve_lp``, ``gauge_scale``, ``gauge_max`` and
+``bland_min`` must make the same pivots as ``oracles.full_lp`` or
+``full_bland_min``: the same (row, entering, leaving) and denominator,
+and a tableau that ``oracles.expand_tableau`` writes out as the full one.
 """
 
 import random
@@ -15,7 +19,7 @@ from fractions import Fraction
 import oracles
 from msn import _kernel
 from msn.errors import Infeasible, Unbounded
-from msn.lp import solve_lp
+from msn.lp import _ball_rows, gauge_max, gauge_scale, solve_lp
 
 
 def _gauss_jordan(mat, r, jc):
@@ -76,7 +80,7 @@ def _run_both(full, fbasis, nbody, logs, den0=1):
     logs["full"].clear()
     logs["condensed"].clear()
     fstatus, fden = oracles.full_bland_min(full, den0, fbasis, nbody, nbody)
-    status, den = _kernel.bland_min(tab, den0, basis, cols, nbody, nbody)
+    status, den = _kernel.bland_min(tab, den0, basis, cols, [None] * len(full[0]))
     assert status == fstatus and logs["condensed"] == logs["full"]
     _assert_agree(full, fden, fbasis, tab, den, basis, cols)
     for r, enter, _, _ in logs["full"]:
@@ -174,3 +178,174 @@ def test_solve_lp_pivots_like_the_full_tableau(monkeypatch):
         outcomes[got] += 1
         pivots += len(logs["full"])
     assert min(outcomes.values()) >= 40 and pivots >= 800
+
+
+def _lockstep(monkeypatch):
+    """Record (row, entering, leaving, den) and the full tableau after every pivot of both kernels.
+
+    The compressed side is written out by ``oracles.expand_tableau`` with the
+    ``mates`` of the latest ``bland_min`` call; ``logs["tabs"]`` keeps the
+    compressed tableaux that ``bland_min`` starts from.
+    """
+    logs = {"full": [], "compressed": [], "tabs": []}
+    full_pivot, pivot, bland_min = oracles.full_pivot, _kernel.pivot, _kernel.bland_min
+    mates = []
+
+    def full(tab, den, basis, r, jc):
+        leave = basis[r]
+        den = full_pivot(tab, den, basis, r, jc)
+        logs["full"].append((r, jc, leave, den, [row[:] for row in tab]))
+        return den
+
+    def compressed(tab, den, basis, cols, r, jc):
+        enter, leave = cols[jc], basis[r]
+        den = pivot(tab, den, basis, cols, r, jc)
+        logs["compressed"].append((r, enter, leave, den, oracles.expand_tableau(tab, den, basis, cols, mates[0])))
+        return den
+
+    def minimise(tab, den, basis, cols, m):
+        mates[:] = [m]
+        logs["tabs"].append([row if row is None else row[:] for row in tab])
+        return bland_min(tab, den, basis, cols, m)
+
+    monkeypatch.setattr(oracles, "full_pivot", full)
+    monkeypatch.setattr(_kernel, "pivot", compressed)
+    monkeypatch.setattr(_kernel, "bland_min", minimise)
+    return logs
+
+
+def _clear(logs):
+    for log in logs.values():
+        log.clear()
+
+
+def _drop_dead(tab, live, m):
+    """The tableau without artificial columns (ids from ``live`` on) once there is no objective row."""
+    return tab if len(tab) > m else [row[:live] + row[-1:] for row in tab]
+
+
+def test_gauge_lps_pivot_like_the_full_tableau(monkeypatch):
+    # Seeded gauge LPs, sup psi . x over |f . x| <= m: few small entries
+    # and repeated functionals give ties in pricing and in the ratio test;
+    # objectives outside the span of the ball, the empty ball and dimension
+    # 0 are among them.  gauge_scale (through solve_lp) and gauge_max must
+    # both pivot as the full tableau does, and store one row per pair.
+    logs = _lockstep(monkeypatch)
+    rng = random.Random(4711)
+    seen = {"optimal": 0, "unbounded": 0, "empty": 0, "dim0": 0}
+    pivots = flips = mirrors = minus = 0
+    for trial in range(400):
+        n = trial % 6
+        k = 0 if trial % 19 == 0 else rng.randint(1, 8)
+        ball = []
+        for _ in range(k):
+            ia = [rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(n)]
+            ball.append(ball[-1] if ball and rng.random() < 0.15 else (ia, rng.choice((1, 1, 2, 3))))
+        pi = [rng.choice((-2, -1, 0, 1, 1, 2)) for _ in range(n)]
+        _clear(logs)
+        expected = oracles.full_lp([-x for x in pi], _ball_rows(ball))
+        ref = logs["full"][:]
+        value = gauge_scale((pi, 1), ball)
+        assert (value is None) == (expected == "unbounded")
+        assert logs["compressed"] == ref
+        assert logs["tabs"][0][1:2 * k:2] == [None] * k
+        logs["compressed"].clear()
+        assert gauge_max([(pi, 1)], ball)[0] == value
+        assert logs["compressed"] == ref
+        seen["unbounded" if value is None else "optimal"] += 1
+        seen["empty"] += k == 0
+        seen["dim0"] += n == 0
+        pivots += len(ref)
+        for _, enter, leave, _, _ in ref:
+            # Slack ids 2n + i: a bound flip swaps the two slacks of a pair,
+            # a mirror entry brings in a v_j, and a minus row may leave
+            # while it is a twin.
+            flips += enter >= 2 * n and leave == enter ^ 1
+            mirrors += n <= enter < 2 * n
+            minus += leave >= 2 * n and leave % 2 == 1
+    assert min(seen.values()) >= 20, seen
+    assert pivots >= 700 and flips >= 15 and mirrors >= 200 and minus >= 250, (pivots, flips, mirrors, minus)
+
+
+def test_solve_lp_pairs_rows_and_pivots_like_the_full_tableau(monkeypatch):
+    # Phase 1 with ± pairs.  A row right after its exact negation, both
+    # bounds >= 0 with a positive sum, is stored once (first come, first
+    # paired); a pair with a negative bound, an equality pair (bounds b,
+    # -b) and a pair with bounds 0, 0 stay two rows.
+    logs = _lockstep(monkeypatch)
+    rng = random.Random(8128)
+    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    pivots = paired = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows, single = [], []
+        for _ in range(rng.randint(1, 6)):
+            a = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)]
+            kind = rng.choice(("single", "single", "range", "negative", "equality", "zero"))
+            b = rng.choice((0, 1, 2, 3)) if kind in ("range", "negative") else rng.choice((-2, -1, 0, 1, 2))
+            rows.append((a, b))
+            if kind == "single":
+                continue
+            nb = {"range": rng.choice((0, 1, 2)) if b else rng.choice((1, 2)),
+                  "negative": rng.choice((-2, -1)), "equality": -b, "zero": 0}[kind]
+            if kind == "zero":
+                rows[-1] = (a, 0)
+            rows.append(([-x for x in a], nb))
+            if kind != "range":
+                single.append(len(rows) - 1)
+        twins, i = [], 1
+        while i < len(rows):
+            (a, b), (na, nb) = rows[i - 1], rows[i]
+            if b >= 0 and nb >= 0 and b + nb > 0 and na == [-x for x in a]:
+                twins.append(i)
+                i += 1
+            i += 1
+        assert not set(twins) & set(single)
+        c = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(n)]
+        _clear(logs)
+        expected = oracles.full_lp(c, rows)
+        try:
+            solve_lp(c, rows)
+            got = "optimal"
+        except Infeasible:
+            got = "infeasible"
+        except Unbounded:
+            got = "unbounded"
+        assert got == expected
+        assert [e[:4] for e in logs["compressed"]] == [e[:4] for e in logs["full"]]
+        # The drive-out negates a row whose artificial then leaves with its
+        # column negated in the full tableau; that column is dropped next.
+        live = 2 * n + len(rows)
+        assert [_drop_dead(e[4], live, len(rows)) for e in logs["compressed"]] == [
+            _drop_dead(e[4], live, len(rows)) for e in logs["full"]]
+        assert [i for i, row in enumerate(logs["tabs"][0][:-1]) if row is None] == twins
+        outcomes[got] += 1
+        pivots += len(logs["full"])
+        paired += len(twins)
+    assert min(outcomes.values()) >= 30 and pivots >= 600 and paired >= 150, (outcomes, pivots, paired)
+
+
+def test_degenerate_streak_counts_every_row(monkeypatch):
+    # Chvatal's cycling example (test_bland_fallback_breaks_a_cycle) with p
+    # pairs of zero rows 0 . x <= 1, -0 . x <= 1 below it, each stored once.
+    # The most-negative rule runs the six-pivot cycle until the degenerate
+    # streak passes 10 + nbody, nbody counting both rows of each pair: 14 +
+    # 2p pivots.  Counting stored rows (13 + p) would end the cycle after 16
+    # pivots at p = 2, and Bland's rule would then take 19 pivots, not 25.
+    logs = _lockstep(monkeypatch)
+    chvatal = [[1, -11, -5, 18, 0], [1, -3, -1, 2, 0], [2, 0, 0, 0, 2], [-20, 114, 18, 48, 0]]
+    for p, total in ((0, 19), (2, 25)):
+        tab = chvatal[:3] + [[0, 0, 0, 0, 2], None] * p + chvatal[3:]
+        tab = [row if row is None else row[:] for row in tab]
+        basis = list(range(4, 7 + 2 * p))
+        mates = [None] * 7 + [(7 + (i ^ 1), 2) for i in range(2 * p)]
+        full = oracles.expand_tableau(tab, 2, basis, [0, 1, 2, 3], mates)
+        fbasis = basis[:]
+        _clear(logs)
+        fres = oracles.full_bland_min(full, 2, fbasis, 3 + 2 * p, 3 + 2 * p)
+        assert _kernel.bland_min(tab, 2, basis, [0, 1, 2, 3], mates) == fres and basis == fbasis
+        assert fres[0] == _kernel.OPTIMAL
+        assert logs["compressed"] == logs["full"]
+        log = [e[:3] for e in logs["full"]]
+        assert len(log) == total
+        assert all(log[i][1:] == log[i - 6][1:] for i in range(6, 14 + 2 * p))

@@ -10,6 +10,7 @@ from msn import _kernel
 from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
+    _int_nullspace,
     coordinate_complement,
     in_span,
     intersect_spans,
@@ -310,3 +311,33 @@ def test_leading_basis_keeps_the_lex_first_rows_and_inverts_them(case):
         inv = [[Fraction(r[n + j], r[c]) for j in range(n)] for c, r in sorted(zip(pivcols, red))]
         assert [[sum(b[i] * inv[i][j] for i in range(n)) for j in range(n)] for b in basis] == \
             [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def tall_rows(draw):
+    """More rows than columns, spanning a random subspace: combinations of ``rank`` rows."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n))
+    coefs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)),
+                          min_size=n + 1, max_size=30))
+    return n, [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n)] for cs in coefs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_rows())
+@example((2, [[0, 0], [0, 0], [0, 0]]))
+@example((3, [[1, 2, 3]] * 5 + [[0, 1, 0]]))
+def test_tall_kernel_is_the_echelon_kernel_of_all_rows(case):
+    """A tall matrix is cut to at most ``n`` leading independent rows
+    before its echelon form, and the canonical kernel basis is the one the
+    echelon form of all its rows gives."""
+    n, rows = case
+    sizes = []
+    real = _kernel.echelon_int
+    _kernel.echelon_int = lambda r: sizes.append(len(r)) or real(r)
+    try:
+        got = _int_nullspace(rows, n)
+    finally:
+        _kernel.echelon_int = real
+    assert sizes == [real(rows)[0]]
+    assert [tuple(map(Fraction, v)) for v in got] == oracles.nullspace(Matrix.from_rows(rows, n))

@@ -12,7 +12,7 @@ from msn.errors import DimensionMismatch, Infeasible, Unbounded
 from msn.linalg import _scale_to_int, dot, vec
 from msn.lp import gauge_max, gauge_scale, solve_lp
 
-from oracles import brute_lp_min, brute_vertices, gauss_rank, piecewise_min_1d
+from oracles import brute_lp_min, brute_vertices, expand_tableau, gauss_rank, piecewise_min_1d
 
 F = Fraction
 
@@ -172,10 +172,20 @@ def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
     # are each functional f times the lcm of its denominators, then -f,
     # in input order, and the cost row is -psi times its own lcm.  The
     # one-objective gauge_scale, through solve_lp, hands bland_min the
-    # same tableau.
-    seen = []
+    # same tableau.  It is compressed: one stored row f . x <= m per pair,
+    # the row -f . x <= m (its twin) None, and one column per coordinate
+    # (u_j; v_j mirrors it).  Written out, with its nonbasic columns, it
+    # is the condensed tableau that held every row and column.
+    seen, full = [], []
     real = _kernel.bland_min
-    monkeypatch.setattr(_kernel, "bland_min", lambda tab, *a: seen.append([r[:] for r in tab]) or real(tab, *a))
+
+    def record(tab, den, basis, cols, mates):
+        seen.append([r if r is None else r[:] for r in tab])
+        full.append([[x for v, x in enumerate(row[:-1]) if v not in basis] + row[-1:]
+                     for row in expand_tableau(tab, den, basis, cols, mates)])
+        return real(tab, den, basis, cols, mates)
+
+    monkeypatch.setattr(_kernel, "bland_min", record)
 
     def scaled(v):
         m = lcm(*[x.denominator for x in v])
@@ -189,20 +199,26 @@ def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
                  for _ in range(rng.randint(1, 4))]
         funcs = [f for f in funcs if any(f)]
         objs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim)) for _ in range(3)]
-        slack = []
+        slack, stored = [], []
         for f in funcs:
             ia, m = scaled(f)
             neg = [-x for x in ia]
             slack += [ia + neg + [m], neg + ia + [m]]
+            stored += [ia + [m], None]
         expect = [slack + [[-x for x in pi] + pi + [0]] for pi, _ in map(scaled, objs)]
+        compressed = [stored + [[-x for x in pi] + [0]] for pi, _ in map(scaled, objs)]
         seen.clear()
+        full.clear()
         gauge_max(_rows(objs), _rows(funcs))
-        assert seen == expect[:len(seen)]
+        assert seen == compressed[:len(seen)]
+        assert full == expect[:len(seen)]
         checked += len(seen)
-        for psi, want in zip(_rows(objs), expect):
+        for psi, want, want_full in zip(_rows(objs), compressed, expect):
             seen.clear()
+            full.clear()
             gauge_scale(psi, _rows(funcs))
             assert seen == [want]
+            assert full == [want_full]
             checked += len(seen)
     assert checked >= 120, checked
 
