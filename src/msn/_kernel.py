@@ -39,6 +39,7 @@ from math import gcd
 
 OPTIMAL = 0
 UNBOUNDED = 1
+STOPPED = 2
 
 
 def _row_primitive(row):
@@ -177,8 +178,8 @@ def mirror(tab, cols, jc, mates):
     cols[jc] = mates[cols[jc]][0]
 
 
-def bland_min(tab, den, basis, cols, mates):
-    """Simplex pivots to optimality with guaranteed termination.
+def bland_min(tab, den, basis, cols, mates, floor=None):
+    """Simplex pivots to optimality, or below a floor, with guaranteed termination.
 
     ``tab`` is a compressed integer tableau (module docstring) with common
     positive denominator ``den``: one column per stored nonbasic variable
@@ -194,14 +195,22 @@ def bland_min(tab, den, basis, cols, mates):
     ``10 + nbody`` persists (anti-cycling), ``nbody`` counting every
     constraint row.  The leaving row is the least ratio, lowest basic
     variable id on ties.  Returns ``(status, den)``.
+
+    ``floor``, integers ``(num, fden)`` with ``fden > 0``, ends the run
+    early: before each pricing step, once the objective value
+    ``-tab[-1][-1] / den`` is strictly below ``num / fden``, the status is
+    ``STOPPED`` and the tableau holds that feasible basis.  Until then the
+    pivots are those without a floor.
     """
     nbody = len(tab) - 1
     rhs = len(cols)
     degenerate_streak = 0
     threshold = 10 + nbody
     while True:
-        # Pricing: a stored column with a positive cost offers its mirror.
         objrow = tab[-1]
+        if floor is not None and -objrow[rhs] * floor[1] < floor[0] * den:
+            return STOPPED, den
+        # Pricing: a stored column with a positive cost offers its mirror.
         bland = degenerate_streak > threshold
         jc = enter = -1
         best = 0

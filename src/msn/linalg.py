@@ -51,8 +51,14 @@ def _scale_to_int(row) -> tuple[list[int], int]:
     """``(ints, m)``: the row times ``m``, the least common multiple of its denominators.
 
     Reads ``numerator``/``denominator`` straight off int and Fraction
-    entries alike, with no Fraction arithmetic.
+    entries alike, with no Fraction arithmetic.  A row of plain ints is
+    copied as it is, with ``m == 1``.
     """
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
+        return list(row), 1
     m = lcm(*[x.denominator for x in row])
     if m == 1:
         return [x.numerator for x in row], 1

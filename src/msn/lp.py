@@ -20,25 +20,33 @@ phase 1 adds one column per negative-bound row.
 The work stays in integers from input to result.  Each row ``(a, b)`` is
 scaled by the least common multiple of its denominators, read straight
 off the ``numerator``/``denominator`` of its entries (ints and Fractions
-alike).  After phase 2 the optimum is read off the tableau over its
-common denominator ``den``: the point as integer numerators ``X`` over
-``den``, the value as one ``Fraction``, and the active set by the integer
-test ``ia·X == ib·den`` on the scaled rows, with one dot per pair.
+alike; a row of ints is taken as it is).  After phase 2 the optimum is
+read off the tableau over its common denominator ``den`` as integer
+numerators ``X`` over ``den``.  ``LpResult`` holds them: the value is
+one ``Fraction``, built at once; the point, and the active set by the
+integer test ``ia·X == ib·den`` on the scaled rows with one dot per pair,
+are built on first read.  An optional ``floor`` ends phase 2 at the
+first basis whose value is strictly below it (``_kernel.bland_min``
+checks before each pricing step), for callers that only ask whether the
+minimum is below a bound.
 
 Gauges, ``sup psi·x`` over the ball ``{x : |f·x| <= 1}``, come in two
 forms that share the phase-2 code (``_optimise``: cost row, ``bland_min``,
 and ``_numerators``: the point read-out), and both take objectives and
 ball as the integer rows ``(ints, m)`` of ``linalg._scale_to_int``, so a
 caller that reuses a list scales it once.  ``gauge_scale`` is one
-``solve_lp`` per objective.  ``gauge_max`` serves many objectives over
-one ball: it builds the ``k × (n + 1)`` slack tableau once, with no
-phase 1 since every RHS is positive, and optimises each from a copy.
+``solve_lp`` per objective and reads only its value; with a ``cap`` it
+is exact up to the cap and otherwise stops at the first ball point past
+it, which is all a membership test ``gauge <= cap`` needs.
+``gauge_max`` serves many objectives over one ball: it builds the
+``k × (n + 1)`` slack tableau once, with no phase 1 since every RHS is
+positive, and optimises each from a copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 
 from msn import _kernel
@@ -46,26 +54,46 @@ from msn.errors import DimensionMismatch, Infeasible, Unbounded
 from msn.linalg import Vec, _scale_to_int
 
 
-@dataclass(frozen=True)
 class LpResult:
     """Exact optimum with the attaining point and its tight constraints.
 
     All three fields are read exactly from the final integer tableau:
     ``point`` is in lowest terms, ``value`` equals ``objective . point``
     and ``active`` lists, in input order, the rows with ``a . point == b``.
+    ``value`` is built by ``solve_lp``; ``point`` and ``active`` are built
+    from the final numerators on first read, so a caller that reads only
+    the value (``gauge_scale``) pays for no more.
     """
 
-    value: Fraction
-    point: Vec
-    active: tuple[int, ...]
+    def __init__(self, value: Fraction, X, den, rows, mates):
+        self.value = value
+        self._X, self._den, self._rows, self._mates = X, den, rows, mates
+
+    @cached_property
+    def point(self) -> Vec:
+        return tuple(Fraction(x, self._den) for x in self._X)
+
+    @cached_property
+    def active(self) -> tuple[int, ...]:
+        # A twin row's dot is the negated dot of the row before it.
+        X, den, mates = self._X, self._den, self._mates
+        nu = 2 * len(X)
+        active = []
+        for i, (ia, ib) in enumerate(self._rows):
+            t = mates[nu + i]
+            d = -d if t is not None and t[0] < nu + i else sum(map(mul, ia, X))
+            if d == ib * den:
+                active.append(i)
+        return tuple(active)
 
 
-def _optimise(tab, den, basis, cols, mates, ci):
+def _optimise(tab, den, basis, cols, mates, ci, floor=None):
     """Phase 2: minimise ``ci . x``, ``x = u - v``, from the feasible basis of ``tab``.
 
     ``ci`` are integer costs.  The den-scaled cost row is built over the
     current basis (only ``u``, ``v`` cost, and their rows are stored),
-    ``bland_min`` runs below it, and the row is popped again, leaving the
+    ``bland_min`` runs below it, with ``floor`` (integers ``(num, fden)``
+    on the scale of ``ci``), and the row is popped again, leaving the
     constraint rows.  Returns ``(status, den)``.
     """
     nu = 2 * len(ci)
@@ -77,7 +105,7 @@ def _optimise(tab, den, basis, cols, mates, ci):
         if cb:
             obj = [o - cb * x for o, x in zip(obj, row)]
     tab.append(obj)
-    status, den = _kernel.bland_min(tab, den, basis, cols, mates)
+    status, den = _kernel.bland_min(tab, den, basis, cols, mates, floor)
     tab.pop()
     return status, den
 
@@ -96,11 +124,15 @@ def _numerators(tab, basis, n):
     return [uv[j] - uv[n + j] for j in range(n)]
 
 
-def solve_lp(objective, constraints) -> LpResult:
+def solve_lp(objective, constraints, floor=None) -> LpResult:
     """Minimise ``objective . x`` subject to ``a . x <= b`` rows.
 
     ``constraints`` is an iterable of ``(a, b)`` pairs of int or Fraction
-    entries.  Raises ``Infeasible`` or ``Unbounded``.
+    entries.  Raises ``Infeasible`` or ``Unbounded``.  With a rational
+    ``floor``, phase 2 may stop at the first feasible basis whose value is
+    strictly below it, which is then the result in place of the optimum
+    (exact value, point and active set of that basis); an unbounded
+    objective may so stop before it is found unbounded.
     """
     c = tuple(objective)
     rows = []
@@ -181,19 +213,15 @@ def solve_lp(objective, constraints) -> LpResult:
         cols = [cols[j] for j in keep]
 
     ci, cm = _scale_to_int(c)
-    status, den = _optimise(tab, den, basis, cols, mates, ci)
-    if status != _kernel.OPTIMAL:
+    if floor is not None:
+        # The tableau's values are cm times the objective's.
+        floor = Fraction(floor)
+        floor = (floor.numerator * cm, floor.denominator)
+    status, den = _optimise(tab, den, basis, cols, mates, ci, floor)
+    if status == _kernel.UNBOUNDED:
         raise Unbounded("objective unbounded below on the feasible set")
     X = _numerators(tab, basis, n)
-    value = Fraction(sum(map(mul, ci, X)), cm * den)
-    # A twin row's dot is the negated dot of the row before it.
-    active = []
-    for i, (ia, ib) in enumerate(rows):
-        t = mates[nu + i]
-        d = -d if t is not None and t[0] < nu + i else sum(map(mul, ia, X))
-        if d == ib * den:
-            active.append(i)
-    return LpResult(value, tuple(Fraction(x, den) for x in X), tuple(active))
+    return LpResult(Fraction(sum(map(mul, ci, X)), cm * den), X, den, rows, mates)
 
 
 def _ball_rows(ball):
@@ -210,7 +238,7 @@ def _ball_rows(ball):
     return rows
 
 
-def gauge_scale(psi, ball) -> Fraction | None:
+def gauge_scale(psi, ball, cap=None) -> Fraction | None:
     """sup of psi over the unit ball {x : |f . x| <= 1 for all f}.
 
     Equals the least c with psi in c times the symmetric convex hull of
@@ -218,10 +246,17 @@ def gauge_scale(psi, ball) -> Fraction | None:
     Rows as in ``gauge_max``.  One ``solve_lp`` per call on the integer
     objective ``-pi``, whose tableau is the Fraction one; the value is
     read over ``pm``.  ``gauge_max`` serves many objectives.
+
+    With a rational ``cap`` the answer is exact only up to it: a gauge
+    ``<= cap`` is returned exactly, a larger one as some value ``> cap``
+    that a ball point attains, or as None.  The LP (floor ``-cap * pm``)
+    stops at the first basis past the cap, which is all a membership test
+    ``gauge <= cap`` reads.
     """
     pi, pm = psi
+    floor = None if cap is None else -cap * pm
     try:
-        res = solve_lp([-x for x in pi], _ball_rows(ball))
+        res = solve_lp([-x for x in pi], _ball_rows(ball), floor=floor)
     except Unbounded:
         return None
     return -res.value / pm

@@ -185,9 +185,11 @@ def _lockstep(monkeypatch):
 
     The compressed side is written out by ``oracles.expand_tableau`` with the
     ``mates`` of the latest ``bland_min`` call; ``logs["tabs"]`` keeps the
-    compressed tableaux that ``bland_min`` starts from.
+    compressed tableaux that ``bland_min`` starts from, ``logs["ends"]`` its
+    tableau, basis and ``cols`` when it returns and ``logs["status"]`` the
+    statuses it returns.  The stand-in forwards every argument.
     """
-    logs = {"full": [], "compressed": [], "tabs": []}
+    logs = {"full": [], "compressed": [], "tabs": [], "ends": [], "status": []}
     full_pivot, pivot, bland_min = oracles.full_pivot, _kernel.pivot, _kernel.bland_min
     mates = []
 
@@ -203,10 +205,13 @@ def _lockstep(monkeypatch):
         logs["compressed"].append((r, enter, leave, den, oracles.expand_tableau(tab, den, basis, cols, mates[0])))
         return den
 
-    def minimise(tab, den, basis, cols, m):
+    def minimise(tab, den, basis, cols, m, *rest):
         mates[:] = [m]
         logs["tabs"].append([row if row is None else row[:] for row in tab])
-        return bland_min(tab, den, basis, cols, m)
+        out = bland_min(tab, den, basis, cols, m, *rest)
+        logs["ends"].append(([row if row is None else row[:] for row in tab], basis[:], cols[:]))
+        logs["status"].append(out[0])
+        return out
 
     monkeypatch.setattr(oracles, "full_pivot", full)
     monkeypatch.setattr(_kernel, "pivot", compressed)
@@ -229,11 +234,15 @@ def test_gauge_lps_pivot_like_the_full_tableau(monkeypatch):
     # and repeated functionals give ties in pricing and in the ratio test;
     # objectives outside the span of the ball, the empty ball and dimension
     # 0 are among them.  gauge_scale (through solve_lp) and gauge_max must
-    # both pivot as the full tableau does, and store one row per pair.
+    # both pivot as the full tableau does, and store one row per pair.  A
+    # capped gauge_scale makes the first pivots of the same run and stops
+    # at the first basis whose gauge is strictly past the cap (the LP value
+    # strictly below the floor), or makes them all if none is.
     logs = _lockstep(monkeypatch)
     rng = random.Random(4711)
     seen = {"optimal": 0, "unbounded": 0, "empty": 0, "dim0": 0}
     pivots = flips = mirrors = minus = 0
+    capped = {"stopped": 0, "stopped unbounded": 0, "whole": 0, "whole unbounded": 0}
     for trial in range(400):
         n = trial % 6
         k = 0 if trial % 19 == 0 else rng.randint(1, 8)
@@ -252,6 +261,21 @@ def test_gauge_lps_pivot_like_the_full_tableau(monkeypatch):
         logs["compressed"].clear()
         assert gauge_max([(pi, 1)], ball)[0] == value
         assert logs["compressed"] == ref
+        # The gauge at each basis of the run, the slack basis (0) first.
+        gauges = [Fraction(0)] + [Fraction(tab[-1][-1], den) for _, _, _, den, tab in ref]
+        caps = {-1, max(gauges) + 1} | set(gauges) | {g - Fraction(1, 2) for g in gauges}
+        for cap in sorted(caps):
+            stop = next((p for p, g in enumerate(gauges) if g > cap), None)
+            _clear(logs)
+            got = gauge_scale((pi, 1), ball, cap=cap)
+            if stop is None:
+                assert logs["compressed"] == ref and got == value
+                assert logs["status"] == [_kernel.UNBOUNDED if value is None else _kernel.OPTIMAL]
+                capped["whole unbounded" if value is None else "whole"] += 1
+            else:
+                assert logs["compressed"] == ref[:stop] and got == gauges[stop] > cap
+                assert logs["status"] == [_kernel.STOPPED]
+                capped["stopped unbounded" if value is None else "stopped"] += 1
         seen["unbounded" if value is None else "optimal"] += 1
         seen["empty"] += k == 0
         seen["dim0"] += n == 0
@@ -265,6 +289,7 @@ def test_gauge_lps_pivot_like_the_full_tableau(monkeypatch):
             minus += leave >= 2 * n and leave % 2 == 1
     assert min(seen.values()) >= 20, seen
     assert pivots >= 700 and flips >= 15 and mirrors >= 200 and minus >= 250, (pivots, flips, mirrors, minus)
+    assert min(capped.values()) >= 150, capped
 
 
 def test_solve_lp_pairs_rows_and_pivots_like_the_full_tableau(monkeypatch):
@@ -323,6 +348,36 @@ def test_solve_lp_pairs_rows_and_pivots_like_the_full_tableau(monkeypatch):
         pivots += len(logs["full"])
         paired += len(twins)
     assert min(outcomes.values()) >= 30 and pivots >= 600 and paired >= 150, (outcomes, pivots, paired)
+
+
+def test_drive_out_enters_the_u_column_of_a_stored_v(monkeypatch):
+    # Phase 1 here ends with the artificials of rows 4, 5 and 6 basic at 0
+    # and x_1 nonbasic, stored as v_1 (u_1 entered and left, then v_1 did),
+    # with entries -32, -17 and 49 in their rows: at a phase-1 optimum a
+    # stored column's cost is minus the sum of its entries over the
+    # artificial rows, so a nonzero entry there needs two such rows.  The
+    # drive-out enters the lowest id with a nonzero entry, u_1 in the full
+    # tableau; the compressed one finds it only because each free variable
+    # is stored as its u column first, else it would enter v_1.
+    logs = _lockstep(monkeypatch)
+    rows = [([0, 1, 1, -1], 0), ([2, -1, 2, -1], -1), ([-2, 2, -1, -2], 3), ([1, 1, -2, -1], 3),
+            ([-2, -2, 0, 2], -2), ([2, -2, 0, 1], -1), ([-1, 2, 1, 1], -2)]
+    n, m = 4, len(rows)
+    c = [1, 0, 0, 0]
+    assert oracles.full_lp(c, rows) == "optimal"
+    res = solve_lp(c, rows)
+    assert res.point == (0, 0, -1, -1)
+    assert [e[:4] for e in logs["compressed"]] == [e[:4] for e in logs["full"]]
+    live = 2 * n + m
+    assert [_drop_dead(e[4], live, m) for e in logs["compressed"]] == [
+        _drop_dead(e[4], live, m) for e in logs["full"]]
+    tab, basis, cols = logs["ends"][0]
+    stored_v = [j for j, v in enumerate(cols) if n <= v < 2 * n]
+    art_rows = [i for i, b in enumerate(basis) if b >= live]
+    assert [cols[j] for j in stored_v] == [n + 1] and art_rows == [4, 5, 6]
+    assert [tab[i][stored_v[0]] for i in art_rows] == [-32, -17, 49]
+    # After the six pivots of phase 1, the drive-out enters u_1 at row 4.
+    assert logs["full"][6][:3] == (4, 1, 16)
 
 
 def test_degenerate_streak_counts_every_row(monkeypatch):

@@ -11,6 +11,7 @@ from msn.errors import DimensionMismatch
 from msn.linalg import (
     Matrix,
     _int_nullspace,
+    _scale_to_int,
     coordinate_complement,
     in_span,
     intersect_spans,
@@ -276,6 +277,24 @@ def test_equal_grids_are_equal_matrices_in_lowest_terms(case, k):
     assert all(g == m and hash(g) == hash(m) for g in grids)
     assert m.den > 0 and gcd(m.den, *(x for r in m.ints for x in r)) == 1
     assert m.entries == tuple(tuple(F(x) for x in r) for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12), st.booleans()), max_size=7))
+@example([])
+@example([3, -1, 0, 7, 2, 5])
+@example([3, F(1, 2), -1])
+@example([True, 2, False])
+def test_scale_to_int_reads_int_rows_as_the_fraction_route(row):
+    """Int, Fraction and mixed rows (bools too, which go the general way)
+    give the ``(ints, m)`` of the same values as Fractions; a row of plain
+    ints comes back as a copy over ``m == 1``."""
+    ints, m = _scale_to_int(row)
+    assert (ints, m) == _scale_to_int([F(x) for x in row])
+    assert all(type(x) is int for x in ints)
+    assert [F(x, m) for x in ints] == [F(x) for x in row]
+    if all(type(x) is int for x in row):
+        assert m == 1 and ints == row and ints is not row
 
 
 @st.composite

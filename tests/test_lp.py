@@ -105,25 +105,48 @@ def _rows(vectors):
     return [_scale_to_int(v) for v in vectors]
 
 
+def _capped(psi, funcs, exact, cap):
+    """``gauge_scale`` with a cap: the exact gauge up to the cap, past it a larger value or None."""
+    got = gauge_scale(_scale_to_int(psi), _rows(funcs), cap=cap)
+    if exact is not None and exact <= cap:
+        assert got == exact, (psi, funcs, cap)
+    else:
+        assert got is None or got > cap, (psi, funcs, cap)
+    return got != exact
+
+
 def test_gauge_scale_matches_vertex_oracle():
+    # With a cap the exact gauge (the oracle's, or the uncapped one where the
+    # ball has lower rank) is returned when it is at most the cap, and
+    # otherwise a value past the cap or None: the LP may stop early.
     rng = random.Random(7103)
-    spans = full = 0
+    spans = full = early = 0
     for _ in range(80):
         dim = rng.randint(1, 3)
         funcs = [tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim))
                  for _ in range(rng.randint(1, 5))]
         psi = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim))
         rank = gauss_rank(funcs)
+        exact = 0
         if any(psi) and gauss_rank(funcs + [psi]) > rank:
+            exact = None
             assert gauge_scale(_scale_to_int(psi), _rows(funcs)) is None
             spans += 1
         elif rank == dim:
             ball = [(f, F(1)) for f in funcs] + [(tuple(-x for x in f), F(1)) for f in funcs]
             verts = brute_vertices(ball, dim)
-            assert gauge_scale(_scale_to_int(psi), _rows(funcs)) == max(dot(psi, v) for v in verts)
+            exact = max(dot(psi, v) for v in verts)
+            assert gauge_scale(_scale_to_int(psi), _rows(funcs)) == exact
             full += 1
+        else:
+            exact = gauge_scale(_scale_to_int(psi), _rows(funcs))
+        caps = [F(0), F(1, 2), F(1), F(3)]
+        if exact is not None:
+            caps += [exact, exact - F(1, 3), exact + F(1, 7)]
+        early += sum(_capped(psi, funcs, exact, cap) for cap in caps)
         assert gauge_scale(_scale_to_int((F(0),) * dim), _rows(funcs)) == 0
-    assert spans >= 10 and full >= 40, (spans, full)
+        assert gauge_scale(_scale_to_int((F(0),) * dim), _rows(funcs), cap=F(0)) == 0
+    assert spans >= 10 and full >= 40 and early >= 100, (spans, full, early)
     assert gauge_scale(_scale_to_int((F(0), F(0))), []) == 0
     assert gauge_scale(_scale_to_int((F(1), F(0))), []) is None
 
@@ -179,11 +202,11 @@ def test_gauge_max_tableau_is_the_one_the_fractions_give(monkeypatch):
     seen, full = [], []
     real = _kernel.bland_min
 
-    def record(tab, den, basis, cols, mates):
+    def record(tab, den, basis, cols, mates, *rest):
         seen.append([r if r is None else r[:] for r in tab])
         full.append([[x for v, x in enumerate(row[:-1]) if v not in basis] + row[-1:]
                      for row in expand_tableau(tab, den, basis, cols, mates)])
-        return real(tab, den, basis, cols, mates)
+        return real(tab, den, basis, cols, mates, *rest)
 
     monkeypatch.setattr(_kernel, "bland_min", record)
 
@@ -388,3 +411,36 @@ def test_golden_outcomes_and_exact_invariants():
         assert all(s >= 0 for s in slack)
         assert res.active == tuple(i for i, s in enumerate(slack) if s == 0)
     assert min(seen["optimal"], seen["Infeasible"], seen["Unbounded"]) >= 100, seen
+
+
+def test_floor_stops_below_it_and_changes_nothing_above_it():
+    # On the golden instances, with floors around the optimum: an optimum
+    # at or above the floor is the unfloored result, field for field, and
+    # otherwise the result is a feasible basis strictly below the floor,
+    # with its value, point and active set exact.  An unbounded objective
+    # stops below the floor or is still found unbounded.
+    stopped = same = 0
+    for kind, obj, cons in golden_instances():
+        res, _ = _outcome(obj, cons)
+        if res is None:
+            if kind == "unbounded":
+                for floor in (F(-3, 2), F(0), F(7, 3)):
+                    try:
+                        got = solve_lp(obj, cons, floor=floor)
+                    except Unbounded:
+                        continue
+                    assert got.value < floor and got.value == dot(vec(obj), got.point)
+                    stopped += 1
+            continue
+        for floor in (res.value, res.value + F(1, 3), res.value - F(1, 2), F(0)):
+            got = solve_lp(obj, cons, floor=floor)
+            if res.value >= floor:
+                assert (got.value, got.point, got.active) == (res.value, res.point, res.active)
+                same += 1
+                continue
+            assert got.value < floor and got.value == dot(vec(obj), got.point)
+            slack = [b - dot(vec(a), got.point) for a, b in cons]
+            assert all(s >= 0 for s in slack)
+            assert got.active == tuple(i for i, s in enumerate(slack) if s == 0)
+            stopped += 1
+    assert stopped >= 300 and same >= 500, (stopped, same)

@@ -127,7 +127,7 @@ def test_independent_lists_are_kept_whole_without_an_lp(monkeypatch):
     rng = random.Random(31)
     calls = []
     real = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
     seen = {True: 0, False: 0}
     for _ in range(300):
         dim = rng.randint(1, 4)
@@ -145,6 +145,52 @@ def test_independent_lists_are_kept_whole_without_an_lp(monkeypatch):
         assert got == _leave_one_out(front)
         seen[independent] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def test_membership_boundary_is_gauge_one():
+    # Each membership LP may stop at the first ball point past 1, so only
+    # the gauge's side of 1 is read: exactly 1 is inside, 1 + 1/1000 is not,
+    # and a member outside the span of the others has no finite gauge.
+    h = F(1, 2)
+    assert S(2, [(1, 0), (0, 1), (h, h)]).functionals == ((0, 1), (1, 0))
+    assert S(2, [(1, 0), (h, -h), (0, 1)]).functionals == ((0, 1), (1, 0))
+    t = F(1001, 2000)
+    assert S(2, [(1, 0), (0, 1), (t, t)]).functionals == ((0, 1), (t, t), (1, 0))
+    assert S(3, [(1, 0, 0), (0, 1, 0), (h, h, 0), (0, 0, 1)]).functionals == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert S(3, [(1, 0, 0), (0, 1, 0), (t, t, 0), (0, 0, 5)]).functionals == (
+        (0, 0, 5), (0, 1, 0), (t, t, 0), (1, 0, 0))
+
+
+def test_reduction_matches_the_exact_leave_one_out_on_seeded_lists():
+    # Lists with members on the hull of the others (gauge exactly 1), just
+    # past it (gauge 1 + 1/1000) and well inside or outside: the reduced
+    # list is the one the uncapped gauges of the whole list give.
+    rng = random.Random(1000)
+    kinds = {"on": 0, "past": 0}
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        funcs = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+                 for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(1, 3)):
+            # factor times a convex combination of +/- members: its gauge
+            # is at most factor, and exactly that on a face of the hull.
+            picks = rng.sample(funcs, min(len(funcs), rng.randint(1, 3)))
+            w = [rng.choice((1, -1)) * F(rng.randint(1, 4)) for _ in picks]
+            factor = F(1001, 1000) if rng.random() < 0.4 else 1
+            scale = factor / sum(map(abs, w))
+            funcs.append(tuple(scale * sum(c * f[j] for c, f in zip(w, picks)) for j in range(dim)))
+        funcs = [f for f in funcs if any(f)]
+        if not funcs:
+            continue
+        front = S(dim, funcs, reduce=False).functionals
+        got = S(dim, funcs).functionals
+        assert got == _leave_one_out(front)
+        rows = [_scale_to_int(f) for f in front]
+        for i, f in enumerate(front):
+            g = gauge_scale(rows[i], rows[:i] + rows[i + 1:])
+            kinds["on"] += g == 1
+            kinds["past"] += g is not None and 1 < g <= F(1001, 1000)
+    assert kinds["on"] >= 20 and kinds["past"] >= 20, kinds
 
 
 def test_quotient_examples():
