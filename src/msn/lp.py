@@ -35,10 +35,9 @@ forms that share the phase-2 code (``_optimise``: cost row, ``bland_min``,
 and ``_numerators``: the point read-out), and both take objectives and
 ball as the integer rows ``(ints, m)`` of ``linalg._scale_to_int``, so a
 caller that reuses a list scales it once.  ``gauge_scale`` is one
-``solve_lp`` per objective and reads only its value; with a ``cap`` it
-is exact up to the cap and otherwise stops at the first ball point past
-it, which is all a membership test ``gauge <= cap`` needs.
-``gauge_max`` serves many objectives over one ball: it builds the
+``solve_lp`` per objective and answers the membership test ``gauge <= 1``:
+its LP stops at the first ball point past 1 (floor ``-1``) and only its
+value is read.  ``gauge_max`` is exact and serves many objectives over one ball: it builds the
 ``k × (n + 1)`` slack tableau once, with no phase 1 since every RHS is
 positive, and optimises each from a copy.
 """
@@ -60,9 +59,12 @@ class LpResult:
     All three fields are read exactly from the final integer tableau:
     ``point`` is in lowest terms, ``value`` equals ``objective . point``
     and ``active`` lists, in input order, the rows with ``a . point == b``.
-    ``value`` is built by ``solve_lp``; ``point`` and ``active`` are built
-    from the final numerators on first read, so a caller that reads only
-    the value (``gauge_scale``) pays for no more.
+    With a ``floor`` they describe the basis ``solve_lp`` stopped at,
+    which need not be optimal.  ``value`` is built by ``solve_lp``;
+    ``point`` and ``active`` are built from the final numerators on first
+    read, so a caller that reads only the value (``gauge_scale``) pays
+    for no more.  A plain class: results do not compare by value and
+    have the default repr.
     """
 
     def __init__(self, value: Fraction, X, den, rows, mates):
@@ -238,25 +240,22 @@ def _ball_rows(ball):
     return rows
 
 
-def gauge_scale(psi, ball, cap=None) -> Fraction | None:
-    """sup of psi over the unit ball {x : |f . x| <= 1 for all f}.
+def gauge_scale(psi, ball) -> Fraction | None:
+    """sup of psi over the unit ball {x : |f . x| <= 1 for all f}, where it is at most 1.
 
-    Equals the least c with psi in c times the symmetric convex hull of
-    the functionals; None when psi is outside their span (infinite sup).
-    Rows as in ``gauge_max``.  One ``solve_lp`` per call on the integer
-    objective ``-pi``, whose tableau is the Fraction one; the value is
-    read over ``pm``.  ``gauge_max`` serves many objectives.
-
-    With a rational ``cap`` the answer is exact only up to it: a gauge
-    ``<= cap`` is returned exactly, a larger one as some value ``> cap``
-    that a ball point attains, or as None.  The LP (floor ``-cap * pm``)
-    stops at the first basis past the cap, which is all a membership test
-    ``gauge <= cap`` reads.
+    The gauge is the least c with psi in c times the symmetric convex
+    hull of the functionals, so ``gauge <= 1`` is membership in that
+    hull.  A gauge ``<= 1`` is returned exactly; a larger one as some
+    value ``> 1`` that a ball point attains, or as None, which is also
+    the answer when psi is outside the span of the functionals (infinite
+    sup).  Rows as in ``gauge_max``, which gives exact gauges.  One
+    ``solve_lp`` per call on the integer objective ``-pi``, whose tableau
+    is the Fraction one, with floor ``-pm``: it stops at the first basis
+    past 1.  The value is read over ``pm``.
     """
     pi, pm = psi
-    floor = None if cap is None else -cap * pm
     try:
-        res = solve_lp([-x for x in pi], _ball_rows(ball), floor=floor)
+        res = solve_lp([-x for x in pi], _ball_rows(ball), floor=-pm)
     except Unbounded:
         return None
     return -res.value / pm
@@ -272,8 +271,8 @@ def gauge_max(objectives, ball) -> tuple[Fraction | None, Vec | None]:
     the first and leaves the second to its twin, so every tableau row is
     the one the Fraction input gave.
 
-    Returns ``(value, point)``: the maximum over the objectives of
-    ``gauge_scale(psi, ball)`` and a ball point where the first
+    Returns ``(value, point)``: the maximum over the objectives of their
+    exact gauges and a ball point where the first
     objective reaching it attains it.  No objectives give ``0`` at the
     origin; the first objective with an infinite sup (outside the span
     of the functionals) gives ``(None, None)``.

@@ -9,8 +9,8 @@ denominator), with redundant members (those inside the convex hull of
 the others and their negatives) removed by exact LP membership tests on
 those rows.  Each test asks only whether the member's gauge over the
 others' ball is at most 1, so its LP stops at the first ball point where
-the member exceeds 1 (``gauge_scale(..., cap=1)``); a gauge of exactly 1
-is inside.  A list of at most ``dim`` independent rows, where no member
+the member exceeds 1 (``gauge_scale``); a gauge of exactly 1 is
+inside.  A list of at most ``dim`` independent rows, where no member
 can be redundant, is settled by one ``echelon_int`` rank test instead.
 ``_from_rows`` is the one constructor: every construction (quotients,
 pullbacks, products, closures, bands and pushout levels) builds from
@@ -148,7 +148,7 @@ def _from_rows(dim: int, rows, reduce: bool = True) -> PolyhedralSeminorm:
         i = 0
         while i < len(rows):
             # Redundant iff in conv(the others and their negatives).
-            scale = gauge_scale(rows[i], rows[:i] + rows[i + 1:], cap=1)
+            scale = gauge_scale(rows[i], rows[:i] + rows[i + 1:])
             if scale is not None and scale <= 1:
                 rows.pop(i)
             else:

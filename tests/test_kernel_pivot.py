@@ -229,15 +229,24 @@ def _drop_dead(tab, live, m):
     return tab if len(tab) > m else [row[:live] + row[-1:] for row in tab]
 
 
+def _gauge(pi, ball, cap=None):
+    """sup pi . x over the ball by one ``solve_lp``, stopped past ``cap`` if given; None if unbounded."""
+    try:
+        return -solve_lp([-x for x in pi], _ball_rows(ball), floor=None if cap is None else -cap).value
+    except Unbounded:
+        return None
+
+
 def test_gauge_lps_pivot_like_the_full_tableau(monkeypatch):
     # Seeded gauge LPs, sup psi . x over |f . x| <= m: few small entries
     # and repeated functionals give ties in pricing and in the ratio test;
     # objectives outside the span of the ball, the empty ball and dimension
-    # 0 are among them.  gauge_scale (through solve_lp) and gauge_max must
-    # both pivot as the full tableau does, and store one row per pair.  A
-    # capped gauge_scale makes the first pivots of the same run and stops
-    # at the first basis whose gauge is strictly past the cap (the LP value
-    # strictly below the floor), or makes them all if none is.
+    # 0 are among them.  gauge_max and solve_lp must both pivot as the
+    # full tableau does, and store one row per pair.  With a floor -cap,
+    # solve_lp makes the first pivots of the same run and stops at the
+    # first basis whose gauge is strictly past the cap (the LP value
+    # strictly below the floor), or makes them all if none is; gauge_scale
+    # is the cap 1.
     logs = _lockstep(monkeypatch)
     rng = random.Random(4711)
     seen = {"optimal": 0, "unbounded": 0, "empty": 0, "dim0": 0}
@@ -254,20 +263,20 @@ def test_gauge_lps_pivot_like_the_full_tableau(monkeypatch):
         _clear(logs)
         expected = oracles.full_lp([-x for x in pi], _ball_rows(ball))
         ref = logs["full"][:]
-        value = gauge_scale((pi, 1), ball)
+        value = gauge_max([(pi, 1)], ball)[0]
         assert (value is None) == (expected == "unbounded")
         assert logs["compressed"] == ref
-        assert logs["tabs"][0][1:2 * k:2] == [None] * k
-        logs["compressed"].clear()
-        assert gauge_max([(pi, 1)], ball)[0] == value
+        _clear(logs)
+        assert _gauge(pi, ball) == value
         assert logs["compressed"] == ref
+        assert logs["tabs"][0][1:2 * k:2] == [None] * k
         # The gauge at each basis of the run, the slack basis (0) first.
         gauges = [Fraction(0)] + [Fraction(tab[-1][-1], den) for _, _, _, den, tab in ref]
-        caps = {-1, max(gauges) + 1} | set(gauges) | {g - Fraction(1, 2) for g in gauges}
+        caps = {-1, 1, max(gauges) + 1} | set(gauges) | {g - Fraction(1, 2) for g in gauges}
         for cap in sorted(caps):
             stop = next((p for p, g in enumerate(gauges) if g > cap), None)
             _clear(logs)
-            got = gauge_scale((pi, 1), ball, cap=cap)
+            got = gauge_scale((pi, 1), ball) if cap == 1 else _gauge(pi, ball, cap)
             if stop is None:
                 assert logs["compressed"] == ref and got == value
                 assert logs["status"] == [_kernel.UNBOUNDED if value is None else _kernel.OPTIMAL]

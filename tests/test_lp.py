@@ -10,7 +10,7 @@ import pytest
 from msn import _kernel
 from msn.errors import DimensionMismatch, Infeasible, Unbounded
 from msn.linalg import _scale_to_int, dot, vec
-from msn.lp import gauge_max, gauge_scale, solve_lp
+from msn.lp import _ball_rows, gauge_max, gauge_scale, solve_lp
 
 from oracles import brute_lp_min, brute_vertices, expand_tableau, gauss_rank, piecewise_min_1d
 
@@ -105,20 +105,30 @@ def _rows(vectors):
     return [_scale_to_int(v) for v in vectors]
 
 
-def _capped(psi, funcs, exact, cap):
-    """``gauge_scale`` with a cap: the exact gauge up to the cap, past it a larger value or None."""
-    got = gauge_scale(_scale_to_int(psi), _rows(funcs), cap=cap)
+def _gauge(psi, funcs, cap=None):
+    """sup psi . x over the ball of ``funcs`` by one ``solve_lp``, stopped past ``cap`` if given; None if unbounded."""
+    pi, pm = _scale_to_int(psi)
+    try:
+        res = solve_lp([-x for x in pi], _ball_rows(_rows(funcs)), floor=None if cap is None else -cap * pm)
+    except Unbounded:
+        return None
+    return -res.value / pm
+
+
+def _capped(got, exact, cap):
+    """A gauge read with a cap: ``exact`` up to the cap, past it a larger value or None."""
     if exact is not None and exact <= cap:
-        assert got == exact, (psi, funcs, cap)
+        assert got == exact, cap
     else:
-        assert got is None or got > cap, (psi, funcs, cap)
+        assert got is None or got > cap, cap
     return got != exact
 
 
 def test_gauge_scale_matches_vertex_oracle():
-    # With a cap the exact gauge (the oracle's, or the uncapped one where the
-    # ball has lower rank) is returned when it is at most the cap, and
-    # otherwise a value past the cap or None: the LP may stop early.
+    # The gauge LP without a floor is exact (the oracle's gauge, or None
+    # outside the span).  With a floor -cap it returns the exact gauge when
+    # that is at most the cap, and otherwise a value past the cap or None:
+    # the LP may stop early.  gauge_scale is the cap 1.
     rng = random.Random(7103)
     spans = full = early = 0
     for _ in range(80):
@@ -127,25 +137,22 @@ def test_gauge_scale_matches_vertex_oracle():
                  for _ in range(rng.randint(1, 5))]
         psi = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim))
         rank = gauss_rank(funcs)
-        exact = 0
+        exact = _gauge(psi, funcs)
         if any(psi) and gauss_rank(funcs + [psi]) > rank:
-            exact = None
-            assert gauge_scale(_scale_to_int(psi), _rows(funcs)) is None
+            assert exact is None
             spans += 1
         elif rank == dim:
             ball = [(f, F(1)) for f in funcs] + [(tuple(-x for x in f), F(1)) for f in funcs]
             verts = brute_vertices(ball, dim)
-            exact = max(dot(psi, v) for v in verts)
-            assert gauge_scale(_scale_to_int(psi), _rows(funcs)) == exact
+            assert exact == max(dot(psi, v) for v in verts)
             full += 1
-        else:
-            exact = gauge_scale(_scale_to_int(psi), _rows(funcs))
-        caps = [F(0), F(1, 2), F(1), F(3)]
+        early += _capped(gauge_scale(_scale_to_int(psi), _rows(funcs)), exact, 1)
+        caps = [F(0), F(1, 2), F(3)]
         if exact is not None:
             caps += [exact, exact - F(1, 3), exact + F(1, 7)]
-        early += sum(_capped(psi, funcs, exact, cap) for cap in caps)
+        early += sum(_capped(_gauge(psi, funcs, cap), exact, cap) for cap in caps)
         assert gauge_scale(_scale_to_int((F(0),) * dim), _rows(funcs)) == 0
-        assert gauge_scale(_scale_to_int((F(0),) * dim), _rows(funcs), cap=F(0)) == 0
+        assert _gauge((F(0),) * dim, funcs, F(0)) == 0
     assert spans >= 10 and full >= 40 and early >= 100, (spans, full, early)
     assert gauge_scale(_scale_to_int((F(0), F(0))), []) == 0
     assert gauge_scale(_scale_to_int((F(1), F(0))), []) is None
@@ -164,7 +171,9 @@ def test_gauge_max_matches_gauge_scale_and_vertex_oracle():
         if objs and rng.random() < 0.2:
             objs.insert(rng.randrange(len(objs)), (F(0),) * dim)
         # max over objectives of the one-objective gauges; None if any is infinite
-        singles = [gauge_scale(psi, _rows(funcs)) for psi in _rows(objs)]
+        singles = [_gauge(psi, funcs) for psi in objs]
+        for psi, single in zip(_rows(objs), singles):
+            _capped(gauge_scale(psi, _rows(funcs)), single, 1)
         want = None if None in singles else max(singles, default=F(0))
         value, point = gauge_max(_rows(objs), _rows(funcs))
         assert value == want

@@ -8,7 +8,7 @@ from msn import _kernel, io, maps
 from msn.amalgam import pushout
 from msn.errors import BadLevel
 from msn.linalg import Matrix, _scale_to_int, in_span, inverse
-from msn.lp import gauge_scale
+from msn.lp import gauge_max
 from msn.maps import (
     LinearMap,
     _is_identity_on_level,
@@ -288,7 +288,7 @@ def _tower_maps():
 
 
 def _rows(vectors):
-    """The integer ``(ints, m)`` rows ``gauge_scale`` takes."""
+    """The integer ``(ints, m)`` rows ``gauge_max`` takes."""
     return [_scale_to_int(v) for v in vectors]
 
 
@@ -306,10 +306,10 @@ def test_pullbacks_match_fraction_oracle_and_gauges():
         # the rows are the lowest-terms scaling of the Fraction pullbacks
         assert rows == [(tuple(ia), s) for ia, s in _rows(pulled)]
         dom = f.domain.seminorms[m].functionals
-        ups = [gauge_scale(psi, _rows(dom)) for psi in _rows(pulled)]
+        ups = [gauge_max([psi], _rows(dom))[0] for psi in _rows(pulled)]
         assert operator_seminorm(f, m) == (None if None in ups else max(ups, default=F(0)))
         if dom:
-            downs = [gauge_scale(phi, _rows(pulled)) for phi in _rows(dom)]
+            downs = [gauge_max([phi], _rows(pulled))[0] for phi in _rows(dom)]
             assert lower_constant(f, m) == (F(0) if None in downs else 1 / max(downs))
         escapes += None in ups
     assert escapes >= 10, escapes

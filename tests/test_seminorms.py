@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from msn import lp
 from msn.errors import DimensionMismatch
 from msn.linalg import Matrix, _scale_to_int, dot, in_span, vec
-from msn.lp import gauge_scale
+from msn.lp import gauge_max
 from msn.polytope import polytope_vertices
 from msn.seminorms import (
     PolyhedralSeminorm,
@@ -117,24 +117,34 @@ def test_reduce_examples():
 
 
 def _leave_one_out(funcs):
-    """The irredundant members of a list: each tested by one gauge LP against the others."""
+    """The exact gauge of each member over the others' ball, by one ``gauge_max`` each."""
     rows = [_scale_to_int(f) for f in funcs]
-    gauges = [gauge_scale(rows[i], rows[:i] + rows[i + 1:]) for i in range(len(rows))]
-    return tuple(f for f, g in zip(funcs, gauges) if g is None or g > 1)
+    return [gauge_max([rows[i]], rows[:i] + rows[i + 1:])[0] for i in range(len(rows))]
 
 
 def test_independent_lists_are_kept_whole_without_an_lp(monkeypatch):
+    # Some lists get members on the hull of the others (gauge exactly 1,
+    # redundant) or just past it (gauge 1 + 1/1000, kept): the reduced
+    # list is the one the exact gauges give.
     rng = random.Random(31)
     calls = []
     real = lp.solve_lp
     monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
-    seen = {True: 0, False: 0}
-    for _ in range(300):
+    seen = {True: 0, False: 0, "on": 0, "past": 0}
+    for _ in range(400):
         dim = rng.randint(1, 4)
         funcs = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
                  for _ in range(rng.randint(2, dim + 1))]
         if not all(any(f) for f in funcs):
             continue
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            # factor times a convex combination of +/- members: its gauge
+            # is at most factor, and exactly that on a face of the hull.
+            picks = rng.sample(funcs, rng.randint(1, min(len(funcs), 3)))
+            w = [rng.choice((1, -1)) * F(rng.randint(1, 4)) for _ in picks]
+            scale = rng.choice((1, F(1001, 1000))) / sum(map(abs, w))
+            funcs.append(tuple(scale * sum(c * f[j] for c, f in zip(w, picks)) for j in range(dim)))
+        funcs = [f for f in funcs if any(f)]
         front = S(dim, funcs, reduce=False).functionals
         independent = Matrix.from_rows(front).rank() == len(front)
         calls.clear()
@@ -142,9 +152,12 @@ def test_independent_lists_are_kept_whole_without_an_lp(monkeypatch):
         assert (not calls) == independent
         if independent:
             assert got == front
-        assert got == _leave_one_out(front)
+        gauges = _leave_one_out(front)
+        assert got == tuple(f for f, g in zip(front, gauges) if g is None or g > 1)
         seen[independent] += 1
-    assert min(seen.values()) >= 50, seen
+        seen["on"] += gauges.count(1)
+        seen["past"] += sum(g is not None and 1 < g <= F(1001, 1000) for g in gauges)
+    assert min(seen[True], seen[False]) >= 50 and min(seen["on"], seen["past"]) >= 20, seen
 
 
 def test_membership_boundary_is_gauge_one():
@@ -159,38 +172,6 @@ def test_membership_boundary_is_gauge_one():
     assert S(3, [(1, 0, 0), (0, 1, 0), (h, h, 0), (0, 0, 1)]).functionals == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert S(3, [(1, 0, 0), (0, 1, 0), (t, t, 0), (0, 0, 5)]).functionals == (
         (0, 0, 5), (0, 1, 0), (t, t, 0), (1, 0, 0))
-
-
-def test_reduction_matches_the_exact_leave_one_out_on_seeded_lists():
-    # Lists with members on the hull of the others (gauge exactly 1), just
-    # past it (gauge 1 + 1/1000) and well inside or outside: the reduced
-    # list is the one the uncapped gauges of the whole list give.
-    rng = random.Random(1000)
-    kinds = {"on": 0, "past": 0}
-    for _ in range(150):
-        dim = rng.randint(1, 4)
-        funcs = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
-                 for _ in range(rng.randint(1, 5))]
-        for _ in range(rng.randint(1, 3)):
-            # factor times a convex combination of +/- members: its gauge
-            # is at most factor, and exactly that on a face of the hull.
-            picks = rng.sample(funcs, min(len(funcs), rng.randint(1, 3)))
-            w = [rng.choice((1, -1)) * F(rng.randint(1, 4)) for _ in picks]
-            factor = F(1001, 1000) if rng.random() < 0.4 else 1
-            scale = factor / sum(map(abs, w))
-            funcs.append(tuple(scale * sum(c * f[j] for c, f in zip(w, picks)) for j in range(dim)))
-        funcs = [f for f in funcs if any(f)]
-        if not funcs:
-            continue
-        front = S(dim, funcs, reduce=False).functionals
-        got = S(dim, funcs).functionals
-        assert got == _leave_one_out(front)
-        rows = [_scale_to_int(f) for f in front]
-        for i, f in enumerate(front):
-            g = gauge_scale(rows[i], rows[:i] + rows[i + 1:])
-            kinds["on"] += g == 1
-            kinds["past"] += g is not None and 1 < g <= F(1001, 1000)
-    assert kinds["on"] >= 20 and kinds["past"] >= 20, kinds
 
 
 def test_quotient_examples():
