@@ -36,10 +36,10 @@ and ``_numerators``: the point read-out), and both take objectives and
 ball as the integer rows ``(ints, m)`` of ``linalg._scale_to_int``, so a
 caller that reuses a list scales it once.  ``gauge_scale`` is one
 ``solve_lp`` per objective and answers the membership test ``gauge <= 1``:
-its LP stops at the first ball point past 1 (floor ``-1``) and only its
-value is read.  ``gauge_max`` is exact and serves many objectives over one ball: it builds the
-``k × (n + 1)`` slack tableau once, with no phase 1 since every RHS is
-positive, and optimises each from a copy.
+its LP stops at the first ball point past 1 and only its value is read.
+``gauge_max`` is exact and serves many objectives over one ball: it
+builds the ``k × (n + 1)`` slack tableau once, with no phase 1 since
+every RHS is positive, and optimises each from a copy.
 """
 
 from __future__ import annotations
